@@ -17,6 +17,14 @@ proofs show prepared (highest view wins per sequence). Replicas validate
 the NewView against the same rule and reject a primary that re-proposes
 a different digest than the proofs dictate.
 
+Committed blocks live in each replica's chain, which therefore serves as
+the stable checkpoint of PBFT's low-water mark: when a block commits, the
+replica drops every per-instance entry (accepted PrePrepares, logged
+messages, seen digests, block and payload copies) at or below
+last_committed_seq. Every read of that state is guarded by
+seq > last_committed_seq, so the prune changes no behaviour, and replica
+memory stays bounded by the in-flight window rather than the chain height.
+
 Replica state machines are strictly single threaded: all transitions go
 through handle_message / on_timeout, driven by the simulator's event
 loop. Sender identity is trusted from the delivery envelope; Byzantine
@@ -241,6 +249,10 @@ class Replica:
         sequences always count, whatever view prepared them, because they
         constrain what may commit and must keep the timer armed until a
         re-proposal lands.
+
+        State at or below last_committed_seq is dropped on commit (the
+        chain holds the committed blocks), so this scans only the
+        in-flight instances.
         """
         if self.in_view_change:
             return True
@@ -411,6 +423,7 @@ class Replica:
         if self._count_matching(view, seq, MessageKind.COMMIT, digest) < self._quorum:
             return
         self._commit_ready[seq] = digest
+        released = False
         while self.last_committed_seq + 1 in self._commit_ready:
             nxt = self.last_committed_seq + 1
             d = self._commit_ready.pop(nxt)
@@ -419,11 +432,35 @@ class Replica:
                 self.evidence.append(
                     Evidence("link-mismatch-at-commit", view, nxt, self.config.node_id)
                 )
-                return
+                break
             committed.append(CommitEvent(block=block, blobs=self._blobs_seen.get(d, {})))
             self.last_committed_seq = nxt
             self.tip_hash = block.block_hash
             self._prepared.pop(nxt, None)
+            released = True
+        if released:
+            self._prune_committed()
+
+    def _prune_committed(self) -> None:
+        """Drop per-instance state at or below the low-water mark.
+
+        Every read of these maps is guarded by seq > last_committed_seq,
+        and the chain now holds the committed blocks, so nothing here can
+        be needed again (the PBFT stable checkpoint, with the chain as
+        the checkpoint).
+        """
+        low = self.last_committed_seq
+        # keys are (view, seq) or (view, seq, kind|sender): seq is k[1]
+        self._accepted = {k: v for k, v in self._accepted.items() if k[1] > low}
+        self._sent_commit = {k for k in self._sent_commit if k[1] > low}
+        self._log = {k: v for k, v in self._log.items() if k[1] > low}
+        self._digest_seen = {k: v for k, v in self._digest_seen.items() if k[1] > low}
+        self._conflict_flagged = {k for k in self._conflict_flagged if k[1] > low}
+        self._must_repropose = {s: d for s, d in self._must_repropose.items() if s > low}
+        self._blocks_seen = {
+            d: b for d, b in self._blocks_seen.items() if b.header.height > low
+        }
+        self._blobs_seen = {d: p for d, p in self._blobs_seen.items() if d in self._blocks_seen}
 
     # -- view change -----------------------------------------------------------
 

@@ -254,17 +254,26 @@ def test_new_primary_needs_quorum_of_view_changes():
 
 
 def test_new_primary_announces_view_and_reproposes_prepared():
-    """ViewChange quorum where one proof shows prepared (seq 1, d):
-    the NewView must re-issue a PrePrepare for exactly that digest."""
+    """r1 prepares seqs 1 and 2 in view 0; seq 1 then commits, which
+    prunes its state while seq 2 stays prepared above that low-water mark.
+    From a ViewChange quorum where one proof shows prepared (seq 2, d2),
+    the NewView must re-issue a PrePrepare for exactly that digest, with
+    its block and payloads."""
     r1 = replica(1)
-    block, blobs = make_block()
-    d = block.block_hash
-    # r1 itself prepared seq 1 in view 0
-    r1.handle_message(msg(MessageKind.PRE_PREPARE, 0, 1, d, 0, block=block, blobs=blobs), now=1)
-    out, _ = r1.handle_message(msg(MessageKind.PREPARE, 0, 1, d, 0), now=1)
-    r1.handle_message(msg(MessageKind.PREPARE, 0, 1, d, 1), now=1)
-    r1.handle_message(msg(MessageKind.PREPARE, 0, 1, d, 2), now=1)
+    block1, blobs1 = make_block()
+    block2, blobs2 = make_block(height=2, prev=block1.block_hash, tick=2, salt="y")
+    d1, d2 = block1.block_hash, block2.block_hash
+    r1.handle_message(msg(MessageKind.PRE_PREPARE, 0, 1, d1, 0, block=block1, blobs=blobs1), now=1)
+    r1.handle_message(msg(MessageKind.PRE_PREPARE, 0, 2, d2, 0, block=block2, blobs=blobs2), now=1)
+    for seq, d in ((1, d1), (2, d2)):
+        for sender in (0, 1, 2):
+            r1.handle_message(msg(MessageKind.PREPARE, 0, seq, d, sender), now=2)
+    committed = []
+    for sender in (0, 1, 2):
+        committed += r1.handle_message(msg(MessageKind.COMMIT, 0, 1, d1, sender), now=3)[1]
+    assert [e.block.block_hash for e in committed] == [d1]
     own_vc = r1.on_timeout(now=40)[0]
+    assert own_vc.prepared_proof == ((2, d2, 0),)
     r1.handle_message(own_vc, now=40)  # self delivery
     r1.handle_message(msg(MessageKind.VIEW_CHANGE, 1, 0, ZERO_DIGEST, 2, prepared_proof=()), now=41)
     out, _ = r1.handle_message(
@@ -272,7 +281,8 @@ def test_new_primary_announces_view_and_reproposes_prepared():
     )
     kinds = [m.kind for m in out]
     assert kinds == [MessageKind.NEW_VIEW, MessageKind.PRE_PREPARE]
-    assert out[1].view == 1 and out[1].seq == 1 and out[1].digest == d
+    assert out[1].view == 1 and out[1].seq == 2 and out[1].digest == d2
+    assert out[1].block == block2 and out[1].blobs == blobs2
     assert r1.current_view == 1 and not r1.in_view_change
 
 

@@ -14,6 +14,7 @@ from revledger.sim import (
     Silent,
     SimConfig,
     SimError,
+    Simulation,
     Submission,
     apply_behavior,
     deliver,
@@ -267,6 +268,59 @@ def test_crashed_primary_recovers_via_view_change():
     assert all(r.status == "CommittedValid" for r in report.receipts)
     assert all(report.final_views[i] >= 1 for i in (1, 2, 3))
     assert 0 in report.crashed_nodes
+
+
+# Per-instance replica maps, keyed by (view, seq, ...) unless noted.
+_INSTANCE_MAPS = ("_accepted", "_log", "_digest_seen", "_conflict_flagged", "_sent_commit")
+# A primary proposes a one-transaction block only once its previous block
+# has committed, so a replica sees at most a few sequences past its own
+# last committed one.
+_WINDOW = 3
+
+
+def _held_seqs(replica) -> dict[str, list[int]]:
+    held = {name: [key[1] for key in getattr(replica, name)] for name in _INSTANCE_MAPS}
+    held["_must_repropose"] = list(replica._must_repropose)
+    held["_blocks_seen"] = [b.header.height for b in replica._blocks_seen.values()]
+    held["_blobs_seen"] = [replica._blocks_seen[d].header.height for d in replica._blobs_seen]
+    return held
+
+
+def test_replica_state_stays_within_the_in_flight_window():
+    """300 one-transaction blocks at n=4, with the primary crashing so a
+    view change happens mid-run. At every tick, each live replica holds
+    nothing at or below its last committed sequence, and each map holds
+    no more than the in-flight window, however tall the chain grows."""
+    config = SimConfig(
+        n=4, f=1, seed=7, delay_min=1, delay_max=3, max_batch=1, max_ticks=5000,
+        byzantine=((0, Crash(at_tick=100)),),
+    )
+    wl = [
+        Submission(tick=1 + 10 * i, node=1 + i % 3, work_id=f"w{i}", author_id="ada",
+                   payload=f"payload {i}".encode())
+        for i in range(300)
+    ]
+    sim = Simulation(config, wl)
+    check_idle = sim._idle
+
+    def checked_idle():
+        for i, node in enumerate(sim.nodes):
+            if i in sim.crashed:
+                continue
+            r = node.replica
+            low = r.last_committed_seq
+            bound = _WINDOW * config.n * (r.current_view + 1)
+            for name, seqs in _held_seqs(r).items():
+                assert all(low < s <= low + _WINDOW for s in seqs), (i, name, low, seqs)
+                assert len(seqs) <= bound, (i, name, len(seqs))
+        return check_idle()
+
+    sim._idle = checked_idle
+    report = sim.run()
+    assert not report.stalled and report.safety_ok
+    assert all(report.committed_heights[i] == 300 for i in (1, 2, 3))
+    assert all(report.final_views[i] >= 1 for i in (1, 2, 3))
+    assert all(not seqs for i in (1, 2, 3) for seqs in _held_seqs(sim.nodes[i].replica).values())
 
 
 def test_equivocating_primary_cannot_split_honest_nodes():
