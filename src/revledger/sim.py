@@ -500,13 +500,11 @@ class Simulation:
         ]
 
     def _safety_ok(self, honest: list[int]) -> bool:
-        max_height = max((self.nodes[i].chain.height for i in honest), default=0)
+        # Chain.blocks copies the chain, so take each replica's blocks once.
+        chains = [(self.nodes[i].chain.height, self.nodes[i].chain.blocks) for i in honest]
+        max_height = max((height for height, _ in chains), default=0)
         for h in range(1, max_height + 1):
-            digests = {
-                self.nodes[i].chain.blocks[h].block_hash
-                for i in honest
-                if self.nodes[i].chain.height >= h
-            }
+            digests = {blocks[h].block_hash for height, blocks in chains if height >= h}
             if len(digests) > 1:
                 return False
         return True

@@ -1,6 +1,9 @@
 import pytest
 
+from revledger.content_store import MemoryStore
+from revledger.ledger import build_block
 from revledger.pbft import MessageKind, PbftMessage
+from revledger.revisions import propose_revision
 from revledger.rng import SplitMix64, derive_stream_seed
 from revledger.sim import (
     CorruptDigest,
@@ -334,6 +337,25 @@ def test_equivocating_primary_cannot_split_honest_nodes():
     assert report.equivocation_evidence  # observed and logged
     honest_digests = [report.committed_digests[i] for i in (1, 2, 3)]
     assert honest_digests[0] == honest_digests[1] == honest_digests[2]
+
+
+def test_safety_compares_honest_chains_height_by_height():
+    """A shorter honest chain that is a prefix of another is safe; two
+    honest chains with different blocks at one height are not."""
+
+    def block_on(chain, salt):
+        tx = propose_revision(f"w-{salt}", "ada", salt.encode(), {}, MemoryStore())
+        return build_block(chain.height + 1, chain.tip.block_hash, [tx], "node-0", 0, 1)
+
+    config = SimConfig(n=4, f=1, seed=1, max_ticks=10)
+    sim = Simulation(config, [])
+    first = block_on(sim.nodes[1].chain, "a")
+    for i in (1, 2):
+        sim.nodes[i].chain.append(first)
+    sim.nodes[1].chain.append(block_on(sim.nodes[1].chain, "b"))
+    assert sim.run().safety_ok
+    sim.nodes[2].chain.append(block_on(sim.nodes[2].chain, "c"))
+    assert not sim.run().safety_ok
 
 
 def test_submission_to_crashed_node_is_lost_and_flagged():
