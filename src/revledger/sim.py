@@ -554,7 +554,9 @@ class Simulation:
                 )
             )
 
-        reference = self.nodes[honest[0]] if honest else self.nodes[0]
+        # A crashed replica stopped committing, so it cannot speak for the run.
+        live = [i for i in honest if i not in self.crashed] or honest or [0]
+        reference = self.nodes[live[0]]
         validity_counts = {
             flag.value: count for flag, count in sorted(
                 reference.flag_counts.items(), key=lambda kv: kv[0].value

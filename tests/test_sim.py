@@ -271,6 +271,9 @@ def test_crashed_primary_recovers_via_view_change():
     assert all(r.status == "CommittedValid" for r in report.receipts)
     assert all(report.final_views[i] >= 1 for i in (1, 2, 3))
     assert 0 in report.crashed_nodes
+    # counted on a survivor, not on the crashed node 0
+    assert report.validity_counts == {"Valid": 6}
+    assert report.throughput == 6 / report.ticks_elapsed
 
 
 # Per-instance replica maps, keyed by (view, seq, ...) unless noted.
