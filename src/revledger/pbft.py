@@ -442,13 +442,8 @@ class Replica:
             self._prune_committed()
 
     def _prune_committed(self) -> None:
-        """Drop per-instance state at or below the low-water mark.
-
-        Every read of these maps is guarded by seq > last_committed_seq,
-        and the chain now holds the committed blocks, so nothing here can
-        be needed again (the PBFT stable checkpoint, with the chain as
-        the checkpoint).
-        """
+        """Drop per-instance state at or below last_committed_seq; the
+        module docstring gives the invariant that makes this safe."""
         low = self.last_committed_seq
         # keys are (view, seq) or (view, seq, kind|sender): seq is k[1]
         self._accepted = {k: v for k, v in self._accepted.items() if k[1] > low}
