@@ -22,8 +22,6 @@ from pathlib import Path
 
 from .digests import from_hex, sha256, to_hex
 
-MEDIA_KINDS = ("text", "image", "other")
-
 _TMP_COUNTER = itertools.count()
 
 
@@ -40,28 +38,10 @@ class IntegrityError(StoreError):
 
 
 @dataclass(frozen=True)
-class Payload:
-    """Bytes plus a media tag. The tag never participates in hashing."""
-
-    data: bytes
-    media_kind: str = "other"
-
-    def __post_init__(self):
-        if self.media_kind not in MEDIA_KINDS:
-            raise ValueError(f"unknown media_kind {self.media_kind!r}")
-
-
-@dataclass(frozen=True)
 class AuditDefect:
     key: str  # hex key as stored (or raw filename when malformed)
     kind: str  # key-mismatch | unreadable | malformed-key
     detail: str = ""
-
-
-def hash_content(payload: Payload | bytes) -> bytes:
-    """SHA-256 of the payload bytes. Deterministic, media_kind ignored."""
-    data = payload.data if isinstance(payload, Payload) else payload
-    return sha256(data)
 
 
 class ContentStore:
@@ -76,9 +56,8 @@ class ContentStore:
         hex_key = to_hex(digest)
         return self.blob_dir / hex_key[:2] / hex_key
 
-    def put(self, payload: Payload | bytes) -> bytes:
+    def put(self, data: bytes) -> bytes:
         """Store bytes under their hash; re-putting identical bytes is a no-op."""
-        data = payload.data if isinstance(payload, Payload) else payload
         digest = sha256(data)
         path = self._blob_path(digest)
         if path.exists():
@@ -110,20 +89,6 @@ class ContentStore:
         if sha256(data) != digest:
             raise IntegrityError(f"blob {to_hex(digest)} does not match its key")
         return data
-
-    def keys(self) -> list[bytes]:
-        """Digests of every blob file present, sorted; skips malformed names."""
-        found = []
-        if not self.blob_dir.exists():
-            return found
-        for path in sorted(self.blob_dir.glob("*/*")):
-            if path.name.startswith("."):
-                continue
-            try:
-                found.append(from_hex(path.name))
-            except ValueError:
-                continue
-        return sorted(found)
 
     def audit(self) -> list[AuditDefect]:
         """Rehash every blob. Empty result means every blob matches its key.
@@ -162,8 +127,7 @@ class MemoryStore:
     def __init__(self):
         self._blobs: dict[bytes, bytes] = {}
 
-    def put(self, payload: Payload | bytes) -> bytes:
-        data = payload.data if isinstance(payload, Payload) else payload
+    def put(self, data: bytes) -> bytes:
         digest = sha256(data)
         self._blobs.setdefault(digest, data)
         return digest
@@ -178,9 +142,6 @@ class MemoryStore:
         if sha256(data) != digest:
             raise IntegrityError(f"blob {to_hex(digest)} does not match its key")
         return data
-
-    def keys(self) -> list[bytes]:
-        return sorted(self._blobs)
 
     def audit(self) -> list[AuditDefect]:
         defects = []

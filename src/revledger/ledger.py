@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import encoding
-from .content_store import IntegrityError, NotFoundError, StoreError
+from .content_store import NotFoundError, StoreError
 from .digests import ZERO_DIGEST, from_hex, to_hex
 from .merkle import merkle_root
 from .revisions import RevisionRecord, Transaction
@@ -142,14 +142,25 @@ class VerifyReport:
     def ok(self) -> bool:
         return not self.defects
 
-    def earliest_height(self) -> int | None:
-        return min((d.height for d in self.defects), default=None)
 
+def check_block(block: Block) -> list[Defect]:
+    """Structural defects of one non-genesis block, in a fixed order.
 
-def _verify_block_body(block: Block, store, defects: list[Defect]) -> None:
+    Covers what a block's own fields must satisfy: at least one
+    transaction, the block hash, the Merkle root, tx_count, every tx id,
+    record field bounds and the revision gap. It reads no store and no
+    chain position. Consensus runs it once on each pre-prepare and the
+    workspace once on each loaded chain; apply_block trusts what passed.
+    """
     height = block.header.height
-    if encoding.header_hash(block.header) != block.block_hash:
-        defects.append(Defect(height, "block-hash-mismatch"))
+    defects: list[Defect] = []
+    if not block.transactions:
+        defects.append(Defect(height, "empty-block"))
+    try:
+        if encoding.header_hash(block.header) != block.block_hash:
+            defects.append(Defect(height, "block-hash-mismatch"))
+    except encoding.MalformedError as exc:
+        defects.append(Defect(height, "block-hash-mismatch", str(exc)))
     if merkle_root([tx.tx_id for tx in block.transactions]) != block.header.merkle_root:
         defects.append(Defect(height, "merkle-root-mismatch"))
     if block.header.tx_count != len(block.transactions):
@@ -157,29 +168,15 @@ def _verify_block_body(block: Block, store, defects: list[Defect]) -> None:
             Defect(height, "tx-count-mismatch", f"header says {block.header.tx_count}")
         )
     for i, tx in enumerate(block.transactions):
-        where = f"tx {i}"
         try:
             if encoding.transaction_id(tx.record, tx.read_version) != tx.tx_id:
-                defects.append(Defect(height, "tx-id-mismatch", where))
+                defects.append(Defect(height, "tx-id-mismatch", f"tx {i}"))
         except encoding.MalformedError as exc:
-            defects.append(Defect(height, "record-malformed", f"{where}: {exc}"))
+            defects.append(Defect(height, "record-malformed", f"tx {i}: {exc}"))
             continue
         if tx.record.revision_number != tx.read_version + 1:
-            defects.append(Defect(height, "record-malformed", f"{where}: revision gap"))
-        try:
-            store.get(tx.record.content_hash)
-        except NotFoundError:
-            defects.append(
-                Defect(height, "content-missing", f"{where}: {to_hex(tx.record.content_hash)}")
-            )
-        except (IntegrityError, StoreError):
-            defects.append(
-                Defect(
-                    height,
-                    "content-hash-mismatch",
-                    f"{where}: {to_hex(tx.record.content_hash)}",
-                )
-            )
+            defects.append(Defect(height, "record-malformed", f"tx {i}: revision gap"))
+    return defects
 
 
 def verify_chain(
@@ -189,6 +186,9 @@ def verify_chain(
     extra_defects: Iterable[Defect] = (),
 ) -> VerifyReport:
     """Recompute every digest and linkage on the chain, plus content checks.
+
+    Each block gets its height and link checks, then check_block, then a
+    fetch of every referenced blob, then the endorsement checks.
 
     `endorsement_checker`, when given, re-verifies each transaction's
     endorsements (possible only where the endorsement secrets are known,
@@ -216,12 +216,21 @@ def verify_chain(
             defects.append(
                 Defect(i, "height-mismatch", f"header says {block.header.height}")
             )
-        if not block.transactions:
-            defects.append(Defect(i, "empty-block"))
         recomputed_prev = encoding.header_hash(blocks[i - 1].header)
         if block.header.prev_hash != recomputed_prev:
             defects.append(Defect(i, "link-mismatch"))
-        _verify_block_body(block, store, defects)
+        defects.extend(check_block(block))
+        height = block.header.height
+        for j, tx in enumerate(block.transactions):
+            try:
+                store.get(tx.record.content_hash)
+            except NotFoundError:
+                kind = "content-missing"
+            except StoreError:  # IntegrityError, or a blob that cannot be read
+                kind = "content-hash-mismatch"
+            else:
+                continue
+            defects.append(Defect(height, kind, f"tx {j}: {to_hex(tx.record.content_hash)}"))
         if endorsement_checker is not None:
             for j, tx in enumerate(block.transactions):
                 if not endorsement_checker(tx):

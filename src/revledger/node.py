@@ -8,7 +8,10 @@ receipts, and replicates payload blobs into its own content store.
 
 Heads are always the fold of apply_block over the chain, so a node's
 chain, head state, and store replica stay mutually consistent. The only
-place head state mutates is inside the commit path.
+place head state mutates is inside the commit path. apply_block trusts
+block structure: ledger.check_block checked it once, in the consensus
+gate before the pre-prepare was prepared, or when the workspace loaded
+the chain file.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import revisions
-from .content_store import NotFoundError, Payload
+from .content_store import NotFoundError
 from .encoding import MalformedError
 from .ledger import Block, Chain, VerifyReport, build_block, verify_chain
 from .pbft import CommitEvent, NodeConfig, PbftMessage, Replica, primary_of
@@ -47,12 +50,6 @@ class ClientReceipt:
     submit_tick: int
     commit_tick: int | None = None
     flag: ValidityFlag | None = None
-
-    @property
-    def latency(self) -> int | None:
-        if self.commit_tick is None:
-            return None
-        return self.commit_tick - self.submit_tick
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,7 @@ class NodeRuntime:
 
     # -- client entry ----------------------------------------------------------
 
-    def submit(self, work_id: str, author_id: str, payload: Payload | bytes, now: int) -> ClientReceipt:
+    def submit(self, work_id: str, author_id: str, payload: bytes, now: int) -> ClientReceipt:
         """Endorse and enqueue a revision proposal; returns a Pending receipt.
 
         Malformed ids are rejected up front and never enter consensus.
@@ -167,9 +164,8 @@ class NodeRuntime:
             return receipt
         receipt = ClientReceipt(tx_id=tx.tx_id, status=ReceiptStatus.PENDING, submit_tick=now)
         self.receipts[tx.tx_id] = receipt
-        data = payload.data if isinstance(payload, Payload) else payload
         self.mempool.setdefault(
-            tx.tx_id, MempoolEntry(tx=tx, payload=data, arrival_tick=now)
+            tx.tx_id, MempoolEntry(tx=tx, payload=payload, arrival_tick=now)
         )
         return receipt
 

@@ -37,11 +37,8 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from . import encoding
 from .digests import ZERO_DIGEST
-from .encoding import u64
-from .ledger import Block
-from .merkle import merkle_root
+from .ledger import Block, check_block
 
 
 class ConfigError(ValueError):
@@ -120,42 +117,14 @@ class CommitEvent:
     blobs: dict[bytes, bytes]
 
 
-def encode_message(msg: PbftMessage) -> bytes:
-    """Wire form used for digesting and logging (delivery is in-process)."""
-    parts = [bytes([msg.kind.value]), u64(msg.view), u64(msg.seq), msg.digest, u64(msg.sender)]
-    if msg.kind is MessageKind.VIEW_CHANGE:
-        proof = msg.prepared_proof or ()
-        parts.append(u64(len(proof)))
-        for seq, digest, view in proof:
-            parts.extend((u64(seq), digest, u64(view)))
-    if msg.kind is MessageKind.NEW_VIEW:
-        vcs = msg.view_changes or ()
-        parts.append(u64(len(vcs)))
-        parts.extend(encode_message(vc) for vc in vcs)
-    return b"".join(parts)
-
-
 def block_structurally_valid(block: Block, seq: int) -> bool:
-    """Internal consistency of a proposed block: recomputable hashes only.
+    """A proposed block sits at its sequence number and check_block finds
+    no defect in it.
 
     The header's view is not compared to the message view, because a
     block prepared in one view is re-proposed verbatim in later views.
     """
-    if block.header.height != seq or block.header.tx_count != len(block.transactions):
-        return False
-    if not block.transactions:
-        return False
-    try:
-        if encoding.header_hash(block.header) != block.block_hash:
-            return False
-        if merkle_root([tx.tx_id for tx in block.transactions]) != block.header.merkle_root:
-            return False
-        for tx in block.transactions:
-            if encoding.transaction_id(tx.record, tx.read_version) != tx.tx_id:
-                return False
-    except encoding.MalformedError:
-        return False
-    return True
+    return block.header.height == seq and not check_block(block)
 
 
 _NORMAL_KINDS = (MessageKind.PRE_PREPARE, MessageKind.PREPARE, MessageKind.COMMIT)

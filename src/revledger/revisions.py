@@ -11,6 +11,10 @@ blocks are immutable once ordered and validity is derived state.
 Revision numbers per work are 1, 2, 3, ... with no gaps: a transaction
 is only Valid when its read_version still equals the committed head, so
 exactly one writer wins each slot.
+
+Validation trusts block structure (tx ids, record bounds, the revision
+gap): ledger.check_block checks it once, when consensus accepts a
+pre-prepare or when a workspace loads a chain file.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from enum import Enum
 from typing import Mapping
 
 from . import encoding
-from .content_store import NotFoundError, Payload, StoreError
+from .content_store import NotFoundError, StoreError
 from .digests import sha256
 from .encoding import MalformedError
 
@@ -77,7 +81,7 @@ def make_transaction(record: RevisionRecord, read_version: int) -> Transaction:
 def propose_revision(
     work_id: str,
     author_id: str,
-    payload: Payload | bytes,
+    payload: bytes,
     heads: HeadState,
     store,
     submit_tick: int = 0,
@@ -137,19 +141,9 @@ def check_endorsement_policy(tx: Transaction, policy: EndorsementPolicy) -> bool
     return len(valid_nodes) >= policy.required
 
 
-def _record_well_formed(tx: Transaction) -> bool:
-    try:
-        if encoding.transaction_id(tx.record, tx.read_version) != tx.tx_id:
-            return False
-    except MalformedError:
-        return False
-    return tx.record.revision_number == tx.read_version + 1
-
-
 def validate_transaction(tx: Transaction, heads: HeadState, store) -> ValidityFlag:
-    """Post-order validation; never mutates heads, never raises."""
-    if not _record_well_formed(tx):
-        return ValidityFlag.MALFORMED
+    """Post-order validation of a structurally checked transaction; never
+    mutates heads, never raises."""
     current_head = heads[tx.record.work_id][0] if tx.record.work_id in heads else 0
     if tx.read_version != current_head:
         return ValidityFlag.STALE_READ
@@ -163,9 +157,11 @@ def validate_transaction(tx: Transaction, heads: HeadState, store) -> ValidityFl
 def apply_block(heads: HeadState, block, store) -> tuple[HeadState, list[ValidityFlag]]:
     """Fold validation over a committed block's transactions in order.
 
-    Valid transactions update the head immediately, so intra-block
-    conflicts resolve first-wins. Pure function of (heads, block, store
-    contents): honest replicas derive identical results.
+    The block's structure was checked once by ledger.check_block, at
+    pre-prepare or at load, so only stale reads and missing content are
+    decided here. Valid transactions update the head immediately, so
+    intra-block conflicts resolve first-wins. Pure function of (heads,
+    block, store contents): honest replicas derive identical results.
     """
     new_heads = dict(heads)
     flags: list[ValidityFlag] = []

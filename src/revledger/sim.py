@@ -139,13 +139,6 @@ def check_workload(workload: list[Submission], config: SimConfig) -> None:
 # -- event queue ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Event:
-    tick: int
-    seq: int
-    item: tuple
-
-
 class EventQueue:
     """Events ordered by (tick, insertion sequence): FIFO within a tick."""
 
@@ -168,9 +161,9 @@ class EventQueue:
     def peek_tick(self) -> int | None:
         return self._heap[0][0] if self._heap else None
 
-    def next_event(self) -> Event:
-        tick, seq, item = heapq.heappop(self._heap)
-        return Event(tick=tick, seq=seq, item=item)
+    def next_event(self) -> tuple:
+        """Pop the earliest event and return its item."""
+        return heapq.heappop(self._heap)[2]
 
 
 def deliver(
@@ -264,11 +257,12 @@ def endorsement_secret(seed: int, node_id: int) -> bytes:
     return sha256(b"revledger/endorse/" + u64(seed) + u64(node_id))
 
 
-def make_policy(config: SimConfig) -> EndorsementPolicy:
-    secrets = {i: endorsement_secret(config.seed, i) for i in range(config.n)}
+def make_policy(n: int, seed: int, required: int) -> EndorsementPolicy:
+    """`required`-of-n endorsement over every node, with the seed's secrets."""
+    secrets = {i: endorsement_secret(seed, i) for i in range(n)}
     return EndorsementPolicy(
-        required=config.endorsement_m,
-        eligible=frozenset(range(config.n)),
+        required=required,
+        eligible=frozenset(range(n)),
         secrets=secrets,
     )
 
@@ -405,7 +399,7 @@ class Simulation:
         self.behaviors: dict[int, ByzantineBehavior] = dict(config.byzantine)
         self.crashed: set[int] = set()
         if nodes is None:
-            policy = make_policy(config)
+            policy = make_policy(config.n, config.seed, config.endorsement_m)
             nodes = [
                 NodeRuntime(
                     NodeConfig(i, config.n, config.f, config.timeout_ticks),
@@ -461,8 +455,7 @@ class Simulation:
             self.queue.current_tick = tick
             self._mark_crashes(tick)
             while self.queue.peek_tick() == tick:
-                event = self.queue.next_event()
-                self._handle_event(event, tick)
+                self._handle_event(self.queue.next_event(), tick)
             for i, node in enumerate(self.nodes):
                 if i in self.crashed:
                     continue
@@ -472,10 +465,10 @@ class Simulation:
             tick += 1
         return self._report(min(tick, self.config.max_ticks))
 
-    def _handle_event(self, event: Event, now: int) -> None:
-        kind = event.item[0]
+    def _handle_event(self, item: tuple, now: int) -> None:
+        kind = item[0]
         if kind == "submit":
-            sub: Submission = event.item[1]
+            sub: Submission = item[1]
             if sub.node in self.crashed:
                 self.receipt_rows.append((sub, None))
                 return
@@ -484,7 +477,7 @@ class Simulation:
             )
             self.receipt_rows.append((sub, receipt))
         elif kind == "deliver":
-            _, src, dst, payload = event.item
+            _, src, dst, payload = item
             if dst in self.crashed:
                 return
             out = self.nodes[dst].on_message(src, payload, now)

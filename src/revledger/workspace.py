@@ -24,11 +24,18 @@ from pathlib import Path
 
 from .content_store import ContentStore
 from .digests import to_hex
-from .ledger import Chain, Defect, append_chain_file, read_chain_file, write_chain_file
+from .ledger import (
+    Chain,
+    Defect,
+    append_chain_file,
+    check_block,
+    read_chain_file,
+    write_chain_file,
+)
 from .node import NodeRuntime
 from .pbft import NodeConfig, quorum_size
-from .revisions import EndorsementPolicy, Transaction, check_endorsement_policy
-from .sim import endorsement_secret
+from .revisions import Transaction, check_endorsement_policy
+from .sim import make_policy
 
 CONFIG_NAME = "config.json"
 LOCK_NAME = ".lock"
@@ -126,18 +133,9 @@ class Workspace:
 
     # -- endorsement -------------------------------------------------------------
 
-    def policy(self) -> EndorsementPolicy:
-        secrets = {
-            i: endorsement_secret(self.config.seed, i) for i in range(self.config.n)
-        }
-        return EndorsementPolicy(
-            required=self.config.endorsement_m,
-            eligible=frozenset(range(self.config.n)),
-            secrets=secrets,
-        )
-
     def endorsement_checker(self):
-        policy = self.policy()
+        cfg = self.config
+        policy = make_policy(cfg.n, cfg.seed, cfg.endorsement_m)
 
         def check(tx: Transaction) -> bool:
             return check_endorsement_policy(tx, policy)
@@ -154,10 +152,16 @@ class Workspace:
     def load_node(self, node_id: int) -> NodeRuntime:
         """Rebuild a node runtime from its persisted chain and blobs.
 
+        Every block after genesis goes through ledger.check_block here,
+        once; the replay that rebuilds heads then trusts block structure.
+        A chain that fails to parse or has a structural defect is refused,
+        so a damaged replica fails loudly instead of dropping revisions.
         The heads cache is ignored on load (it is rebuilt from the chain)
         and rewritten on save, so deleting it is always harmless.
         """
         chain, defects = self.load_chain(node_id)
+        if chain is not None and not defects:
+            defects = [d for block in chain.blocks[1:] for d in check_block(block)]
         if chain is None or defects:
             first = defects[0] if defects else Defect(0, "unknown")
             raise WorkspaceError(
@@ -168,7 +172,7 @@ class Workspace:
         return NodeRuntime(
             NodeConfig(node_id, cfg.n, cfg.f, cfg.timeout_ticks),
             self.store(node_id),
-            self.policy(),
+            make_policy(cfg.n, cfg.seed, cfg.endorsement_m),
             chain=chain,
             max_batch=cfg.max_batch,
         )

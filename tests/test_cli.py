@@ -192,6 +192,44 @@ def test_tamper_blob_then_show_fails_on_that_node(ws_dir, tmp_path, capsys):
     assert main(["verify", "--dir", str(ws_dir)]) == 1
 
 
+def test_damaged_chain_fails_loudly_instead_of_dropping_revisions(ws_dir, tmp_path, capsys):
+    """A parseable but structurally broken chain on node 0 makes history
+    and commit refuse, instead of silently dropping revisions or letting
+    node 0's heads drift from the other replicas'."""
+    commit(ws_dir, tmp_path, "w", "a.txt", "first")
+    commit(ws_dir, tmp_path, "w", "b.txt", "second")
+    line = (ws_dir / "node-0" / "chain.jsonl").read_bytes().split(b"\n")[1]
+    offset = line.index(b'"work_id":"w"') + len(b'"work_id":"')
+    assert main([
+        "tamper", "--dir", str(ws_dir), "--node", "0",
+        "--block", "1", "--offset", str(offset), "--xor", "1",
+    ]) == 0
+    capsys.readouterr()
+    verify_out = (
+        "node 0: defect height=1 kind=tx-id-mismatch tx 0\n"
+        "node 1: ok\nnode 2: ok\nnode 3: ok\n"
+        "verify: tampering detected\n"
+    )
+    assert main(["verify", "--dir", str(ws_dir)]) == 1
+    assert capsys.readouterr().out == verify_out
+
+    assert main(["history", "--dir", str(ws_dir), "--work", "w"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "tx-id-mismatch at height 1" in err
+    assert main([
+        "show", "--dir", str(ws_dir), "--work", "w",
+        "--revision", "2", "--out", str(tmp_path / "out.bin"),
+    ]) == 1
+    assert "tx-id-mismatch at height 1" in capsys.readouterr().err
+
+    before = {p: p.read_bytes() for p in ws_dir.rglob("*") if p.is_file()}
+    assert commit(ws_dir, tmp_path, "w", "c.txt", "third") == 1
+    assert "tx-id-mismatch at height 1" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in ws_dir.rglob("*") if p.is_file()} == before
+    assert main(["verify", "--dir", str(ws_dir)]) == 1
+    assert capsys.readouterr().out == verify_out
+
+
 def test_tamper_xor_zero_is_refused(ws_dir, tmp_path, capsys):
     commit(ws_dir, tmp_path, "w", "a.txt", "x")
     before = workspace_snapshot(ws_dir)

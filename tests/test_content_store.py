@@ -8,8 +8,6 @@ from revledger.content_store import (
     IntegrityError,
     MemoryStore,
     NotFoundError,
-    Payload,
-    hash_content,
 )
 from revledger.digests import from_hex, to_hex
 
@@ -18,30 +16,24 @@ EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 ABC_SHA256 = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 
 
+def blob_files(root):
+    return sorted((root / "blobs").glob("*/*"))
+
+
 def test_hash_matches_reference_vectors():
-    assert to_hex(hash_content(b"")) == EMPTY_SHA256
-    assert to_hex(hash_content(b"abc")) == ABC_SHA256
-
-
-def test_hash_ignores_media_kind():
-    data = b"same bytes"
-    assert hash_content(Payload(data, "text")) == hash_content(Payload(data, "image"))
-    assert hash_content(Payload(data, "other")) == hash_content(data)
+    store = MemoryStore()
+    assert to_hex(store.put(b"")) == EMPTY_SHA256
+    assert to_hex(store.put(b"abc")) == ABC_SHA256
 
 
 def test_hash_deterministic_large_payload():
     blob = bytes(range(256)) * 4096  # 1 MiB
-    assert hash_content(blob) == hash_content(blob)
-
-
-def test_unknown_media_kind_rejected():
-    with pytest.raises(ValueError):
-        Payload(b"x", "video")
+    assert MemoryStore().put(blob) == MemoryStore().put(blob)
 
 
 def test_put_get_round_trip(tmp_path):
     store = ContentStore(tmp_path)
-    digest = store.put(Payload(b"chapter one", "text"))
+    digest = store.put(b"chapter one")
     assert store.get(digest) == b"chapter one"
 
 
@@ -50,7 +42,7 @@ def test_put_is_idempotent(tmp_path):
     d1 = store.put(b"dup")
     d2 = store.put(b"dup")
     assert d1 == d2
-    assert len(store.keys()) == 1
+    assert len(blob_files(tmp_path)) == 1
 
 
 def test_distinct_payloads_distinct_blobs(tmp_path):
@@ -58,7 +50,7 @@ def test_distinct_payloads_distinct_blobs(tmp_path):
     d1 = store.put(b"one")
     d2 = store.put(b"two")
     assert d1 != d2
-    assert len(store.keys()) == 2
+    assert len(blob_files(tmp_path)) == 2
 
 
 def test_zero_byte_payload_is_legal(tmp_path):
@@ -145,14 +137,14 @@ def test_concurrent_identical_puts_converge(tmp_path):
     with ThreadPoolExecutor(max_workers=8) as pool:
         digests = list(pool.map(store.put, [payload] * 32))
     assert len(set(digests)) == 1
-    assert len(store.keys()) == 1
+    assert len(blob_files(tmp_path)) == 1
     assert store.get(digests[0]) == payload
     assert store.audit() == []
 
 
 def test_memory_store_same_surface():
     store = MemoryStore()
-    digest = store.put(Payload(b"in memory"))
+    digest = store.put(b"in memory")
     assert store.get(digest) == b"in memory"
     assert store.audit() == []
     with pytest.raises(NotFoundError):
@@ -168,11 +160,12 @@ def test_round_trip_property(data):
 @given(st.binary(max_size=512), st.binary(max_size=512))
 def test_no_observed_collisions(a, b):
     if a != b:
-        assert hash_content(a) != hash_content(b)
+        store = MemoryStore()
+        assert store.put(a) != store.put(b)
 
 
 def test_hex_round_trip():
-    digest = hash_content(b"round trip me")
+    digest = MemoryStore().put(b"round trip me")
     assert from_hex(to_hex(digest)) == digest
 
 

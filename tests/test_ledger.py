@@ -1,22 +1,26 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from revledger.content_store import MemoryStore
 from revledger.digests import ZERO_DIGEST
+from revledger.encoding import transaction_id
 from revledger.ledger import (
     Chain,
     ChainParseError,
+    Defect,
     append_chain_file,
     block_from_line,
     block_to_line,
     build_block,
+    check_block,
     genesis_block,
     read_chain_file,
     verify_chain,
     write_chain_file,
 )
-from revledger.revisions import propose_revision
+from revledger.revisions import RevisionRecord, Transaction, propose_revision
 
 
 @pytest.fixture
@@ -91,6 +95,39 @@ def test_chain_append_discipline(store):
         chain.append(unlinked)
 
 
+# -- check_block ------------------------------------------------------------------
+
+
+def gap_transaction(store):
+    """Revision 2 read against version 0: a revision gap under a correct tx id."""
+    record = RevisionRecord("w", 2, store.put(b"x"), "ada", 0)
+    return Transaction(tx_id=transaction_id(record, 0), record=record, read_version=0)
+
+
+def test_check_block_reports_forged_tx_id(store):
+    tx = propose_revision("w", "ada", b"x", {}, store)
+    forged = replace(tx, tx_id=b"\x00" * 32)
+    block = build_block(1, genesis_block().block_hash, [forged], "node-0", 0, 1)
+    assert check_block(block) == [Defect(1, "tx-id-mismatch", "tx 0")]
+    recounted = replace(block, header=replace(block.header, tx_count=2))
+    assert check_block(recounted) == [
+        Defect(1, "block-hash-mismatch"),
+        Defect(1, "tx-count-mismatch", "header says 2"),
+        Defect(1, "tx-id-mismatch", "tx 0"),
+    ]
+
+
+def test_check_block_reports_unencodable_header_instead_of_raising(store):
+    block = chain_of(1, store).tip
+    long_name = replace(block, header=replace(block.header, proposer_id="p" * 300))
+    assert [d.kind for d in check_block(long_name)] == ["block-hash-mismatch"]
+
+
+def test_check_block_reports_revision_gap(store):
+    block = build_block(1, genesis_block().block_hash, [gap_transaction(store)], "node-0", 0, 1)
+    assert check_block(block) == [Defect(1, "record-malformed", "tx 0: revision gap")]
+
+
 # -- verify -----------------------------------------------------------------------
 
 
@@ -115,7 +152,7 @@ def test_corrupt_blob_reported_at_its_block(store):
     report = verify_chain(chain, store)
     kinds = {(d.height, d.kind) for d in report.defects}
     assert (3, "content-hash-mismatch") in kinds
-    assert report.earliest_height() == 3
+    assert min(d.height for d in report.defects) == 3
 
 
 def test_verify_reports_earliest_height_first(store):

@@ -3,18 +3,13 @@ import pytest
 from revledger.content_store import MemoryStore
 from revledger.node import NodeRuntime, ReceiptStatus, TxForward
 from revledger.pbft import MessageKind, NodeConfig
-from revledger.revisions import EndorsementPolicy, ValidityFlag
-from revledger.sim import endorsement_secret
-
-
-def make_policy(n=4, m=1, seed=5):
-    secrets = {i: endorsement_secret(seed, i) for i in range(n)}
-    return EndorsementPolicy(required=m, eligible=frozenset(range(n)), secrets=secrets)
+from revledger.revisions import ValidityFlag
+from revledger.sim import make_policy
 
 
 def make_node(node_id=0, n=4, m=1, max_batch=100):
     return NodeRuntime(
-        NodeConfig(node_id, n, 1, 30), MemoryStore(), make_policy(n, m), max_batch=max_batch
+        NodeConfig(node_id, n, 1, 30), MemoryStore(), make_policy(n, 5, m), max_batch=max_batch
     )
 
 

@@ -19,11 +19,11 @@ from revledger.pbft import (
     NodeConfig,
     PbftMessage,
     Replica,
-    encode_message,
     primary_of,
     quorum_size,
 )
 from revledger.revisions import propose_revision
+from tests.test_ledger import gap_transaction
 
 GENESIS = genesis_block()
 
@@ -144,6 +144,15 @@ def test_pre_prepare_digest_must_match_block():
     bad = msg(MessageKind.PRE_PREPARE, 0, 1, b"\x07" * 32, 0, block=block, blobs=blobs)
     out, _ = r1.handle_message(bad, now=1)
     assert out == []
+
+
+def test_pre_prepare_with_revision_gap_is_not_prepared():
+    r1 = replica(1)
+    block = build_block(1, GENESIS.block_hash, [gap_transaction(MemoryStore())], "node-0", 0, 1)
+    pp = msg(MessageKind.PRE_PREPARE, 0, 1, block.block_hash, 0, block=block, blobs={})
+    out, committed = r1.handle_message(pp, now=1)
+    assert out == [] and committed == []
+    assert r1.has_open_work() is False
 
 
 def test_pre_prepare_must_link_to_tip():
@@ -392,14 +401,3 @@ def test_normal_messages_ignored_during_view_change():
         now=31,
     )
     assert out == [] and committed == []
-
-
-def test_wire_encoding_distinguishes_kinds_and_fields():
-    a = encode_message(msg(MessageKind.PREPARE, 0, 1, b"\x01" * 32, 2))
-    b = encode_message(msg(MessageKind.COMMIT, 0, 1, b"\x01" * 32, 2))
-    c = encode_message(msg(MessageKind.PREPARE, 0, 2, b"\x01" * 32, 2))
-    vc = encode_message(
-        msg(MessageKind.VIEW_CHANGE, 1, 0, ZERO_DIGEST, 2, prepared_proof=((1, b"\x02" * 32, 0),))
-    )
-    assert len({a, b, c, vc}) == 4
-    assert a[0] == 0x21 and b[0] == 0x22 and vc[0] == 0x23

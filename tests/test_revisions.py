@@ -132,13 +132,6 @@ def test_validate_missing_content(store):
     assert validate_transaction(tx, {}, empty) is ValidityFlag.MISSING_CONTENT
 
 
-def test_validate_malformed_tx(store):
-    tx = propose_revision("w", "ada", b"x", {}, store)
-    forged = make_transaction(tx.record, 0)
-    object.__setattr__(forged, "tx_id", b"\x00" * 32)
-    assert validate_transaction(forged, {}, store) is ValidityFlag.MALFORMED
-
-
 # -- apply_block -------------------------------------------------------------------
 
 

@@ -90,9 +90,9 @@ def test_same_tick_events_fifo():
     q.schedule(("a",), 5)
     q.schedule(("b",), 5)
     q.schedule(("c",), 3)
-    assert q.next_event().item == ("c",)
-    assert q.next_event().item == ("a",)
-    assert q.next_event().item == ("b",)
+    assert q.next_event() == ("c",)
+    assert q.next_event() == ("a",)
+    assert q.next_event() == ("b",)
 
 
 def test_past_scheduling_rejected():
@@ -108,7 +108,7 @@ def test_interleaved_kinds_keep_insertion_order():
     q.schedule(("timer",), 4)
     q.schedule(("msg",), 4)
     q.schedule(("timer2",), 4)
-    assert [q.next_event().item[0] for _ in range(3)] == ["timer", "msg", "timer2"]
+    assert [q.next_event()[0] for _ in range(3)] == ["timer", "msg", "timer2"]
 
 
 # -- deliver ------------------------------------------------------------------
