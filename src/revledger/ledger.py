@@ -143,6 +143,23 @@ class VerifyReport:
         return not self.defects
 
 
+def check_genesis(block: Block) -> list[Defect]:
+    """Defects of a chain's first block against the fixed genesis, in a fixed order."""
+    if block.header.height != 0:
+        return [Defect(0, "missing-genesis")]
+    defects: list[Defect] = []
+    if (
+        block.header.prev_hash != ZERO_DIGEST
+        or block.header.merkle_root != ZERO_DIGEST
+        or block.header.tx_count != 0
+        or block.transactions
+    ):
+        defects.append(Defect(0, "genesis-invariant"))
+    if encoding.header_hash(block.header) != block.block_hash:
+        defects.append(Defect(0, "block-hash-mismatch"))
+    return defects
+
+
 def check_block(block: Block) -> list[Defect]:
     """Structural defects of one non-genesis block, in a fixed order.
 
@@ -187,30 +204,17 @@ def verify_chain(
 ) -> VerifyReport:
     """Recompute every digest and linkage on the chain, plus content checks.
 
-    Each block gets its height and link checks, then check_block, then a
-    fetch of every referenced blob, then the endorsement checks.
+    Genesis gets check_genesis. Each later block gets its height and link
+    checks, then check_block, then a fetch of every referenced blob, then
+    the endorsement checks.
 
     `endorsement_checker`, when given, re-verifies each transaction's
     endorsements (possible only where the endorsement secrets are known,
     e.g. inside a workspace). `extra_defects` merges in parse-level
     defects found while loading a chain file.
     """
-    defects: list[Defect] = list(extra_defects)
     blocks = chain.blocks
-    genesis = blocks[0]
-    if genesis.header.height != 0:
-        defects.append(Defect(0, "missing-genesis"))
-    else:
-        if (
-            genesis.header.prev_hash != ZERO_DIGEST
-            or genesis.header.merkle_root != ZERO_DIGEST
-            or genesis.header.tx_count != 0
-            or genesis.transactions
-        ):
-            defects.append(Defect(0, "genesis-invariant"))
-        if encoding.header_hash(genesis.header) != genesis.block_hash:
-            defects.append(Defect(0, "block-hash-mismatch"))
-
+    defects: list[Defect] = list(extra_defects) + check_genesis(blocks[0])
     for i, block in enumerate(blocks[1:], start=1):
         if block.header.height != i:
             defects.append(
@@ -329,11 +333,15 @@ def block_from_line(line: str) -> Block:
     _require_keys(obj, _BLOCK_KEYS, "block record")
     _require_keys(obj["header"], _HEADER_KEYS, "header")
     h = obj["header"]
+    # Bounded at parse so every loaded header can be hashed.
+    proposer_id = _require_str(h["proposer_id"], "proposer_id")
+    if len(proposer_id.encode("utf-8")) > encoding.MAX_PROPOSER_ID_BYTES:
+        raise ChainParseError(f"proposer_id exceeds {encoding.MAX_PROPOSER_ID_BYTES} bytes")
     header = BlockHeader(
         height=_require_uint(h["height"], "height"),
         prev_hash=_require_digest(h["prev_hash"], "prev_hash"),
         merkle_root=_require_digest(h["merkle_root"], "merkle_root"),
-        proposer_id=_require_str(h["proposer_id"], "proposer_id"),
+        proposer_id=proposer_id,
         view=_require_uint(h["view"], "view"),
         tick=_require_uint(h["tick"], "tick"),
         tx_count=_require_uint(h["tx_count"], "tx_count"),

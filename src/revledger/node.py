@@ -6,12 +6,12 @@ consensus layer when it is the primary itself, and on every commit
 appends the block to its chain, runs MVCC validation, updates client
 receipts, and replicates payload blobs into its own content store.
 
-Heads are always the fold of apply_block over the chain, so a node's
-chain, head state, and store replica stay mutually consistent. The only
-place head state mutates is inside the commit path. apply_block trusts
-block structure: ledger.check_block checked it once, in the consensus
-gate before the pre-prepare was prepared, or when the workspace loaded
-the chain file.
+Validity is decided once per replica, when _apply_block applies a block
+(replayed at load or committed in this run), and recorded in `bitmaps`,
+one flag list per non-genesis block; heads fold those decisions and every
+reader (history, show, the simulator's report) reads the record. apply_block
+trusts block structure: ledger.check_block checked it once, in the consensus
+gate before the pre-prepare was prepared, or when the workspace loaded the chain.
 """
 
 from __future__ import annotations
@@ -96,10 +96,10 @@ class NodeRuntime:
         self.max_batch = max_batch
         self.chain = chain if chain is not None else Chain()
         self.heads: revisions.HeadState = {}
-        self.committed_flags: dict[bytes, ValidityFlag] = {}
+        self.bitmaps: list[list[ValidityFlag]] = []
+        self.committed_flags: dict[bytes, ValidityFlag] = {}  # tx id index for dedup
         for block in self.chain.blocks[1:]:
-            self.heads, flags = apply_block(self.heads, block, store)
-            self._record_flags(block, flags)
+            self._apply_block(block)
         self.replica = Replica(
             config,
             tip_hash=self.chain.tip.block_hash,
@@ -111,14 +111,16 @@ class NodeRuntime:
         self.mempool: dict[bytes, MempoolEntry] = {}
         self.receipts: dict[bytes, ClientReceipt] = {}
         self.rejected: list[ClientReceipt] = []
-        self.flag_counts: dict[ValidityFlag, int] = {}
-        self.bitmaps: list[list[ValidityFlag]] = []
         self.blocks_since_load: list[Block] = []
 
-    def _record_flags(self, block: Block, flags) -> None:
+    def _apply_block(self, block: Block) -> list[ValidityFlag]:
+        """Decide the validity of a chained block's transactions and record it."""
+        self.heads, flags = apply_block(self.heads, block, self.store)
+        self.bitmaps.append(flags)
         for tx, flag in zip(block.transactions, flags):
             if self.committed_flags.get(tx.tx_id) is not ValidityFlag.VALID:
                 self.committed_flags[tx.tx_id] = flag
+        return flags
 
     # -- client entry ----------------------------------------------------------
 
@@ -317,11 +319,8 @@ class NodeRuntime:
                 self.store.put(data)
         self.chain.append(block)
         self.blocks_since_load.append(block)
-        self.heads, flags = apply_block(self.heads, block, self.store)
-        self.bitmaps.append(list(flags))
-        self._record_flags(block, flags)
+        flags = self._apply_block(block)
         for tx, flag in zip(block.transactions, flags):
-            self.flag_counts[flag] = self.flag_counts.get(flag, 0) + 1
             receipt = self.receipts.get(tx.tx_id)
             if receipt is not None and receipt.status is ReceiptStatus.PENDING:
                 receipt.commit_tick = now
@@ -342,7 +341,7 @@ class NodeRuntime:
     # -- queries -----------------------------------------------------------------
 
     def history(self, work_id: str) -> list[revisions.HistoryEntry]:
-        return history(self.chain, self.store, work_id)
+        return history(self.chain, self.bitmaps, work_id)
 
     def show(self, work_id: str, revision_number: int) -> bytes:
         """Payload bytes of a committed revision, hash re-verified on read."""

@@ -6,7 +6,11 @@ metadata. Transactions record the head revision the client observed
 (`read_version`); after ordering, each one is validated against the
 then-current head state and flagged (optimistic concurrency control).
 Invalid transactions stay in their block, flagged, never deleted:
-blocks are immutable once ordered and validity is derived state.
+blocks are immutable once ordered.
+
+Validity is decided once per replica, when the replica applies a block
+(NodeRuntime runs apply_block and records the flags in its `bitmaps`);
+history reads those recorded flags and never decides validity again.
 
 Revision numbers per work are 1, 2, 3, ... with no gaps: a transaction
 is only Valid when its read_version still equals the committed head, so
@@ -185,26 +189,24 @@ class HistoryEntry:
     block_tick: int
 
 
-def history(chain, store, work_id: str) -> list[HistoryEntry]:
-    """Valid revisions of a work in revision order, replayed from genesis.
+def history(chain, bitmaps, work_id: str) -> list[HistoryEntry]:
+    """Valid revisions of a work in revision order, read from recorded flags.
 
-    Unknown works yield an empty list. The returned numbers are 1..k,
-    gap-free, because only head-extending transactions validate.
+    `bitmaps` holds one flag list per non-genesis block of `chain`, as the
+    replica recorded them when it applied each block; nothing is
+    re-validated here, so history cannot disagree with the replica's heads
+    and receipts. Unknown works yield an empty list. The returned numbers
+    are 1..k, gap-free, because only head-extending transactions validate.
     """
-    heads: HeadState = {}
-    entries: list[HistoryEntry] = []
-    for block in chain.blocks:
-        new_heads, flags = apply_block(heads, block, store)
-        for tx, flag in zip(block.transactions, flags):
-            if flag is ValidityFlag.VALID and tx.record.work_id == work_id:
-                entries.append(
-                    HistoryEntry(
-                        revision_number=tx.record.revision_number,
-                        content_hash=tx.record.content_hash,
-                        author_id=tx.record.author_id,
-                        block_height=block.header.height,
-                        block_tick=block.header.tick,
-                    )
-                )
-        heads = new_heads
-    return entries
+    return [
+        HistoryEntry(
+            revision_number=tx.record.revision_number,
+            content_hash=tx.record.content_hash,
+            author_id=tx.record.author_id,
+            block_height=block.header.height,
+            block_tick=block.header.tick,
+        )
+        for block, flags in zip(chain.blocks[1:], bitmaps)
+        for tx, flag in zip(block.transactions, flags)
+        if flag is ValidityFlag.VALID and tx.record.work_id == work_id
+    ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .content_store import MemoryStore
@@ -550,11 +551,10 @@ class Simulation:
         # A crashed replica stopped committing, so it cannot speak for the run.
         live = [i for i in honest if i not in self.crashed] or honest or [0]
         reference = self.nodes[live[0]]
-        validity_counts = {
-            flag.value: count for flag, count in sorted(
-                reference.flag_counts.items(), key=lambda kv: kv[0].value
-            )
-        }
+        # Flags of the blocks committed in this run, as the reference recorded them.
+        run_bitmaps = reference.bitmaps[len(reference.bitmaps) - len(reference.blocks_since_load):]
+        counts = Counter(flag.value for flags in run_bitmaps for flag in flags)
+        validity_counts = dict(sorted(counts.items()))
         committed_valid = validity_counts.get(ValidityFlag.VALID.value, 0)
         throughput = committed_valid / ticks_elapsed if ticks_elapsed else 0.0
 

@@ -6,7 +6,6 @@ Layout:
       config.json          immutable after init (n, f, seed, ...)
       node-0/
         chain.jsonl        one block per line (ledger format)
-        heads.json         rebuildable cache; deleting it is harmless
         blobs/             content store (payload bytes by hash)
       node-1/ ...
 
@@ -23,12 +22,12 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .content_store import ContentStore
-from .digests import to_hex
 from .ledger import (
     Chain,
     Defect,
     append_chain_file,
     check_block,
+    check_genesis,
     read_chain_file,
     write_chain_file,
 )
@@ -40,7 +39,6 @@ from .sim import make_policy
 CONFIG_NAME = "config.json"
 LOCK_NAME = ".lock"
 CHAIN_NAME = "chain.jsonl"
-HEADS_NAME = "heads.json"
 
 
 class WorkspaceError(Exception):
@@ -80,7 +78,6 @@ class Workspace:
             node_dir = ws.node_dir(i)
             (node_dir / "blobs").mkdir(parents=True)
             write_chain_file(ws.chain_path(i), Chain())
-            ws.write_heads_cache(i, {})
         return ws
 
     @classmethod
@@ -125,9 +122,6 @@ class Workspace:
     def chain_path(self, node_id: int) -> Path:
         return self.node_dir(node_id) / CHAIN_NAME
 
-    def heads_path(self, node_id: int) -> Path:
-        return self.node_dir(node_id) / HEADS_NAME
-
     def store(self, node_id: int) -> ContentStore:
         return ContentStore(self.node_dir(node_id))
 
@@ -152,16 +146,18 @@ class Workspace:
     def load_node(self, node_id: int) -> NodeRuntime:
         """Rebuild a node runtime from its persisted chain and blobs.
 
-        Every block after genesis goes through ledger.check_block here,
-        once; the replay that rebuilds heads then trusts block structure.
-        A chain that fails to parse or has a structural defect is refused,
-        so a damaged replica fails loudly instead of dropping revisions.
-        The heads cache is ignored on load (it is rebuilt from the chain)
-        and rewritten on save, so deleting it is always harmless.
+        Genesis goes through ledger.check_genesis and every later block
+        through ledger.check_block here, once; the replay that decides
+        each transaction's validity and rebuilds heads then trusts block
+        structure. A chain that fails to parse or has a structural defect
+        is refused, so a damaged replica fails loudly instead of dropping
+        revisions or proposing on a tip the other replicas reject.
         """
         chain, defects = self.load_chain(node_id)
         if chain is not None and not defects:
-            defects = [d for block in chain.blocks[1:] for d in check_block(block)]
+            defects = check_genesis(chain.blocks[0]) + [
+                d for block in chain.blocks[1:] for d in check_block(block)
+            ]
         if chain is None or defects:
             first = defects[0] if defects else Defect(0, "unknown")
             raise WorkspaceError(
@@ -185,13 +181,3 @@ class Workspace:
         if node.blocks_since_load:
             append_chain_file(self.chain_path(node.config.node_id), node.blocks_since_load)
             node.blocks_since_load = []
-        self.write_heads_cache(node.config.node_id, node.heads)
-
-    def write_heads_cache(self, node_id: int, heads) -> None:
-        obj = {
-            work: {"revision": rev, "content_hash": to_hex(digest)}
-            for work, (rev, digest) in sorted(heads.items())
-        }
-        self.heads_path(node_id).write_text(
-            json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )

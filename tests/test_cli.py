@@ -137,11 +137,24 @@ def test_replicas_converge_to_identical_chain_files(ws_dir, tmp_path):
     assert len(set(chains)) == 1
 
 
-def test_heads_cache_is_disposable(ws_dir, tmp_path, capsys):
-    commit(ws_dir, tmp_path, "novel-1", "a.txt", "first")
+def test_workspace_writes_no_heads_cache_and_ignores_a_stale_one(ws_dir, tmp_path, capsys):
+    """Heads are rebuilt from the chain on every load: no heads.json is
+    written, and a stale one left by an older version changes nothing."""
+    assert not list(ws_dir.rglob("heads.json"))
+    assert commit(ws_dir, tmp_path, "novel-1", "a.txt", "first") == 0
+    assert not list(ws_dir.rglob("heads.json"))
+
+    stale = json.dumps({"novel-1": {"content_hash": "00" * 32, "revision": 5}}) + "\n"
     for i in range(4):
-        (ws_dir / f"node-{i}" / "heads.json").unlink()
+        (ws_dir / f"node-{i}" / "heads.json").write_text(stale)
+    capsys.readouterr()
     assert commit(ws_dir, tmp_path, "novel-1", "b.txt", "second") == 0
+    assert "flag=Valid height=2" in capsys.readouterr().out
+    assert main(["history", "--dir", str(ws_dir), "--work", "novel-1"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [r.split()[0] for r in rows] == ["revision=1", "revision=2"]
+    assert main(["verify", "--dir", str(ws_dir)]) == 0
+    assert all((ws_dir / f"node-{i}" / "heads.json").read_text() == stale for i in range(4))
 
 
 # -- verify / tamper -------------------------------------------------------------------
@@ -228,6 +241,52 @@ def test_damaged_chain_fails_loudly_instead_of_dropping_revisions(ws_dir, tmp_pa
     assert {p: p.read_bytes() for p in ws_dir.rglob("*") if p.is_file()} == before
     assert main(["verify", "--dir", str(ws_dir)]) == 1
     assert capsys.readouterr().out == verify_out
+
+
+def test_damaged_genesis_is_refused_at_load(ws_dir, tmp_path, capsys):
+    """A flipped byte in node 0's genesis block hash makes commit refuse at
+    once, instead of proposing on a tip the other replicas reject."""
+    assert main([
+        "tamper", "--dir", str(ws_dir), "--node", "0",
+        "--block", "0", "--offset", "15", "--xor", "1",
+    ]) == 0
+    capsys.readouterr()
+    verify_out = (
+        "node 0: defect height=0 kind=block-hash-mismatch\n"
+        "node 1: ok\nnode 2: ok\nnode 3: ok\n"
+        "verify: tampering detected\n"
+    )
+    assert main(["verify", "--dir", str(ws_dir)]) == 1
+    assert capsys.readouterr().out == verify_out
+
+    before = {p: p.read_bytes() for p in ws_dir.rglob("*") if p.is_file()}
+    assert commit(ws_dir, tmp_path, "w", "a.txt", "first") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: node-0 chain is damaged (block-hash-mismatch at height 0)")
+    assert {p: p.read_bytes() for p in ws_dir.rglob("*") if p.is_file()} == before
+    assert main(["verify", "--dir", str(ws_dir)]) == 1
+    assert capsys.readouterr().out == verify_out
+
+
+def test_verify_reports_oversized_proposer_id_as_unparseable(ws_dir, tmp_path, capsys):
+    """A chain line whose proposer_id cannot be hashed is an unparseable
+    record at its height, even with a later block linking to it."""
+    commit(ws_dir, tmp_path, "w", "a.txt", "first")
+    commit(ws_dir, tmp_path, "w", "b.txt", "second")
+    path = ws_dir / "node-0" / "chain.jsonl"
+    lines = path.read_text().splitlines()
+    block = json.loads(lines[1])
+    block["header"]["proposer_id"] = "p" * 300
+    lines[1] = json.dumps(block, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--dir", str(ws_dir)]) == 1
+    assert capsys.readouterr().out == (
+        "node 0: defect height=1 kind=unparseable-record proposer_id exceeds 256 bytes\n"
+        "node 1: ok\nnode 2: ok\nnode 3: ok\n"
+        "verify: tampering detected\n"
+    )
 
 
 def test_tamper_xor_zero_is_refused(ws_dir, tmp_path, capsys):

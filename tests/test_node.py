@@ -177,6 +177,37 @@ def test_show_unknown_revision_raises():
         node.show("w1", 99)
 
 
+def test_history_reads_the_flags_recorded_at_commit():
+    """A transaction committed without its payload stays invalid on this
+    replica even after the same bytes reach its store: history, show,
+    heads and the recorded flags all keep the one decision made at commit."""
+    from revledger.content_store import NotFoundError
+    from revledger.ledger import Chain, build_block
+    from revledger.pbft import CommitEvent
+    from revledger.revisions import propose_revision
+
+    node = make_node()
+    tx = propose_revision("w", "ada", b"payload", {}, MemoryStore(), submit_tick=1)
+    block = build_block(1, node.chain.tip.block_hash, [tx], "node-0", 0, 1)
+    node._apply_commit(CommitEvent(block=block, blobs={}), now=1)
+    assert node.bitmaps == [[ValidityFlag.MISSING_CONTENT]]
+    assert node.heads == {}
+
+    receipt = node.submit("w", "ada", b"payload", now=1)
+    assert receipt.tx_id == tx.tx_id and receipt.flag is ValidityFlag.MISSING_CONTENT
+    assert node.store.has(tx.record.content_hash)
+    assert node.history("w") == []
+    with pytest.raises(NotFoundError):
+        node.show("w", 1)
+    assert node.bitmaps == [[ValidityFlag.MISSING_CONTENT]]
+    assert node.heads == {}
+
+    loaded = NodeRuntime(
+        node.config, node.store, node.policy, chain=Chain(list(node.chain.blocks))
+    )
+    assert len(loaded.bitmaps) == loaded.chain.height == 1
+
+
 def test_unendorsed_block_refused_at_pre_prepare():
     """A primary that batches an unendorsed transaction cannot get honest
     replicas to prepare it."""

@@ -164,6 +164,15 @@ def test_apply_block_is_pure(store):
 # -- history -------------------------------------------------------------------------
 
 
+def flags_of(chain, store):
+    """Per-block flags as a replica records them: apply_block folded from genesis."""
+    heads, bitmaps = {}, []
+    for block in chain.blocks[1:]:
+        heads, flags = apply_block(heads, block, store)
+        bitmaps.append(flags)
+    return bitmaps
+
+
 def test_history_collects_valid_revisions_in_order(store):
     heads = {}
     blocks = []
@@ -172,21 +181,21 @@ def test_history_collects_valid_revisions_in_order(store):
         blocks.append([tx])
         heads[tx.record.work_id] = (tx.record.revision_number, tx.record.content_hash)
     chain = make_chain(blocks, store)
-    entries = history(chain, store, "w")
+    entries = history(chain, flags_of(chain, store), "w")
     assert [e.revision_number for e in entries] == [1, 2, 3, 4, 5]
     assert {e.author_id for e in entries} == {"ada"}
 
 
 def test_history_unknown_work_is_empty(store):
     chain = make_chain([], store)
-    assert history(chain, store, "nope") == []
+    assert history(chain, flags_of(chain, store), "nope") == []
 
 
 def test_history_excludes_stale_transactions(store):
     tx1 = propose_revision("w", "ada", b"one", {}, store)
     tx2 = propose_revision("w", "ben", b"two", {}, store)  # same read_version
     chain = make_chain([[tx1, tx2]], store)
-    entries = history(chain, store, "w")
+    entries = history(chain, flags_of(chain, store), "w")
     assert len(entries) == 1
     assert entries[0].content_hash == tx1.record.content_hash
 
@@ -215,5 +224,5 @@ def test_gap_free_numbering_over_random_interleaving(store):
         blocks.append(txs)
     chain = make_chain(blocks, store)
     for w in ("w0", "w1", "w2", "w3"):
-        numbers = [e.revision_number for e in history(chain, store, w)]
+        numbers = [e.revision_number for e in history(chain, flags_of(chain, store), w)]
         assert numbers == list(range(1, len(numbers) + 1))
