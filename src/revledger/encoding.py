@@ -53,29 +53,30 @@ def digest32(value: bytes, name: str = "digest") -> bytes:
     return bytes(value)
 
 
+def _check_text(value: str, name: str, max_bytes: int) -> bytes:
+    """UTF-8 encode a text field that must be non-empty and at most max_bytes."""
+    if not isinstance(value, str):
+        raise MalformedError(f"{name} must be a string")
+    try:
+        raw = value.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate, as undecodable argv bytes give
+        raise MalformedError(f"{name} is not encodable as UTF-8: {exc.reason}") from exc
+    if not raw:
+        raise MalformedError(f"{name} must be non-empty")
+    if len(raw) > max_bytes:
+        raise MalformedError(f"{name} exceeds {max_bytes} bytes")
+    return raw
+
+
 def check_work_id(work_id: str) -> bytes:
     """Validate and UTF-8 encode a work id: non-empty, no NUL, <= 256 bytes."""
-    if not isinstance(work_id, str):
-        raise MalformedError("work_id must be a string")
-    raw = work_id.encode("utf-8")
-    if not raw:
-        raise MalformedError("work_id must be non-empty")
-    if b"\x00" in raw:
+    if isinstance(work_id, str) and "\x00" in work_id:
         raise MalformedError("work_id must not contain NUL bytes")
-    if len(raw) > MAX_WORK_ID_BYTES:
-        raise MalformedError(f"work_id exceeds {MAX_WORK_ID_BYTES} bytes")
-    return raw
+    return _check_text(work_id, "work_id", MAX_WORK_ID_BYTES)
 
 
 def check_author_id(author_id: str) -> bytes:
-    if not isinstance(author_id, str):
-        raise MalformedError("author_id must be a string")
-    raw = author_id.encode("utf-8")
-    if not raw:
-        raise MalformedError("author_id must be non-empty")
-    if len(raw) > MAX_AUTHOR_ID_BYTES:
-        raise MalformedError(f"author_id exceeds {MAX_AUTHOR_ID_BYTES} bytes")
-    return raw
+    return _check_text(author_id, "author_id", MAX_AUTHOR_ID_BYTES)
 
 
 def encode_record(record) -> bytes:

@@ -2,10 +2,11 @@
 
 Each block header commits to the previous block's hash and to the
 Merkle root of its transaction ids, so editing any historical byte
-invalidates everything after it. verify_chain trusts no stored digest:
-every hash (tx ids, Merkle root, block hash, linkage) is recomputed
-from raw fields, and referenced content is re-fetched and re-hashed
-from the blob store.
+invalidates everything after it. check_chain, run on every loaded chain,
+trusts no stored digest: every hash (tx ids, Merkle root, block hash,
+linkage) is recomputed from raw fields. verify_chain adds to it a
+re-fetch and re-hash of referenced content from the blob store, and
+the endorsement checks.
 
 Chain file format: one block per line, compact JSON with sorted keys,
 hashes as lowercase hex. Payload bytes are never embedded (they live in
@@ -166,8 +167,8 @@ def check_block(block: Block) -> list[Defect]:
     Covers what a block's own fields must satisfy: at least one
     transaction, the block hash, the Merkle root, tx_count, every tx id,
     record field bounds and the revision gap. It reads no store and no
-    chain position. Consensus runs it once on each pre-prepare and the
-    workspace once on each loaded chain; apply_block trusts what passed.
+    chain position. Consensus runs it on each pre-prepare, check_chain on
+    each block of a chain; apply_block trusts what passed.
     """
     height = block.header.height
     defects: list[Defect] = []
@@ -196,34 +197,45 @@ def check_block(block: Block) -> list[Defect]:
     return defects
 
 
+def check_chain(chain: Chain) -> list[Defect]:
+    """Structural defects of a whole chain in a fixed order: check_genesis,
+    then for each later block its height against its position, its link
+    and check_block. A workspace refuses to load a chain with any of them.
+    """
+    blocks = chain.blocks
+    defects = check_genesis(blocks[0])
+    prev_clean = not defects
+    for i, block in enumerate(blocks[1:], start=1):
+        if block.header.height != i:
+            defects.append(Defect(i, "height-mismatch", f"header says {block.header.height}"))
+        # A block that just passed its own check holds its recomputed hash,
+        # so each header is hashed once and no unchecked digest is trusted.
+        prev = blocks[i - 1]
+        prev_hash = prev.block_hash if prev_clean else encoding.header_hash(prev.header)
+        if block.header.prev_hash != prev_hash:
+            defects.append(Defect(i, "link-mismatch"))
+        block_defects = check_block(block)
+        defects.extend(block_defects)
+        prev_clean = not block_defects
+    return defects
+
+
 def verify_chain(
     chain: Chain,
     store,
     endorsement_checker: Callable[[Transaction], bool] | None = None,
     extra_defects: Iterable[Defect] = (),
 ) -> VerifyReport:
-    """Recompute every digest and linkage on the chain, plus content checks.
-
-    Genesis gets check_genesis. Each later block gets its height and link
-    checks, then check_block, then a fetch of every referenced blob, then
-    the endorsement checks.
+    """check_chain, plus a fetch of every referenced blob and the
+    endorsement checks, with the defects sorted by height.
 
     `endorsement_checker`, when given, re-verifies each transaction's
     endorsements (possible only where the endorsement secrets are known,
     e.g. inside a workspace). `extra_defects` merges in parse-level
     defects found while loading a chain file.
     """
-    blocks = chain.blocks
-    defects: list[Defect] = list(extra_defects) + check_genesis(blocks[0])
-    for i, block in enumerate(blocks[1:], start=1):
-        if block.header.height != i:
-            defects.append(
-                Defect(i, "height-mismatch", f"header says {block.header.height}")
-            )
-        recomputed_prev = encoding.header_hash(blocks[i - 1].header)
-        if block.header.prev_hash != recomputed_prev:
-            defects.append(Defect(i, "link-mismatch"))
-        defects.extend(check_block(block))
+    defects: list[Defect] = list(extra_defects) + check_chain(chain)
+    for i, block in enumerate(chain.blocks[1:], start=1):
         height = block.header.height
         for j, tx in enumerate(block.transactions):
             try:
@@ -274,6 +286,10 @@ def _require_digest(value, what: str) -> bytes:
 def _require_str(value, what: str) -> str:
     if not isinstance(value, str):
         raise ChainParseError(f"{what} must be a string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate such as "\ud800"
+        raise ChainParseError(f"{what} is not encodable as UTF-8: {exc.reason}") from exc
     return value
 
 

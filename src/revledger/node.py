@@ -11,7 +11,8 @@ Validity is decided once per replica, when _apply_block applies a block
 one flag list per non-genesis block; heads fold those decisions and every
 reader (history, show, the simulator's report) reads the record. apply_block
 trusts block structure: ledger.check_block checked it once, in the consensus
-gate before the pre-prepare was prepared, or when the workspace loaded the chain.
+gate before the pre-prepare was prepared, or in ledger.check_chain when the
+workspace loaded the chain. Validity reads blob presence, never blob bytes.
 """
 
 from __future__ import annotations
@@ -110,7 +111,6 @@ class NodeRuntime:
         )
         self.mempool: dict[bytes, MempoolEntry] = {}
         self.receipts: dict[bytes, ClientReceipt] = {}
-        self.rejected: list[ClientReceipt] = []
         self.blocks_since_load: list[Block] = []
 
     def _apply_block(self, block: Block) -> list[ValidityFlag]:
@@ -132,14 +132,12 @@ class NodeRuntime:
         try:
             tx = propose_revision(work_id, author_id, payload, self.heads, self.store, now)
         except MalformedError:
-            receipt = ClientReceipt(
+            return ClientReceipt(
                 tx_id=None,
                 status=ReceiptStatus.REJECTED,
                 submit_tick=now,
                 flag=ValidityFlag.MALFORMED,
             )
-            self.rejected.append(receipt)
-            return receipt
         for endorser in self._endorser_order():
             if check_endorsement_policy(tx, self.policy):
                 break

@@ -17,8 +17,10 @@ is only Valid when its read_version still equals the committed head, so
 exactly one writer wins each slot.
 
 Validation trusts block structure (tx ids, record bounds, the revision
-gap): ledger.check_block checks it once, when consensus accepts a
-pre-prepare or when a workspace loads a chain file.
+gap), which ledger checks once: check_block when consensus accepts a
+pre-prepare, check_chain when a workspace loads a chain file. It reads
+blob presence, never blob bytes, so a damaged blob changes no replica's
+flags or heads; bytes are re-hashed where read (show) or audited (verify).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from enum import Enum
 from typing import Mapping
 
 from . import encoding
-from .content_store import NotFoundError, StoreError
 from .digests import sha256
 from .encoding import MalformedError
 
@@ -146,14 +147,12 @@ def check_endorsement_policy(tx: Transaction, policy: EndorsementPolicy) -> bool
 
 
 def validate_transaction(tx: Transaction, heads: HeadState, store) -> ValidityFlag:
-    """Post-order validation of a structurally checked transaction; never
-    mutates heads, never raises."""
+    """Post-order validation of a structurally checked transaction: a stale
+    read, then blob presence (no blob is read). Never mutates heads or raises."""
     current_head = heads[tx.record.work_id][0] if tx.record.work_id in heads else 0
     if tx.read_version != current_head:
         return ValidityFlag.STALE_READ
-    try:
-        store.get(tx.record.content_hash)
-    except (NotFoundError, StoreError):
+    if not store.has(tx.record.content_hash):
         return ValidityFlag.MISSING_CONTENT
     return ValidityFlag.VALID
 
@@ -165,7 +164,7 @@ def apply_block(heads: HeadState, block, store) -> tuple[HeadState, list[Validit
     pre-prepare or at load, so only stale reads and missing content are
     decided here. Valid transactions update the head immediately, so
     intra-block conflicts resolve first-wins. Pure function of (heads,
-    block, store contents): honest replicas derive identical results.
+    block, blob presence): honest replicas derive identical results.
     """
     new_heads = dict(heads)
     flags: list[ValidityFlag] = []

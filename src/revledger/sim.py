@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from .content_store import MemoryStore
 from .digests import sha256, to_hex
 from .encoding import u64
-from .ledger import Block, build_block, verify_chain
+from .ledger import Block, build_block
 from .node import NodeRuntime, Outbound, ReceiptStatus
 from .pbft import MessageKind, NodeConfig, PbftMessage
 from .revisions import EndorsementPolicy, ValidityFlag, check_endorsement_policy
@@ -505,8 +505,6 @@ class Simulation:
 
     def _report(self, ticks_elapsed: int) -> SimReport:
         honest = self._honest_nodes()
-        policy = self.nodes[0].policy
-        checker = lambda tx: check_endorsement_policy(tx, policy)  # noqa: E731
 
         rows: list[ReceiptRow] = []
         latencies: list[int] = []
@@ -574,8 +572,7 @@ class Simulation:
 
         verify_results = {}
         for i, node in enumerate(self.nodes):
-            report = verify_chain(node.chain, node.store, checker)
-            audit = node.store.audit()
+            report, audit = node.verify(lambda tx: check_endorsement_policy(tx, node.policy))
             verify_results[i] = {
                 "ok": report.ok and not audit,
                 "chain_defects": len(report.defects),
@@ -619,15 +616,6 @@ class ScenarioError(ValueError):
         super().__init__(message)
         self.line = line
         self.column = column
-
-
-_BEHAVIOR_NAMES = {
-    "crash": Crash,
-    "silent": Silent,
-    "equivocate_pre_prepare": EquivocatePrePrepare,
-    "delay_all": DelayAll,
-    "corrupt_digest": CorruptDigest,
-}
 
 
 def _parse_behavior(obj: dict) -> tuple[int, ByzantineBehavior]:

@@ -26,8 +26,7 @@ from .ledger import (
     Chain,
     Defect,
     append_chain_file,
-    check_block,
-    check_genesis,
+    check_chain,
     read_chain_file,
     write_chain_file,
 )
@@ -146,18 +145,16 @@ class Workspace:
     def load_node(self, node_id: int) -> NodeRuntime:
         """Rebuild a node runtime from its persisted chain and blobs.
 
-        Genesis goes through ledger.check_genesis and every later block
-        through ledger.check_block here, once; the replay that decides
-        each transaction's validity and rebuilds heads then trusts block
-        structure. A chain that fails to parse or has a structural defect
-        is refused, so a damaged replica fails loudly instead of dropping
-        revisions or proposing on a tip the other replicas reject.
+        The chain goes through ledger.check_chain here, once; the replay
+        that decides validity and rebuilds heads then trusts it, and reads
+        no blob, only asks which ones the store holds. A chain that fails to
+        parse or has any defect is refused, so a damaged replica fails
+        loudly instead of dropping revisions or proposing on a tip the
+        other replicas reject.
         """
         chain, defects = self.load_chain(node_id)
         if chain is not None and not defects:
-            defects = check_genesis(chain.blocks[0]) + [
-                d for block in chain.blocks[1:] for d in check_block(block)
-            ]
+            defects = check_chain(chain)
         if chain is None or defects:
             first = defects[0] if defects else Defect(0, "unknown")
             raise WorkspaceError(

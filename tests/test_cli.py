@@ -289,6 +289,116 @@ def test_verify_reports_oversized_proposer_id_as_unparseable(ws_dir, tmp_path, c
     )
 
 
+def test_verify_reports_unencodable_text_as_unparseable(ws_dir, tmp_path, capsys):
+    """A chain line holding a lone surrogate in a string field is an
+    unparseable record at its height; verify and history do not crash."""
+    commit(ws_dir, tmp_path, "w", "a.txt", "first")
+    path = ws_dir / "node-0" / "chain.jsonl"
+    lines = path.read_text().splitlines()
+    block = json.loads(lines[1])
+    block["transactions"][0]["work_id"] = "\ud800"
+    lines[1] = json.dumps(block, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--dir", str(ws_dir)]) == 1
+    assert capsys.readouterr().out == (
+        "node 0: defect height=1 kind=unparseable-record "
+        "work_id is not encodable as UTF-8: surrogates not allowed\n"
+        "node 1: ok\nnode 2: ok\nnode 3: ok\n"
+        "verify: tampering detected\n"
+    )
+    assert main(["history", "--dir", str(ws_dir), "--work", "w"]) == 1
+    assert "unparseable-record at height 1" in capsys.readouterr().err
+
+
+def test_commit_rejects_a_work_id_that_cannot_be_encoded(ws_dir, tmp_path, capsys):
+    """Undecodable argv bytes arrive as lone surrogates; commit rejects the
+    id as malformed and writes nothing."""
+    before = {p: p.read_bytes() for p in ws_dir.rglob("*") if p.is_file()}
+    f = tmp_path / "a.txt"
+    f.write_text("text")
+    rc = main(["commit", "--dir", str(ws_dir), "--work", "\udcff", "--file", str(f),
+               "--author", "ada"])
+    assert rc == 1
+    assert capsys.readouterr().out == f"rejected file={f} reason=InvalidMalformed\n"
+    assert {p: p.read_bytes() for p in ws_dir.rglob("*") if p.is_file()} == before
+
+
+def test_damaged_blob_changes_no_replicas_flags_or_heads(ws_dir, tmp_path, capsys):
+    """A flipped byte in revision 1's blob on node 0 leaves node 0's
+    history and heads as on every other replica; only reading or auditing
+    those bytes fails."""
+    commit(ws_dir, tmp_path, "w", "a.txt", "first")
+    commit(ws_dir, tmp_path, "w", "b.txt", "second")
+    blob_hash = hashlib.sha256(b"first").hexdigest()
+    assert main([
+        "tamper", "--dir", str(ws_dir), "--node", "0",
+        "--blob", blob_hash, "--offset", "0", "--xor", "1",
+    ]) == 0
+    capsys.readouterr()
+    assert main(["history", "--dir", str(ws_dir), "--work", "w"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["revision=1", "revision=2"]
+    assert main([
+        "show", "--dir", str(ws_dir), "--work", "w",
+        "--revision", "1", "--out", str(tmp_path / "out.bin"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert blob_hash in err and "does not match its key" in err
+
+    assert commit(ws_dir, tmp_path, "w", "c.txt", "third") == 0
+    assert "flag=Valid height=3" in capsys.readouterr().out
+    ws = Workspace.load(ws_dir)
+    assert [ws.load_node(i).heads["w"][0] for i in range(4)] == [3, 3, 3, 3]
+    assert main(["verify", "--dir", str(ws_dir)]) == 1
+    assert f"node 0: defect height=1 kind=content-hash-mismatch tx 0: {blob_hash}" in (
+        capsys.readouterr().out
+    )
+
+
+def test_deleted_block_line_is_refused_at_load(ws_dir, tmp_path, capsys):
+    """A chain file missing one block line no longer loads: history, show
+    and commit fail on the height check and change no byte."""
+    for name, text in (("a.txt", "first"), ("b.txt", "second"), ("c.txt", "third")):
+        commit(ws_dir, tmp_path, "w", name, text)
+    path = ws_dir / "node-0" / "chain.jsonl"
+    lines = path.read_bytes().split(b"\n")
+    path.write_bytes(b"\n".join(lines[:2] + lines[3:]))
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in ws_dir.rglob("*") if p.is_file()}
+    assert main(["history", "--dir", str(ws_dir), "--work", "w"]) == 1
+    assert "height-mismatch at height 2" in capsys.readouterr().err
+    assert main([
+        "show", "--dir", str(ws_dir), "--work", "w",
+        "--revision", "1", "--out", str(tmp_path / "out.bin"),
+    ]) == 1
+    assert "height-mismatch at height 2" in capsys.readouterr().err
+    assert commit(ws_dir, tmp_path, "w", "d.txt", "fourth") == 1
+    assert "height-mismatch at height 2" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in ws_dir.rglob("*") if p.is_file()} == before
+
+
+def test_tampered_block_hash_field_is_one_defect(ws_dir, tmp_path, capsys):
+    """A flipped digit in block 1's stored block_hash is reported once, at
+    height 1: block 2 links to the recomputed hash, which is intact."""
+    commit(ws_dir, tmp_path, "w", "a.txt", "first")
+    commit(ws_dir, tmp_path, "w", "b.txt", "second")
+    line = (ws_dir / "node-0" / "chain.jsonl").read_bytes().split(b"\n")[1]
+    start = line.index(b'"block_hash":"') + len(b'"block_hash":"')
+    offset = next(i for i in range(start, start + 64) if chr(line[i]).isdigit())
+    assert main([
+        "tamper", "--dir", str(ws_dir), "--node", "0",
+        "--block", "1", "--offset", str(offset), "--xor", "1",
+    ]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--dir", str(ws_dir)]) == 1
+    assert capsys.readouterr().out == (
+        "node 0: defect height=1 kind=block-hash-mismatch\n"
+        "node 1: ok\nnode 2: ok\nnode 3: ok\n"
+        "verify: tampering detected\n"
+    )
+
+
 def test_tamper_xor_zero_is_refused(ws_dir, tmp_path, capsys):
     commit(ws_dir, tmp_path, "w", "a.txt", "x")
     before = workspace_snapshot(ws_dir)
