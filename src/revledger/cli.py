@@ -14,6 +14,7 @@ blob byte; every other command only appends.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from importlib import resources
 from pathlib import Path
@@ -22,9 +23,11 @@ from .content_store import NotFoundError, StoreError
 from .digests import from_hex, to_hex
 from .ledger import verify_chain, write_chain_file
 from .pbft import ConfigError
+from .revisions import check_endorsement_policy
 from .sim import (
     ScenarioError,
     SimConfig,
+    SimReport,
     Simulation,
     Submission,
     parse_scenario,
@@ -95,7 +98,8 @@ def _run_local_consensus(ws: Workspace, submissions: list[Submission]):
 def _tx_height(chain, tx_id_hex: str | None) -> int | None:
     if tx_id_hex is None:
         return None
-    for block in chain.blocks:
+    # A receipt's transaction was almost always committed by this run, near the tip.
+    for block in reversed(chain.blocks):
         for tx in block.transactions:
             if to_hex(tx.tx_id) == tx_id_hex:
                 return block.header.height
@@ -123,7 +127,7 @@ def cmd_commit(args) -> int:
     except WorkspaceError as exc:
         return _err(str(exc))
     if report.stalled:
-        print(report.to_text(), end="")
+        print(_report_text(sim, report), end="")
         return _err("consensus stalled; workspace left as committed so far")
     all_valid = True
     chain = sim.nodes[0].chain
@@ -310,6 +314,20 @@ def _load_scenario_text(spec: str) -> str | None:
     return bundled_scenarios().get(spec)
 
 
+def _report_text(sim: Simulation, report: SimReport) -> str:
+    """The run's report as JSON, with a `verify` section holding each
+    replica's full chain check and blob audit, taken after the run."""
+    verify = {}
+    for i, node in enumerate(sim.nodes):
+        chain_report, audit = node.verify(lambda tx: check_endorsement_policy(tx, node.policy))
+        verify[str(i)] = {
+            "ok": chain_report.ok and not audit,
+            "chain_defects": len(chain_report.defects),
+            "store_defects": len(audit),
+        }
+    return json.dumps({**report.to_obj(), "verify": verify}, sort_keys=True, indent=2) + "\n"
+
+
 def cmd_simulate(args) -> int:
     text = _load_scenario_text(args.scenario)
     if text is None:
@@ -328,7 +346,7 @@ def cmd_simulate(args) -> int:
     report = sim.run()
     out_path = Path(args.report)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(report.to_text(), encoding="utf-8")
+    out_path.write_text(_report_text(sim, report), encoding="utf-8")
     chains_dir = Path(args.chains_dir) if args.chains_dir else Path(str(out_path) + ".chains")
     chains_dir.mkdir(parents=True, exist_ok=True)
     for i, node in enumerate(sim.nodes):

@@ -51,39 +51,45 @@ class ContentStore:
     def __init__(self, root: Path | str):
         self.root = Path(root)
         self.blob_dir = self.root / "blobs"
+        # Blob paths are built as strings: pathlib costs more than the
+        # stat itself on the paths that load a whole history.
+        self._prefix = os.path.join(self.blob_dir, "")
 
-    def _blob_path(self, digest: bytes) -> Path:
+    def _blob_path(self, digest: bytes) -> str:
         hex_key = to_hex(digest)
-        return self.blob_dir / hex_key[:2] / hex_key
+        return f"{self._prefix}{hex_key[:2]}/{hex_key}"
 
     def put(self, data: bytes) -> bytes:
         """Store bytes under their hash; re-putting identical bytes is a no-op."""
         digest = sha256(data)
         path = self._blob_path(digest)
-        if path.exists():
+        if os.path.exists(path):
             return digest
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
+            fan_out = os.path.dirname(path)
+            os.makedirs(fan_out, exist_ok=True)
             # unique temp name per call: concurrent puts of the same bytes
             # each publish their own copy, last rename wins with identical
             # content either way
-            tmp = path.parent / f".tmp-{os.getpid()}-{next(_TMP_COUNTER)}"
-            tmp.write_bytes(data)
+            tmp = os.path.join(fan_out, f".tmp-{os.getpid()}-{next(_TMP_COUNTER)}")
+            with open(tmp, "wb") as fh:
+                fh.write(data)
             os.replace(tmp, path)
         except OSError as exc:
             raise StoreError(f"cannot write blob at {path}: {exc}") from exc
         return digest
 
     def has(self, digest: bytes) -> bool:
-        return self._blob_path(digest).exists()
+        return os.path.exists(self._blob_path(digest))
 
     def get(self, digest: bytes) -> bytes:
         """Return the stored bytes, re-verified against the key on every read."""
         path = self._blob_path(digest)
-        if not path.exists():
-            raise NotFoundError(f"no blob for {to_hex(digest)}")
         try:
-            data = path.read_bytes()
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except (FileNotFoundError, NotADirectoryError):
+            raise NotFoundError(f"no blob for {to_hex(digest)}") from None
         except OSError as exc:
             raise StoreError(f"cannot read blob at {path}: {exc}") from exc
         if sha256(data) != digest:

@@ -25,7 +25,7 @@ from .encoding import u64
 from .ledger import Block, build_block
 from .node import NodeRuntime, Outbound, ReceiptStatus
 from .pbft import MessageKind, NodeConfig, PbftMessage
-from .revisions import EndorsementPolicy, ValidityFlag, check_endorsement_policy
+from .revisions import EndorsementPolicy, ValidityFlag
 from .rng import SplitMix64, derive_stream_seed
 
 
@@ -285,6 +285,9 @@ class ReceiptRow:
 
 @dataclass
 class SimReport:
+    """What consensus decided in one run. It holds no audit of the
+    replicas: `revledger simulate` adds the report's `verify` section."""
+
     seed: int
     n: int
     f: int
@@ -299,7 +302,6 @@ class SimReport:
     throughput: float
     validity_counts: dict[str, int]
     equivocation_evidence: list[dict]
-    verify_results: dict[int, dict]
     crashed_nodes: list[int]
     honest_nodes: list[int]
 
@@ -331,13 +333,9 @@ class SimReport:
             "throughput": self.throughput,
             "validity_counts": dict(sorted(self.validity_counts.items())),
             "equivocation_evidence": self.equivocation_evidence,
-            "verify": {str(k): v for k, v in sorted(self.verify_results.items())},
             "crashed_nodes": self.crashed_nodes,
             "honest_nodes": self.honest_nodes,
         }
-
-    def to_text(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, indent=2) + "\n"
 
 
 class MetricsError(AssertionError):
@@ -449,6 +447,8 @@ class Simulation:
         return True
 
     def run(self) -> SimReport:
+        """Run to quiescence or max_ticks. The replicas are not audited;
+        `NodeRuntime.verify` on `self.nodes` does that."""
         for sub in self.workload:
             self.queue.schedule(("submit", sub), sub.tick)
         tick = 0
@@ -570,15 +570,6 @@ class Simulation:
                     }
                 )
 
-        verify_results = {}
-        for i, node in enumerate(self.nodes):
-            report, audit = node.verify(lambda tx: check_endorsement_policy(tx, node.policy))
-            verify_results[i] = {
-                "ok": report.ok and not audit,
-                "chain_defects": len(report.defects),
-                "store_defects": len(audit),
-            }
-
         return SimReport(
             seed=self.config.seed,
             n=self.config.n,
@@ -597,7 +588,6 @@ class Simulation:
             throughput=throughput,
             validity_counts=validity_counts,
             equivocation_evidence=evidence,
-            verify_results=verify_results,
             crashed_nodes=sorted(self.crashed),
             honest_nodes=honest,
         )

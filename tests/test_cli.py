@@ -5,6 +5,8 @@ import re
 import pytest
 
 from revledger.cli import main, verify_workspace
+from revledger.node import NodeRuntime
+from revledger.sim import SimConfig, Simulation, Submission
 from revledger.workspace import Workspace
 
 
@@ -135,6 +137,23 @@ def test_replicas_converge_to_identical_chain_files(ws_dir, tmp_path):
     commit(ws_dir, tmp_path, "comic-1", "b.txt", "second")
     chains = [(ws_dir / f"node-{i}" / "chain.jsonl").read_bytes() for i in range(4)]
     assert len(set(chains)) == 1
+
+
+def test_stalled_commit_prints_report_with_every_nodes_verify(tmp_path, capsys):
+    # A one-tick timeout fires before any proposal can gather its quorums,
+    # so the replicas change views until commit's tick budget runs out.
+    d = tmp_path / "ledger"
+    argv = ["init", "--dir", str(d), "--nodes", "4", "--faulty", "1", "--timeout-ticks", "1"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert commit(d, tmp_path, "w", "a.txt", "x") == 1
+    out, err = capsys.readouterr()
+    assert "consensus stalled" in err
+    doc = json.loads(out)
+    assert doc["stalled"] is True
+    assert doc["verify"] == {
+        str(i): {"ok": True, "chain_defects": 0, "store_defects": 0} for i in range(4)
+    }
 
 
 def test_workspace_writes_no_heads_cache_and_ignores_a_stale_one(ws_dir, tmp_path, capsys):
@@ -479,6 +498,30 @@ def test_simulate_bundled_scenario_runs(name, tmp_path, capsys):
         assert any(v >= 1 for v in doc["final_views"].values())
     if name == "equivocate":
         assert doc["equivocation_evidence"]
+
+
+def test_only_simulate_audits_the_replicas(ws_dir, tmp_path, monkeypatch, capsys):
+    class Audited(Exception):
+        pass
+
+    def refuse(self, endorsement_checker=None):
+        raise Audited
+
+    monkeypatch.setattr(NodeRuntime, "verify", refuse)
+    wl = [Submission(tick=1, node=0, work_id="w", author_id="ada", payload=b"x")]
+    report = Simulation(SimConfig(n=4, f=1, seed=1), wl).run()
+    assert report.receipts[0].status == "CommittedValid"
+    assert commit(ws_dir, tmp_path, "w", "a.txt", "x") == 0
+    report_path = tmp_path / "r.json"
+    argv = ["simulate", "--scenario", "fault-free", "--report", str(report_path)]
+    with pytest.raises(Audited):
+        main(argv)
+
+    monkeypatch.undo()
+    assert main(argv) == 0
+    doc = json.loads(report_path.read_text())
+    assert sorted(doc["verify"]) == [str(i) for i in range(doc["n"])]
+    assert all(v["ok"] for v in doc["verify"].values())
 
 
 def test_simulate_is_byte_deterministic(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import json
+
 import pytest
 
 from revledger.content_store import MemoryStore
 from revledger.ledger import build_block
 from revledger.pbft import MessageKind, PbftMessage
-from revledger.revisions import propose_revision
+from revledger.revisions import check_endorsement_policy, propose_revision
 from revledger.rng import SplitMix64, derive_stream_seed
 from revledger.sim import (
     CorruptDigest,
@@ -239,24 +241,29 @@ def test_identical_runs_are_bit_identical():
     wl = workload_distinct(10)
     r1 = run(config, wl)
     r2 = run(config, wl)
-    assert r1.to_text() == r2.to_text()
+    assert r1.to_obj() == r2.to_obj()
 
 
 def test_different_seed_changes_schedule():
     wl = workload_distinct(6)
     r1 = run(SimConfig(n=4, f=1, seed=1, delay_min=1, delay_max=4, max_ticks=2000), wl)
     r2 = run(SimConfig(n=4, f=1, seed=2, delay_min=1, delay_max=4, max_ticks=2000), wl)
-    assert r1.to_text() != r2.to_text()
+    assert r1.to_obj() != r2.to_obj()
 
 
 def test_fault_free_run_commits_everything():
     config = SimConfig(n=4, f=1, seed=5, delay_min=1, delay_max=2, max_ticks=2000)
-    report = run(config, workload_distinct(8))
+    sim = Simulation(config, workload_distinct(8))
+    report = sim.run()
     assert not report.stalled
     assert report.safety_ok
     assert all(r.status == "CommittedValid" for r in report.receipts)
     assert len(set(report.committed_heights.values())) == 1
-    assert all(v["ok"] for v in report.verify_results.values())
+    assert len(sim.nodes) == config.n
+    for node in sim.nodes:
+        chain_report, audit = node.verify(lambda tx: check_endorsement_policy(tx, node.policy))
+        assert chain_report.ok
+        assert audit == []
 
 
 def test_crashed_primary_recovers_via_view_change():
@@ -389,7 +396,7 @@ def test_stress_beyond_f_faults_still_produces_a_report():
     report = run(config, workload_distinct(4, nodes=(2, 3)))
     assert report.ticks_elapsed <= 300
     assert set(report.honest_nodes) == {2, 3}
-    assert report.to_text()  # serializable
+    assert json.dumps(report.to_obj())  # serializable
 
 
 # -- metrics -----------------------------------------------------------------------
