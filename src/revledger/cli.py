@@ -124,10 +124,12 @@ def cmd_commit(args) -> int:
     try:
         with ws.lock():
             sim, report = _run_local_consensus(ws, submissions)
+            # The stalled report audits the stores, so it is taken under the lock.
+            stalled_text = _report_text(sim, report) if report.stalled else None
     except WorkspaceError as exc:
         return _err(str(exc))
-    if report.stalled:
-        print(_report_text(sim, report), end="")
+    if stalled_text is not None:
+        print(stalled_text, end="")
         return _err("consensus stalled; workspace left as committed so far")
     all_valid = True
     chain = sim.nodes[0].chain

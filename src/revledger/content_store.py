@@ -62,9 +62,9 @@ class ContentStore:
     def put(self, data: bytes) -> bytes:
         """Store bytes under their hash; re-putting identical bytes is a no-op."""
         digest = sha256(data)
-        path = self._blob_path(digest)
-        if os.path.exists(path):
+        if self.has(digest):
             return digest
+        path = self._blob_path(digest)
         try:
             fan_out = os.path.dirname(path)
             os.makedirs(fan_out, exist_ok=True)
@@ -80,7 +80,16 @@ class ContentStore:
         return digest
 
     def has(self, digest: bytes) -> bool:
-        return os.path.exists(self._blob_path(digest))
+        """True if a blob is stored under the digest. Only an absent blob or
+        fan-out directory reads as False; any other failure to look raises."""
+        path = self._blob_path(digest)
+        try:
+            os.stat(path)
+        except (FileNotFoundError, NotADirectoryError):
+            return False
+        except OSError as exc:
+            raise StoreError(f"cannot look up blob at {path}: {exc}") from exc
+        return True
 
     def get(self, digest: bytes) -> bytes:
         """Return the stored bytes, re-verified against the key on every read."""

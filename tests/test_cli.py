@@ -7,7 +7,7 @@ import pytest
 from revledger.cli import main, verify_workspace
 from revledger.node import NodeRuntime
 from revledger.sim import SimConfig, Simulation, Submission
-from revledger.workspace import Workspace
+from revledger.workspace import LOCK_NAME, Workspace
 
 
 @pytest.fixture
@@ -139,13 +139,21 @@ def test_replicas_converge_to_identical_chain_files(ws_dir, tmp_path):
     assert len(set(chains)) == 1
 
 
-def test_stalled_commit_prints_report_with_every_nodes_verify(tmp_path, capsys):
+def test_stalled_commit_prints_report_with_every_nodes_verify(tmp_path, capsys, monkeypatch):
     # A one-tick timeout fires before any proposal can gather its quorums,
     # so the replicas change views until commit's tick budget runs out.
     d = tmp_path / "ledger"
     argv = ["init", "--dir", str(d), "--nodes", "4", "--faulty", "1", "--timeout-ticks", "1"]
     assert main(argv) == 0
     capsys.readouterr()
+    locked_during_verify = []
+    verify = NodeRuntime.verify
+
+    def verify_noting_the_lock(self, *args, **kwargs):
+        locked_during_verify.append((d / LOCK_NAME).exists())
+        return verify(self, *args, **kwargs)
+
+    monkeypatch.setattr(NodeRuntime, "verify", verify_noting_the_lock)
     assert commit(d, tmp_path, "w", "a.txt", "x") == 1
     out, err = capsys.readouterr()
     assert "consensus stalled" in err
@@ -154,6 +162,7 @@ def test_stalled_commit_prints_report_with_every_nodes_verify(tmp_path, capsys):
     assert doc["verify"] == {
         str(i): {"ok": True, "chain_defects": 0, "store_defects": 0} for i in range(4)
     }
+    assert locked_during_verify == [True] * 4
 
 
 def test_workspace_writes_no_heads_cache_and_ignores_a_stale_one(ws_dir, tmp_path, capsys):

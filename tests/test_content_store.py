@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from revledger.content_store import (
     IntegrityError,
     MemoryStore,
     NotFoundError,
+    StoreError,
 )
 from revledger.digests import from_hex, to_hex
 
@@ -76,6 +78,42 @@ def test_get_detects_corruption(tmp_path):
     with pytest.raises(IntegrityError) as err:
         store.get(digest)
     assert to_hex(digest) in str(err.value)
+
+
+def test_has_is_false_only_for_an_absent_blob(tmp_path):
+    store = ContentStore(tmp_path)
+    digest = store.put(b"abc")
+    assert store.has(digest)
+    assert not store.has(from_hex(EMPTY_SHA256))
+    fan_out = tmp_path / "blobs" / to_hex(digest)[:2]
+    (fan_out / to_hex(digest)).unlink()
+    fan_out.rmdir()
+    fan_out.write_bytes(b"")  # a file where the fan-out directory belongs
+    assert not store.has(digest)
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root reads any directory")
+def test_has_raises_when_the_fan_out_directory_is_unreadable(tmp_path):
+    store = ContentStore(tmp_path)
+    digest = store.put(b"abc")
+    fan_out = tmp_path / "blobs" / to_hex(digest)[:2]
+    fan_out.chmod(0)
+    try:
+        with pytest.raises(StoreError):
+            store.has(digest)
+    finally:
+        fan_out.chmod(0o755)
+
+
+def test_has_raises_when_the_fan_out_directory_cannot_be_resolved(tmp_path):
+    store = ContentStore(tmp_path)
+    digest = store.put(b"abc")
+    fan_out = tmp_path / "blobs" / to_hex(digest)[:2]
+    (fan_out / to_hex(digest)).unlink()
+    fan_out.rmdir()
+    fan_out.symlink_to(fan_out.name)  # a symlink loop: stat fails with ELOOP
+    with pytest.raises(StoreError):
+        store.has(digest)
 
 
 def test_blob_layout_is_fanout_by_prefix(tmp_path):

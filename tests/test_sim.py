@@ -1,7 +1,6 @@
-import json
-
 import pytest
 
+from revledger.cli import _report_text
 from revledger.content_store import MemoryStore
 from revledger.ledger import build_block
 from revledger.pbft import MessageKind, PbftMessage
@@ -28,6 +27,12 @@ from revledger.sim import (
     parse_scenario,
     run,
 )
+
+
+def report_text(config, workload):
+    """The full report `revledger simulate` writes, verify section included."""
+    sim = Simulation(config, workload)
+    return _report_text(sim, sim.run())
 
 
 def workload_distinct(count, nodes=(0, 1, 2, 3), start=1):
@@ -239,16 +244,14 @@ def test_corrupt_digest_flips_one_byte():
 def test_identical_runs_are_bit_identical():
     config = SimConfig(n=4, f=1, seed=99, delay_min=1, delay_max=3, max_ticks=2000)
     wl = workload_distinct(10)
-    r1 = run(config, wl)
-    r2 = run(config, wl)
-    assert r1.to_obj() == r2.to_obj()
+    assert report_text(config, wl) == report_text(config, wl)
 
 
 def test_different_seed_changes_schedule():
     wl = workload_distinct(6)
-    r1 = run(SimConfig(n=4, f=1, seed=1, delay_min=1, delay_max=4, max_ticks=2000), wl)
-    r2 = run(SimConfig(n=4, f=1, seed=2, delay_min=1, delay_max=4, max_ticks=2000), wl)
-    assert r1.to_obj() != r2.to_obj()
+    r1 = report_text(SimConfig(n=4, f=1, seed=1, delay_min=1, delay_max=4, max_ticks=2000), wl)
+    r2 = report_text(SimConfig(n=4, f=1, seed=2, delay_min=1, delay_max=4, max_ticks=2000), wl)
+    assert r1 != r2
 
 
 def test_fault_free_run_commits_everything():
@@ -393,10 +396,11 @@ def test_stress_beyond_f_faults_still_produces_a_report():
         n=4, f=1, seed=8, delay_min=1, delay_max=2, timeout_ticks=15, max_ticks=300,
         byzantine=((0, EquivocatePrePrepare()), (1, CorruptDigest())),
     )
-    report = run(config, workload_distinct(4, nodes=(2, 3)))
+    sim = Simulation(config, workload_distinct(4, nodes=(2, 3)))
+    report = sim.run()
     assert report.ticks_elapsed <= 300
     assert set(report.honest_nodes) == {2, 3}
-    assert json.dumps(report.to_obj())  # serializable
+    assert _report_text(sim, report)  # every replica verifies and the report serializes
 
 
 # -- metrics -----------------------------------------------------------------------
