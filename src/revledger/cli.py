@@ -8,7 +8,9 @@ simulation scenarios.
 Exit codes are strict: 0 exactly when the command's success condition
 held, otherwise nonzero with a one-line `error:` (or `warning:`) reason.
 Tampering is the only code path that ever rewrites an existing block or
-blob byte; every other command only appends.
+blob byte; every other command only appends blocks and blobs. Each node's
+checkpoint is derived state, never a block or blob byte: init writes it,
+and a commit that appended blocks replaces it whole.
 """
 
 from __future__ import annotations
@@ -87,12 +89,8 @@ def _run_local_consensus(ws: Workspace, submissions: list[Submission]):
         endorsement_m=cfg.endorsement_m,
         max_ticks=50 * cfg.timeout_ticks,
     )
-    nodes = ws.load_all_nodes()
-    sim = Simulation(sim_config, submissions, nodes=nodes)
-    report = sim.run()
-    for node in nodes:
-        ws.persist_new_blocks(node)
-    return sim, report
+    sim = Simulation(sim_config, submissions, nodes=ws.load_all_nodes())
+    return sim, sim.run()
 
 
 def _tx_height(chain, tx_id_hex: str | None) -> int | None:
@@ -124,8 +122,21 @@ def cmd_commit(args) -> int:
     try:
         with ws.lock():
             sim, report = _run_local_consensus(ws, submissions)
-            # The stalled report audits the stores, so it is taken under the lock.
-            stalled_text = _report_text(sim, report) if report.stalled else None
+            stalled_text = None
+            if report.stalled:
+                # The stalled report lists and audits whole chains, where a
+                # replica loaded from its checkpoint holds only its old tip
+                # on: each reads its chain in full. The report audits the
+                # stores, so it is taken under the lock.
+                for i, node in enumerate(sim.nodes):
+                    chain = ws.read_chain(i)
+                    for block in node.blocks_since_load:
+                        chain.append(block)
+                    node.chain = chain
+                report = sim.report(report.ticks_elapsed)
+                stalled_text = _report_text(sim, report)
+            for node in sim.nodes:
+                ws.persist_new_blocks(node)
     except WorkspaceError as exc:
         return _err(str(exc))
     if stalled_text is not None:
@@ -187,7 +198,8 @@ def cmd_show(args) -> int:
 
 
 def verify_workspace(ws: Workspace) -> dict[int, dict]:
-    """Per-node integrity results: chain defects plus store audit."""
+    """Per-node integrity results: chain defects, a trusted checkpoint's
+    disagreement with its chain, and the store audit."""
     checker = ws.endorsement_checker()
     results: dict[int, dict] = {}
     for i in range(ws.config.n):
@@ -197,10 +209,11 @@ def verify_workspace(ws: Workspace) -> dict[int, dict]:
             results[i] = {"ok": False, "defects": parse_defects, "audit": []}
             continue
         report = verify_chain(chain, store, checker, extra_defects=parse_defects)
+        defects = sorted(report.defects + ws.checkpoint_defects(i, chain), key=lambda d: d.height)
         audit = store.audit()
         results[i] = {
-            "ok": report.ok and not audit,
-            "defects": report.defects,
+            "ok": not defects and not audit,
+            "defects": defects,
             "audit": audit,
         }
     return results

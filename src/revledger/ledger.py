@@ -89,7 +89,8 @@ def build_block(
 
 
 class Chain:
-    """Append-only block sequence starting at genesis.
+    """Append-only block sequence starting at genesis, or at the tip of a
+    longer chain when a workspace loads a node from its checkpoint.
 
     The only mutation exposed is appending a block whose prev_hash
     matches the current tip; nothing removes or edits blocks.
@@ -403,11 +404,12 @@ def write_chain_file(path: Path, chain: Chain) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def append_chain_file(path: Path, blocks: Iterable[Block]) -> None:
-    """Append new blocks without rewriting existing bytes."""
-    with path.open("a", encoding="utf-8") as fh:
-        for block in blocks:
-            fh.write(block_to_line(block) + "\n")
+def append_chain_file(path: Path, blocks: Iterable[Block]) -> bytes:
+    """Append new blocks without rewriting existing bytes; returns the bytes appended."""
+    data = "".join(block_to_line(block) + "\n" for block in blocks).encode("utf-8")
+    with path.open("ab") as fh:
+        fh.write(data)
+    return data
 
 
 def read_chain_file(path: Path) -> tuple[Chain | None, list[Defect]]:

@@ -7,9 +7,11 @@ appends the block to its chain, runs MVCC validation, updates client
 receipts, and replicates payload blobs into its own content store.
 
 Validity is decided once per replica, when _apply_block applies a block
-(replayed at load or committed in this run), and recorded in `bitmaps`,
-one flag list per non-genesis block; heads fold those decisions and every
-reader (history, show, the simulator's report) reads the record. apply_block
+committed in this run, and recorded in `bitmaps`, one flag list per
+non-genesis block; heads fold those decisions and every reader (history,
+show, the simulator's report) reads the record. A workspace hands a loaded
+replica the decisions its checkpoint recorded; only a replica loaded without
+a trusted checkpoint replays its chain through _apply_block. apply_block
 trusts block structure: ledger.check_block checked it once, in the consensus
 gate before the pre-prepare was prepared, or in ledger.check_chain when the
 workspace loaded the chain. Validity reads blob presence, never blob bytes.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from . import revisions
 from .content_store import NotFoundError
@@ -90,7 +93,13 @@ class NodeRuntime:
         policy: EndorsementPolicy,
         chain: Chain | None = None,
         max_batch: int = 100,
+        recorded: tuple[revisions.HeadState, list[list[tuple[bytes, ValidityFlag]]]]
+        | None = None,
     ):
+        """`recorded`, when given, is (heads, one (tx id, flag) list per block
+        after genesis) as this replica decided them earlier, and nothing is
+        replayed. `chain` may then start at a later block than genesis, such
+        as the tip: `bitmaps` covers only the blocks after its first."""
         self.config = config
         self.store = store
         self.policy = policy
@@ -99,8 +108,15 @@ class NodeRuntime:
         self.heads: revisions.HeadState = {}
         self.bitmaps: list[list[ValidityFlag]] = []
         self.committed_flags: dict[bytes, ValidityFlag] = {}  # tx id index for dedup
-        for block in self.chain.blocks[1:]:
-            self._apply_block(block)
+        if recorded is None:
+            for block in self.chain.blocks[1:]:
+                self._apply_block(block)
+        else:
+            heads, blocks = recorded
+            self.heads = dict(heads)
+            self._index(pair for pairs in blocks for pair in pairs)
+            base = self.chain.blocks[0].header.height
+            self.bitmaps = [[flag for _, flag in pairs] for pairs in blocks[base:]]
         self.replica = Replica(
             config,
             tip_hash=self.chain.tip.block_hash,
@@ -117,10 +133,15 @@ class NodeRuntime:
         """Decide the validity of a chained block's transactions and record it."""
         self.heads, flags = apply_block(self.heads, block, self.store)
         self.bitmaps.append(flags)
-        for tx, flag in zip(block.transactions, flags):
-            if self.committed_flags.get(tx.tx_id) is not ValidityFlag.VALID:
-                self.committed_flags[tx.tx_id] = flag
+        self._index(zip((tx.tx_id for tx in block.transactions), flags))
         return flags
+
+    def _index(self, decisions: Iterable[tuple[bytes, ValidityFlag]]) -> None:
+        """Note committed (tx id, flag) decisions; a Valid one sticks."""
+        committed = self.committed_flags
+        for tx_id, flag in decisions:
+            if committed.get(tx_id) is not ValidityFlag.VALID:
+                committed[tx_id] = flag
 
     # -- client entry ----------------------------------------------------------
 

@@ -2,7 +2,7 @@ import pytest
 
 from revledger.cli import _report_text
 from revledger.content_store import MemoryStore
-from revledger.ledger import build_block
+from revledger.ledger import Chain, build_block
 from revledger.pbft import MessageKind, PbftMessage
 from revledger.revisions import check_endorsement_policy, propose_revision
 from revledger.rng import SplitMix64, derive_stream_seed
@@ -368,6 +368,30 @@ def test_safety_compares_honest_chains_height_by_height():
     sim.nodes[1].chain.append(block_on(sim.nodes[1].chain, "b"))
     assert sim.run().safety_ok
     sim.nodes[2].chain.append(block_on(sim.nodes[2].chain, "c"))
+    assert not sim.run().safety_ok
+
+
+def test_safety_matches_blocks_by_header_height_on_chains_based_past_genesis():
+    """Replicas loaded from a workspace checkpoint hold their chain from
+    their old tip on; safety compares blocks at equal header heights."""
+
+    def block_on(chain, salt):
+        tx = propose_revision(f"w-{salt}", "ada", salt.encode(), {}, MemoryStore())
+        return build_block(chain.height + 1, chain.tip.block_hash, [tx], "node-0", 0, 1)
+
+    full = Chain()
+    for salt in "abcd":
+        full.append(block_on(full, salt))
+    blocks = list(full.blocks)
+    config = SimConfig(n=4, f=1, seed=1, max_ticks=10)
+    sim = Simulation(config, [])
+    for node, base in zip(sim.nodes, (0, 2, 3, 4)):
+        node.chain = Chain(blocks[base:])
+    assert sim.run().safety_ok
+
+    fork = Chain(blocks[2:3])
+    fork.append(block_on(fork, "x"))
+    sim.nodes[3].chain = fork
     assert not sim.run().safety_ok
 
 
