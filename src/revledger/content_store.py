@@ -15,6 +15,7 @@ work or revision it belongs to.
 
 from __future__ import annotations
 
+import errno
 import itertools
 import os
 from dataclasses import dataclass
@@ -49,11 +50,9 @@ class ContentStore:
     writes go to a temp file and are published with an atomic rename."""
 
     def __init__(self, root: Path | str):
-        self.root = Path(root)
-        self.blob_dir = self.root / "blobs"
         # Blob paths are built as strings: pathlib costs more than the
         # stat itself on the paths that load a whole history.
-        self._prefix = os.path.join(self.blob_dir, "")
+        self._prefix = os.path.join(Path(root, "blobs"), "")
 
     def _blob_path(self, digest: bytes) -> str:
         hex_key = to_hex(digest)
@@ -106,34 +105,48 @@ class ContentStore:
         return data
 
     def audit(self) -> list[AuditDefect]:
-        """Rehash every blob. Empty result means every blob matches its key.
+        """Rehash each blob once, in `blobs/*/*` name order. Empty result
+        means every blob matches its key.
 
         Dot-prefixed names are skipped: they are in-flight publications
         from concurrent puts, not blobs.
         """
         defects: list[AuditDefect] = []
-        if not self.blob_dir.exists():
-            return defects
-        for path in sorted(self.blob_dir.glob("*/*")):
-            name = path.name
-            if name.startswith("."):
-                continue
-            try:
-                digest = from_hex(name)
-            except ValueError:
-                defects.append(AuditDefect(name, "malformed-key", "not a 64-char hex name"))
-                continue
-            if path.parent.name != name[:2]:
-                defects.append(AuditDefect(name, "malformed-key", "wrong fan-out directory"))
-                continue
-            try:
-                data = path.read_bytes()
-            except OSError as exc:
-                defects.append(AuditDefect(name, "unreadable", str(exc)))
-                continue
-            if sha256(data) != digest:
-                defects.append(AuditDefect(name, "key-mismatch", "content does not hash to key"))
+        for fan_out in _names(self._prefix, "blobs", defects):
+            for name in _names(self._prefix + fan_out, fan_out, defects):
+                if name.startswith("."):
+                    continue
+                try:
+                    digest = from_hex(name)
+                except ValueError:
+                    defects.append(AuditDefect(name, "malformed-key", "not a 64-char hex name"))
+                    continue
+                if fan_out != name[:2]:
+                    defects.append(AuditDefect(name, "malformed-key", "wrong fan-out directory"))
+                    continue
+                try:
+                    with open(f"{self._prefix}{fan_out}/{name}", "rb") as fh:
+                        data = fh.read()
+                except OSError as exc:
+                    defects.append(AuditDefect(name, "unreadable", str(exc)))
+                    continue
+                if sha256(data) != digest:
+                    detail = "content does not hash to key"
+                    defects.append(AuditDefect(name, "key-mismatch", detail))
         return defects
+
+
+def _names(directory: str, key: str, defects: list[AuditDefect]) -> list[str]:
+    """Sorted entry names; none where the directory is absent. One that cannot
+    be listed is an unreadable defect, as the blobs in it go unchecked."""
+    try:
+        return sorted(os.listdir(directory))
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+    except OSError as exc:
+        if exc.errno != errno.ELOOP:  # a symlink loop holds no blob
+            defects.append(AuditDefect(key, "unreadable", str(exc)))
+        return []
 
 
 class MemoryStore:

@@ -4,9 +4,9 @@ Each block header commits to the previous block's hash and to the
 Merkle root of its transaction ids, so editing any historical byte
 invalidates everything after it. check_chain, run on every loaded chain,
 trusts no stored digest: every hash (tx ids, Merkle root, block hash,
-linkage) is recomputed from raw fields. verify_chain adds to it a
-re-fetch and re-hash of referenced content from the blob store, and
-the endorsement checks.
+linkage) is recomputed from raw fields. verify_chain adds the blob store's
+audit, the one read and hash of each blob, the presence of referenced
+content, and the endorsement checks.
 
 Chain file format: one block per line, compact JSON with sorted keys,
 hashes as lowercase hex. Payload bytes are never embedded (they live in
@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import encoding
-from .content_store import NotFoundError, StoreError
+from .content_store import AuditDefect, StoreError
 from .digests import ZERO_DIGEST, from_hex, to_hex
 from .merkle import merkle_root
 from .revisions import RevisionRecord, Transaction
@@ -102,10 +102,14 @@ class Chain:
         if not blocks:
             raise ValueError("a chain always contains at least genesis")
         self._blocks: list[Block] = list(blocks)
+        self._snapshot: tuple[Block, ...] | None = None
 
     @property
     def blocks(self) -> tuple[Block, ...]:
-        return tuple(self._blocks)
+        """One tuple, shared by every reader until the next append."""
+        if self._snapshot is None:
+            self._snapshot = tuple(self._blocks)
+        return self._snapshot
 
     @property
     def tip(self) -> Block:
@@ -124,6 +128,7 @@ class Chain:
         if block.header.prev_hash != tip.block_hash:
             raise ValueError("appended block does not link to the current tip")
         self._blocks.append(block)
+        self._snapshot = None
 
 
 # --- verification -----------------------------------------------------------
@@ -139,10 +144,11 @@ class Defect:
 @dataclass
 class VerifyReport:
     defects: list[Defect] = field(default_factory=list)
+    audit: list[AuditDefect] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.defects
+        return not self.defects and not self.audit
 
 
 def check_genesis(block: Block) -> list[Defect]:
@@ -227,34 +233,41 @@ def verify_chain(
     endorsement_checker: Callable[[Transaction], bool] | None = None,
     extra_defects: Iterable[Defect] = (),
 ) -> VerifyReport:
-    """check_chain, plus a fetch of every referenced blob and the
-    endorsement checks, with the defects sorted by height.
+    """The store's audit, the only read of blob bytes, then check_chain, the
+    content and endorsement checks, with the defects sorted by height.
 
+    Referenced content that is absent is content-missing; content the audit
+    found damaged, or whose lookup fails, is content-hash-mismatch.
     `endorsement_checker`, when given, re-verifies each transaction's
     endorsements (possible only where the endorsement secrets are known,
     e.g. inside a workspace). `extra_defects` merges in parse-level
     defects found while loading a chain file.
     """
+    audit = store.audit()
+    # Only a blob at its own fan-out path is read, so a stray copy is no content defect.
+    damaged = {a.key for a in audit if a.kind in ("key-mismatch", "unreadable")}
     defects: list[Defect] = list(extra_defects) + check_chain(chain)
     for i, block in enumerate(chain.blocks[1:], start=1):
         height = block.header.height
         for j, tx in enumerate(block.transactions):
+            key = to_hex(tx.record.content_hash)
             try:
-                store.get(tx.record.content_hash)
-            except NotFoundError:
-                kind = "content-missing"
-            except StoreError:  # IntegrityError, or a blob that cannot be read
+                if not store.has(tx.record.content_hash):
+                    kind = "content-missing"
+                elif key in damaged:
+                    kind = "content-hash-mismatch"
+                else:
+                    continue
+            except StoreError:
                 kind = "content-hash-mismatch"
-            else:
-                continue
-            defects.append(Defect(height, kind, f"tx {j}: {to_hex(tx.record.content_hash)}"))
+            defects.append(Defect(height, kind, f"tx {j}: {key}"))
         if endorsement_checker is not None:
             for j, tx in enumerate(block.transactions):
                 if not endorsement_checker(tx):
                     defects.append(Defect(i, "endorsement-invalid", f"tx {j}"))
 
     defects.sort(key=lambda d: d.height)
-    return VerifyReport(defects=defects)
+    return VerifyReport(defects=defects, audit=audit)
 
 
 # --- chain file I/O ---------------------------------------------------------

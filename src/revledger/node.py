@@ -370,5 +370,6 @@ class NodeRuntime:
         raise NotFoundError(f"no valid revision {revision_number} of {work_id!r}")
 
     def verify(self, endorsement_checker=None) -> tuple[VerifyReport, list]:
+        """verify_chain over this replica: its store's audit, then its chain."""
         report = verify_chain(self.chain, self.store, endorsement_checker)
-        return report, self.store.audit()
+        return report, report.audit

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .content_store import MemoryStore
 from .digests import sha256, to_hex
@@ -306,36 +306,11 @@ class SimReport:
     honest_nodes: list[int]
 
     def to_obj(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n": self.n,
-            "f": self.f,
-            "ticks_elapsed": self.ticks_elapsed,
-            "stalled": self.stalled,
-            "safety_ok": self.safety_ok,
-            "committed_heights": {str(k): v for k, v in sorted(self.committed_heights.items())},
-            "committed_digests": {str(k): v for k, v in sorted(self.committed_digests.items())},
-            "final_views": {str(k): v for k, v in sorted(self.final_views.items())},
-            "receipts": [
-                {
-                    "node": r.node,
-                    "work_id": r.work_id,
-                    "author_id": r.author_id,
-                    "submit_tick": r.submit_tick,
-                    "tx_id": r.tx_id,
-                    "status": r.status,
-                    "flag": r.flag,
-                    "commit_tick": r.commit_tick,
-                }
-                for r in self.receipts
-            ],
-            "latencies": self.latencies,
-            "throughput": self.throughput,
-            "validity_counts": dict(sorted(self.validity_counts.items())),
-            "equivocation_evidence": self.equivocation_evidence,
-            "crashed_nodes": self.crashed_nodes,
-            "honest_nodes": self.honest_nodes,
-        }
+        obj = asdict(self)
+        # Node ids become strings here, so JSON sorts them as text.
+        for name in ("committed_heights", "committed_digests", "final_views"):
+            obj[name] = {str(k): v for k, v in obj[name].items()}
+        return obj
 
 
 class MetricsError(AssertionError):

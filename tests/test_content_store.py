@@ -167,6 +167,56 @@ def test_audit_reports_malformed_key(tmp_path):
     assert kinds == {"malformed-key"}
 
 
+def test_audit_visits_blobs_in_name_order_and_skips_dot_names(tmp_path):
+    store = ContentStore(tmp_path)
+    keys = sorted(to_hex(store.put(f"blob {i}".encode())) for i in range(3))
+    blobs = tmp_path / "blobs"
+    for key in keys[::2]:
+        path = blobs / key[:2] / key
+        path.write_bytes(path.read_bytes() + b"!")
+    (blobs / keys[1][:2] / ".tmp-1-0").write_bytes(b"in flight")
+    (blobs / "zz").mkdir()
+    (blobs / "zz" / "not-a-hash").write_bytes(b"junk")
+    (blobs / ".hidden").mkdir()
+    (blobs / ".hidden" / keys[1]).write_bytes(b"stray")
+    (blobs / "README").write_bytes(b"a file beside the fan-out directories")
+    assert [(d.key, d.kind, d.detail) for d in store.audit()] == [
+        (keys[1], "malformed-key", "wrong fan-out directory"),
+        (keys[0], "key-mismatch", "content does not hash to key"),
+        (keys[2], "key-mismatch", "content does not hash to key"),
+        ("not-a-hash", "malformed-key", "not a 64-char hex name"),
+    ]
+
+
+def test_audit_of_a_store_without_blobs_is_empty(tmp_path):
+    assert ContentStore(tmp_path / "absent").audit() == []
+    (tmp_path / "blobs").write_bytes(b"not a directory")
+    assert ContentStore(tmp_path).audit() == []
+
+
+def test_audit_reports_a_fan_out_directory_it_cannot_list(tmp_path, monkeypatch):
+    """Permission bits do not bind root, so the refused listing is simulated."""
+    store = ContentStore(tmp_path)
+    key = to_hex(store.put(b"behind a closed door"))
+    listdir = os.listdir
+
+    def refuse_fan_out(path):
+        if os.path.basename(path) == key[:2]:
+            raise PermissionError(13, "Permission denied", path)
+        return listdir(path)
+
+    monkeypatch.setattr(os, "listdir", refuse_fan_out)
+    assert [(d.key, d.kind) for d in store.audit()] == [(key[:2], "unreadable")]
+
+
+def test_audit_skips_a_symlink_loop_in_place_of_a_fan_out_directory(tmp_path):
+    store = ContentStore(tmp_path)
+    store.put(b"fine")
+    loop = tmp_path / "blobs" / "zz"
+    loop.symlink_to(loop)
+    assert store.audit() == []
+
+
 def test_concurrent_identical_puts_converge(tmp_path):
     from concurrent.futures import ThreadPoolExecutor
 

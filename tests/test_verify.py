@@ -1,0 +1,118 @@
+"""`verify` reads each blob once, in the store audit, and reports every
+damaged blob exactly as the chain check plus audit did before."""
+
+import hashlib
+import os
+import shutil
+import sys
+
+import pytest
+
+from revledger.cli import main
+
+FIRST = hashlib.sha256(b"first").hexdigest()
+
+
+@pytest.fixture
+def ws_dir(tmp_path):
+    d = tmp_path / "ledger"
+    assert main(["init", "--dir", str(d), "--nodes", "4", "--faulty", "1", "--seed", "5"]) == 0
+    for name, text in (("a.txt", "first"), ("b.txt", "second")):
+        f = tmp_path / name
+        f.write_text(text)
+        argv = ["commit", "--dir", str(d), "--work", "w", "--file", str(f), "--author", "ada"]
+        assert main(argv) == 0
+    return d
+
+
+def blob_path(ws_dir, node, key):
+    return ws_dir / f"node-{node}" / "blobs" / key[:2] / key
+
+
+def flip_first_byte(path):
+    data = bytearray(path.read_bytes())
+    data[0] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def replace_with_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+def copy_to_wrong_fan_out(path):
+    other = path.parent.parent / "00"
+    other.mkdir(exist_ok=True)
+    shutil.copy(path, other / path.name)
+
+
+def copy_damaged_to_wrong_fan_out(path):
+    other = path.parent.parent / "00"
+    other.mkdir(exist_ok=True)
+    shutil.copy(path, other / path.name)
+    flip_first_byte(other / path.name)
+
+
+def replace_with_broken_symlink(path):
+    path.unlink()
+    os.symlink(f"{path}.gone", path)
+
+
+def node_1_lines(*lines):
+    return ["node 0: ok", *lines, "node 2: ok", "node 3: ok", "verify: tampering detected"]
+
+
+CONTENT_MISSING = f"node 1: defect height=1 kind=content-missing tx 0: {FIRST}"
+CONTENT_HASH_MISMATCH = f"node 1: defect height=1 kind=content-hash-mismatch tx 0: {FIRST}"
+
+
+def blob_defect(kind):
+    return f"node 1: blob-defect key={FIRST} kind={kind}"
+
+
+@pytest.mark.parametrize(
+    "damage, expected",
+    [
+        (os.unlink, node_1_lines(CONTENT_MISSING)),
+        (flip_first_byte, node_1_lines(CONTENT_HASH_MISMATCH, blob_defect("key-mismatch"))),
+        (replace_with_directory, node_1_lines(CONTENT_HASH_MISMATCH, blob_defect("unreadable"))),
+        # The stored blob is intact, so a stray copy is a store defect only.
+        (copy_to_wrong_fan_out, node_1_lines(blob_defect("malformed-key"))),
+        (copy_damaged_to_wrong_fan_out, node_1_lines(blob_defect("malformed-key"))),
+        # Absence is checked before the audit's verdict: a dangling link is missing content.
+        (replace_with_broken_symlink, node_1_lines(CONTENT_MISSING, blob_defect("unreadable"))),
+    ],
+    ids=["deleted", "flipped-byte", "directory", "wrong-fan-out", "damaged-wrong-fan-out",
+         "broken-symlink"],
+)
+def test_verify_output_for_a_damaged_blob(ws_dir, capsys, damage, expected):
+    damage(blob_path(ws_dir, 1, FIRST))
+    capsys.readouterr()
+    assert main(["verify", "--dir", str(ws_dir)]) == 1
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_verify_opens_each_blob_once_per_replica(ws_dir, tmp_path):
+    for name in ("c.txt", "d.txt"):
+        (tmp_path / name).write_text(name * 1000)
+        argv = ["commit", "--dir", str(ws_dir), "--work", "v", "--file", str(tmp_path / name),
+                "--author", "ada"]
+        assert main(argv) == 0
+    blobs = sorted(str(p) for p in ws_dir.glob("node-*/blobs/*/*"))
+    assert len(blobs) == 4 * 4
+    # The interpreter's `open` audit event sees every way of opening a file.
+    # Audit hooks cannot be removed, so this one goes quiet after the verify.
+    opened: list[str] = []
+    listening = [True]
+
+    def hook(event, args):
+        if event == "open" and listening[0] and isinstance(args[0], (str, os.PathLike)):
+            opened.append(os.fspath(args[0]))
+
+    sys.addaudithook(hook)
+    try:
+        assert main(["verify", "--dir", str(ws_dir)]) == 0
+    finally:
+        listening[0] = False
+    blob_opens = sorted(p for p in opened if os.sep + "blobs" + os.sep in p)
+    assert blob_opens == blobs
