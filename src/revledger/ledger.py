@@ -237,7 +237,9 @@ def verify_chain(
     content and endorsement checks, with the defects sorted by height.
 
     Referenced content that is absent is content-missing; content the audit
-    found damaged, or whose lookup fails, is content-hash-mismatch.
+    found damaged, or whose lookup fails, is content-hash-mismatch. A blob
+    in a directory the audit could not list went unread there, so it is read
+    and hashed here, once.
     `endorsement_checker`, when given, re-verifies each transaction's
     endorsements (possible only where the endorsement secrets are known,
     e.g. inside a workspace). `extra_defects` merges in parse-level
@@ -246,6 +248,7 @@ def verify_chain(
     audit = store.audit()
     # Only a blob at its own fan-out path is read, so a stray copy is no content defect.
     damaged = {a.key for a in audit if a.kind in ("key-mismatch", "unreadable")}
+    read: set[str] = set()
     defects: list[Defect] = list(extra_defects) + check_chain(chain)
     for i, block in enumerate(chain.blocks[1:], start=1):
         height = block.header.height
@@ -256,9 +259,14 @@ def verify_chain(
                     kind = "content-missing"
                 elif key in damaged:
                     kind = "content-hash-mismatch"
+                elif (key[:2] in damaged or "blobs" in damaged) and key not in read:
+                    read.add(key)
+                    store.get(tx.record.content_hash)  # unlisted: the audit never read it
+                    continue
                 else:
                     continue
             except StoreError:
+                damaged.add(key)
                 kind = "content-hash-mismatch"
             defects.append(Defect(height, kind, f"tx {j}: {key}"))
         if endorsement_checker is not None:

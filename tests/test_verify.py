@@ -92,6 +92,47 @@ def test_verify_output_for_a_damaged_blob(ws_dir, capsys, damage, expected):
     assert capsys.readouterr().out.splitlines() == expected
 
 
+def refuse_listing(monkeypatch, directory):
+    """Make `os.listdir` of `directory` fail as for a user who may not read
+    it; permission bits do not bind root, so the refusal is simulated."""
+    listdir = os.listdir
+    refused = os.path.normpath(directory)
+
+    def listdir_refusing(path="."):
+        if os.path.normpath(path) == refused:
+            raise PermissionError(13, "Permission denied", path)
+        return listdir(path)
+
+    monkeypatch.setattr(os, "listdir", listdir_refusing)
+
+
+FAN_OUT_UNREADABLE = f"node 1: blob-defect key={FIRST[:2]} kind=unreadable"
+
+
+@pytest.mark.parametrize(
+    "levels_up, damage, expected",
+    [
+        (1, flip_first_byte, node_1_lines(CONTENT_HASH_MISMATCH, FAN_OUT_UNREADABLE)),
+        (1, lambda path: None, node_1_lines(FAN_OUT_UNREADABLE)),
+        (2, flip_first_byte,
+         node_1_lines(CONTENT_HASH_MISMATCH, "node 1: blob-defect key=blobs kind=unreadable")),
+    ],
+    ids=["damaged-in-fan-out", "intact-in-fan-out", "damaged-under-blobs"],
+)
+def test_verify_names_a_damaged_blob_the_audit_could_not_list(
+    ws_dir, capsys, monkeypatch, levels_up, damage, expected
+):
+    """The audit reads no blob in a directory it cannot list (the blob's
+    fan-out directory, or `blobs` itself), so the content check reads a
+    referenced blob there itself."""
+    path = blob_path(ws_dir, 1, FIRST)
+    damage(path)
+    refuse_listing(monkeypatch, path.parents[levels_up - 1])
+    capsys.readouterr()
+    assert main(["verify", "--dir", str(ws_dir)]) == 1
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_verify_opens_each_blob_once_per_replica(ws_dir, tmp_path):
     for name in ("c.txt", "d.txt"):
         (tmp_path / name).write_text(name * 1000)
