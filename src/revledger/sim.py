@@ -571,11 +571,6 @@ class Simulation:
         )
 
 
-def run(config: SimConfig, workload: list[Submission]) -> SimReport:
-    """Execute one scenario to quiescence or max_ticks."""
-    return Simulation(config, workload).run()
-
-
 # -- scenario files -----------------------------------------------------------------
 
 

@@ -25,7 +25,6 @@ from revledger.sim import (
     Simulation,
     Submission,
     metrics,
-    run,
 )
 from revledger.workspace import Workspace
 from tests.test_merkle import ref_proof, ref_root
@@ -183,7 +182,7 @@ def test_criterion_2_equivocation_safety():
             )
             for i in range(20)
         ]
-        report = run(config, workload)
+        report = Simulation(config, workload).run()
         assert report.safety_ok, f"seed {seed}: safety invariant violated"
         honest = [report.committed_digests[i] for i in (1, 2, 3)]
         for a, b in itertools.combinations(honest, 2):
@@ -216,7 +215,7 @@ def test_criterion_3_view_change_liveness():
             )
             for i in range(10)
         ]
-        report = run(config, workload)
+        report = Simulation(config, workload).run()
         assert not report.stalled, f"seed {seed}: stalled"
         assert all(
             row.status == "CommittedValid" for row in report.receipts
@@ -392,7 +391,7 @@ def test_criterion_7_metrics():
                    payload=f"m{i}".encode())
         for i in range(12)
     ]
-    report = run(config, workload)
+    report = Simulation(config, workload).run()
     assert not report.stalled
     summary = metrics(report, config)
     assert summary["latency_count"] == 12

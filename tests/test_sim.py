@@ -25,7 +25,6 @@ from revledger.sim import (
     generate_payload,
     metrics,
     parse_scenario,
-    run,
 )
 
 
@@ -169,7 +168,7 @@ def test_workload_tick_monotonicity_enforced():
         Submission(tick=4, node=0, work_id="w", author_id="a", payload=b"y"),
     ]
     with pytest.raises(SimError):
-        run(config, bad)
+        Simulation(config, bad).run()
 
 
 # -- behaviors -------------------------------------------------------------------
@@ -275,7 +274,7 @@ def test_crashed_primary_recovers_via_view_change():
         max_ticks=1500, byzantine=((0, Crash(at_tick=10)),),
     )
     # submissions straddle the crash, so some can only commit after a view change
-    report = run(config, workload_distinct(6, nodes=(1, 2, 3), start=8))
+    report = Simulation(config, workload_distinct(6, nodes=(1, 2, 3), start=8)).run()
     assert not report.stalled
     assert report.safety_ok
     assert all(r.status == "CommittedValid" for r in report.receipts)
@@ -344,7 +343,7 @@ def test_equivocating_primary_cannot_split_honest_nodes():
         n=4, f=1, seed=13, delay_min=1, delay_max=3, timeout_ticks=30,
         max_ticks=1500, byzantine=((0, EquivocatePrePrepare()),),
     )
-    report = run(config, workload_distinct(8, nodes=(1, 2, 3)))
+    report = Simulation(config, workload_distinct(8, nodes=(1, 2, 3))).run()
     assert report.safety_ok
     assert not report.stalled
     assert report.equivocation_evidence  # observed and logged
@@ -401,14 +400,14 @@ def test_submission_to_crashed_node_is_lost_and_flagged():
         max_ticks=400, byzantine=((2, Crash(at_tick=0)),),
     )
     wl = [Submission(tick=5, node=2, work_id="w", author_id="a", payload=b"x")]
-    report = run(config, wl)
+    report = Simulation(config, wl).run()
     assert report.stalled
     assert report.receipts[0].status == "Lost"
 
 
 def test_drop_prob_one_stalls():
     config = SimConfig(n=4, f=1, seed=3, drop_prob=1.0, timeout_ticks=10, max_ticks=120)
-    report = run(config, workload_distinct(2))
+    report = Simulation(config, workload_distinct(2)).run()
     assert report.stalled
     assert report.ticks_elapsed == 120
 
@@ -432,7 +431,7 @@ def test_stress_beyond_f_faults_still_produces_a_report():
 
 def test_metrics_throughput_arithmetic():
     config = SimConfig(n=4, f=1, seed=5, delay_min=1, delay_max=2, max_ticks=2000)
-    report = run(config, workload_distinct(8))
+    report = Simulation(config, workload_distinct(8)).run()
     summary = metrics(report, config)
     assert summary["committed_valid"] == 8
     assert abs(report.throughput * report.ticks_elapsed - 8) < 1e-9
@@ -442,7 +441,7 @@ def test_metrics_throughput_arithmetic():
 
 def test_metrics_enforces_three_phase_floor():
     config = SimConfig(n=4, f=1, seed=6, delay_min=2, delay_max=4, max_ticks=2000)
-    report = run(config, workload_distinct(5))
+    report = Simulation(config, workload_distinct(5)).run()
     summary = metrics(report, config)
     assert summary["latency_floor"] == 6
     assert all(v >= 6 for v in report.latencies)
@@ -450,7 +449,7 @@ def test_metrics_enforces_three_phase_floor():
 
 def test_metrics_detects_bogus_latency():
     config = SimConfig(n=4, f=1, seed=6, delay_min=2, delay_max=4, max_ticks=2000)
-    report = run(config, workload_distinct(3))
+    report = Simulation(config, workload_distinct(3)).run()
     report.latencies[0] = 1  # forged
     with pytest.raises(MetricsError):
         metrics(report, config)
@@ -458,7 +457,7 @@ def test_metrics_detects_bogus_latency():
 
 def test_metrics_empty_run():
     config = SimConfig(n=4, f=1, seed=1, max_ticks=50)
-    report = run(config, [])
+    report = Simulation(config, []).run()
     summary = metrics(report, config)
     assert summary["latency_mean"] is None
     assert summary["stalled"] is False
