@@ -122,21 +122,17 @@ def cmd_commit(args) -> int:
     try:
         with ws.lock():
             sim, report = _run_local_consensus(ws, submissions)
+            for node in sim.nodes:
+                ws.persist_new_blocks(node)
             stalled_text = None
             if report.stalled:
                 # The stalled report lists and audits whole chains, where a
-                # replica loaded from its checkpoint holds only its old tip
-                # on: each reads its chain in full. The report audits the
-                # stores, so it is taken under the lock.
+                # replica loaded from its checkpoint held only its old tip on:
+                # each reads its persisted chain, under the lock.
                 for i, node in enumerate(sim.nodes):
-                    chain = ws.read_chain(i)
-                    for block in node.blocks_since_load:
-                        chain.append(block)
-                    node.chain = chain
+                    node.chain = ws.read_chain(i)
                 report = sim.report(report.ticks_elapsed)
                 stalled_text = _report_text(sim, report)
-            for node in sim.nodes:
-                ws.persist_new_blocks(node)
     except WorkspaceError as exc:
         return _err(str(exc))
     if stalled_text is not None:

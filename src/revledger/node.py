@@ -10,11 +10,12 @@ Validity is decided once per replica, when _apply_block applies a block
 committed in this run, and recorded in `bitmaps`, one flag list per
 non-genesis block; heads fold those decisions and every reader (history,
 show, the simulator's report) reads the record. A workspace hands a loaded
-replica the decisions its checkpoint recorded; only a replica loaded without
-a trusted checkpoint replays its chain through _apply_block. apply_block
-trusts block structure: ledger.check_block checked it once, in the consensus
-gate before the pre-prepare was prepared, or in ledger.check_chain when the
-workspace loaded the chain. Validity reads blob presence, never blob bytes.
+replica the decisions its checkpoint recorded and writes the next checkpoint
+from `decisions()`; only a replica loaded without a trusted checkpoint
+replays its chain through _apply_block. apply_block trusts block structure:
+ledger.check_block checked it once, in the consensus gate before the
+pre-prepare was prepared, or in ledger.check_chain when the workspace loaded
+the chain. Validity reads blob presence, never blob bytes.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ class NodeRuntime:
         """`recorded`, when given, is (heads, one (tx id, flag) list per block
         after genesis) as this replica decided them earlier, and nothing is
         replayed. `chain` may then start at a later block than genesis, such
-        as the tip: `bitmaps` covers only the blocks after its first."""
+        as the tip: `bitmaps` covers only the blocks after its first, and the
+        runtime keeps the recorded lists of the blocks up to it."""
         self.config = config
         self.store = store
         self.policy = policy
@@ -108,6 +110,7 @@ class NodeRuntime:
         self.heads: revisions.HeadState = {}
         self.bitmaps: list[list[ValidityFlag]] = []
         self.committed_flags: dict[bytes, ValidityFlag] = {}  # tx id index for dedup
+        self._recorded_before_chain: list[list[tuple[bytes, ValidityFlag]]] = []
         if recorded is None:
             for block in self.chain.blocks[1:]:
                 self._apply_block(block)
@@ -116,6 +119,7 @@ class NodeRuntime:
             self.heads = dict(heads)
             self._index(pair for pairs in blocks for pair in pairs)
             base = self.chain.blocks[0].header.height
+            self._recorded_before_chain = blocks[:base]
             self.bitmaps = [[flag for _, flag in pairs] for pairs in blocks[base:]]
         self.replica = Replica(
             config,
@@ -142,6 +146,15 @@ class NodeRuntime:
         for tx_id, flag in decisions:
             if committed.get(tx_id) is not ValidityFlag.VALID:
                 committed[tx_id] = flag
+
+    def decisions(self) -> list[list[tuple[bytes, ValidityFlag]]]:
+        """One (tx id, flag) list per block after genesis: the recorded lists
+        up to the chain's first block, then each chained block's tx ids
+        paired with its flags in `bitmaps`."""
+        return self._recorded_before_chain + [
+            list(zip((tx.tx_id for tx in block.transactions), flags))
+            for block, flags in zip(self.chain.blocks[1:], self.bitmaps)
+        ]
 
     # -- client entry ----------------------------------------------------------
 

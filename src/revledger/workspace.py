@@ -12,11 +12,13 @@ Layout:
 
 The checkpoint records the byte length and SHA-256 of the chain file it was
 made for, the tip's height and hash, the heads, and each block's
-[tx id, flag] list. `init` writes it, and so does a commit that appended
-blocks, after the chain file, as a whole new file. It is trusted only while
-the chain file's bytes still hash to it; any other checkpoint, or none, is
-ignored, and the node is rebuilt by a full check and replay of its chain,
-which stays the only recovery path.
+[tx id, flag] list. The node runtime supplies the heads and the recorded
+decisions; the workspace keeps only each loaded chain file's length and
+running SHA-256. `init` writes the checkpoint, and so does a commit that
+appended blocks, after the chain file, as a whole new file. It is trusted
+only while the chain file's bytes still hash to it; any other checkpoint, or
+none, is ignored, and the node is rebuilt by a full check and replay of its
+chain, which stays the only recovery path.
 
 Concurrent invocations on one workspace are excluded by a lock file; a
 second invocation fails fast instead of corrupting state.
@@ -61,9 +63,6 @@ LOCK_NAME = ".lock"
 CHAIN_NAME = "chain.jsonl"
 CHECKPOINT_NAME = "checkpoint.json"
 
-# A checkpoint's "blocks" as stored: one [[tx id hex, flag value], ...] list
-# per block after genesis.
-Record = list[list[list[str]]]
 _FLAGS = {flag.value: flag for flag in ValidityFlag}
 _CHECKPOINT_KEYS = {"blocks", "chain_bytes", "chain_sha256", "heads", "height", "tip_hash"}
 
@@ -79,33 +78,19 @@ class _Checkpoint:
     height: int
     tip_hash: bytes
     heads: HeadState
-    blocks: Record
-    decisions: list[list[tuple[bytes, ValidityFlag]]]  # `blocks`, decoded
+    decisions: list[list[tuple[bytes, ValidityFlag]]]  # the stored "blocks"
 
 
-@dataclass
-class _ChainState:
-    """A node's chain file as this workspace last read or wrote it: its
-    length, its running SHA-256 and the checkpoint record of its blocks."""
-
-    size: int
-    sha256: "hashlib._Hash"
-    record: Record
-
-    @classmethod
-    def of(cls, raw: bytes, record: Record) -> "_ChainState":
-        return cls(len(raw), hashlib.sha256(raw), record)
-
-    def checkpoint_text(self, tip: Block, heads: HeadState) -> str:
-        obj = {
-            "blocks": self.record,
-            "chain_bytes": self.size,
-            "chain_sha256": self.sha256.hexdigest(),
-            "heads": {work: [rev, to_hex(digest)] for work, (rev, digest) in heads.items()},
-            "height": tip.header.height,
-            "tip_hash": to_hex(tip.block_hash),
-        }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+def _checkpoint_text(size: int, sha256: str, tip: Block, heads: HeadState, decisions) -> str:
+    obj = {
+        "blocks": [[[to_hex(tx_id), flag.value] for tx_id, flag in pairs] for pairs in decisions],
+        "chain_bytes": size,
+        "chain_sha256": sha256,
+        "heads": {work: [rev, to_hex(digest)] for work, (rev, digest) in heads.items()},
+        "height": tip.header.height,
+        "tip_hash": to_hex(tip.block_hash),
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _parse_checkpoint(data: bytes) -> _Checkpoint:
@@ -128,21 +113,8 @@ def _parse_checkpoint(data: bytes) -> _Checkpoint:
     if not isinstance(blocks, list) or len(blocks) != obj["height"]:
         raise ValueError("checkpoint needs one flag list per block after genesis")
     return _Checkpoint(
-        chain_bytes=obj["chain_bytes"],
-        chain_sha256=obj["chain_sha256"],
-        height=obj["height"],
-        tip_hash=tip_hash,
-        heads=heads,
-        blocks=blocks,
-        decisions=decisions,
+        obj["chain_bytes"], obj["chain_sha256"], obj["height"], tip_hash, heads, decisions
     )
-
-
-def _record(blocks, bitmaps: list[list[ValidityFlag]]) -> Record:
-    return [
-        [[to_hex(tx.tx_id), flag.value] for tx, flag in zip(block.transactions, flags)]
-        for block, flags in zip(blocks, bitmaps)
-    ]
 
 
 @dataclass(frozen=True)
@@ -159,8 +131,9 @@ class Workspace:
     def __init__(self, root: Path, config: WorkspaceConfig):
         self.root = Path(root)
         self.config = config
-        # Each loaded node's chain state, extended as blocks persist.
-        self._chains: dict[int, _ChainState] = {}
+        # Each loaded node's chain file length and running SHA-256, extended
+        # as blocks persist.
+        self._chains: dict[int, tuple[int, "hashlib._Hash"]] = {}
         # The chain bytes, checkpoint bytes and parse of the last trusted checkpoint.
         self._last_trusted: tuple[bytes, bytes, tuple] | None = None
         self._last_written: tuple[tuple, str] | None = None
@@ -180,12 +153,9 @@ class Workspace:
         )
         ws = cls(root, config)
         for i in range(config.n):
-            node_dir = ws.node_dir(i)
-            (node_dir / "blobs").mkdir(parents=True)
-            chain = Chain()
-            write_chain_file(ws.chain_path(i), chain)
-            state = _ChainState.of(ws.chain_path(i).read_bytes(), [])
-            ws._write_checkpoint(i, chain.tip, {}, state)
+            (ws.node_dir(i) / "blobs").mkdir(parents=True)
+            write_chain_file(ws.chain_path(i), Chain())
+            ws._write_checkpoint(ws.load_node(i))
         return ws
 
     @classmethod
@@ -270,30 +240,35 @@ class Workspace:
             )
         return chain
 
-    def _trusted_checkpoint(self, node_id: int) -> tuple[_Checkpoint, Block, _ChainState] | None:
-        """The node's checkpoint, its chain's tip block, parsed from the
-        file's last line, and the file's state, when the chain file's bytes
-        hash to the checkpoint and its tip agrees with it; None otherwise.
-
-        Honest replicas hold byte-identical files, so a replica whose chain
-        and checkpoint bytes equal the last trusted ones shares their parse.
-        """
+    def _chain_bytes(self, node_id: int) -> bytes:
+        """The node's chain file; empty where it cannot be read."""
         try:
-            raw = self.chain_path(node_id).read_bytes()
+            return self.chain_path(node_id).read_bytes()
+        except OSError:
+            return b""
+
+    def _trusted_checkpoint(
+        self, node_id: int, raw: bytes
+    ) -> tuple[_Checkpoint, Block, "hashlib._Hash"] | None:
+        """The node's checkpoint, the tip block parsed from the last line of
+        its chain file's bytes `raw`, and the running SHA-256 of `raw`, when
+        `raw` hashes to the checkpoint and its tip agrees; None otherwise.
+        Honest replicas hold byte-identical files, so a replica whose chain
+        and checkpoint bytes equal the last trusted ones shares their parse."""
+        try:
             data = self.checkpoint_path(node_id).read_bytes()
         except OSError:
             return None
         last = self._last_trusted
         if last is not None and last[0] == raw and last[1] == data:
             checkpoint, tip, sha256 = last[2]
-            return checkpoint, tip, _ChainState(len(raw), sha256.copy(), checkpoint.blocks)
+            return checkpoint, tip, sha256.copy()
         try:
             checkpoint = _parse_checkpoint(data)
         except ValueError:
             return None
-        state = _ChainState.of(raw, checkpoint.blocks)
-        digest = state.sha256.hexdigest()
-        if checkpoint.chain_bytes != state.size or checkpoint.chain_sha256 != digest:
+        sha256 = hashlib.sha256(raw)
+        if checkpoint.chain_bytes != len(raw) or checkpoint.chain_sha256 != sha256.hexdigest():
             return None
         start = raw.rfind(b"\n", 0, len(raw) - 1) + 1
         try:
@@ -302,8 +277,8 @@ class Workspace:
             return None
         if tip.header.height != checkpoint.height or tip.block_hash != checkpoint.tip_hash:
             return None
-        self._last_trusted = (raw, data, (checkpoint, tip, state.sha256.copy()))
-        return checkpoint, tip, state
+        self._last_trusted = (raw, data, (checkpoint, tip, sha256.copy()))
+        return checkpoint, tip, sha256
 
     def load_node(self, node_id: int, tip_only: bool = False) -> NodeRuntime:
         """Rebuild a node runtime from its persisted chain and checkpoint.
@@ -315,28 +290,24 @@ class Workspace:
         runtime then replays it, deciding validity from which blobs the store
         holds (none is read).
         """
-        cfg = self.config
-
-        def runtime(chain: Chain, recorded) -> NodeRuntime:
-            return NodeRuntime(
-                NodeConfig(node_id, cfg.n, cfg.f, cfg.timeout_ticks),
-                self.store(node_id),
-                make_policy(cfg.n, cfg.seed, cfg.endorsement_m),
-                chain=chain,
-                max_batch=cfg.max_batch,
-                recorded=recorded,
-            )
-
-        trusted = self._trusted_checkpoint(node_id)
+        raw = self._chain_bytes(node_id)
+        trusted = self._trusted_checkpoint(node_id, raw)
         if trusted is None:
-            chain = self.read_chain(node_id)
-            node = runtime(chain, None)
-            record = _record(chain.blocks[1:], node.bitmaps)
-            self._chains[node_id] = _ChainState.of(self.chain_path(node_id).read_bytes(), record)
-            return node
-        checkpoint, tip, self._chains[node_id] = trusted
-        chain = Chain([tip]) if tip_only else self.read_chain(node_id)
-        return runtime(chain, (checkpoint.heads, checkpoint.decisions))
+            chain, recorded, sha256 = self.read_chain(node_id), None, hashlib.sha256(raw)
+        else:
+            checkpoint, tip, sha256 = trusted
+            chain = Chain([tip]) if tip_only else self.read_chain(node_id)
+            recorded = (checkpoint.heads, checkpoint.decisions)
+        self._chains[node_id] = (len(raw), sha256)
+        cfg = self.config
+        return NodeRuntime(
+            NodeConfig(node_id, cfg.n, cfg.f, cfg.timeout_ticks),
+            self.store(node_id),
+            make_policy(cfg.n, cfg.seed, cfg.endorsement_m),
+            chain=chain,
+            max_batch=cfg.max_batch,
+            recorded=recorded,
+        )
 
     def load_all_nodes(self) -> list[NodeRuntime]:
         """Every replica, each holding only its tip where its checkpoint is
@@ -361,29 +332,31 @@ class Workspace:
         return nodes
 
     def persist_new_blocks(self, node: NodeRuntime) -> None:
-        """Append blocks committed this run, then replace the node's
+        """Append the node's blocks committed this run, then replace its
         checkpoint to match; existing chain bytes stay untouched."""
-        new = node.blocks_since_load
-        if not new:
+        if not node.blocks_since_load:
             return
         node_id = node.config.node_id
-        appended = append_chain_file(self.chain_path(node_id), new)
-        node.blocks_since_load = []
-        state = self._chains.get(node_id)
-        if state is None:  # not loaded here: leave the checkpoint stale
+        appended = append_chain_file(self.chain_path(node_id), node.blocks_since_load)
+        if node_id not in self._chains:  # not loaded here: leave the checkpoint stale
             return
-        state.size += len(appended)
-        state.sha256.update(appended)
-        state.record = state.record + _record(new, node.bitmaps[len(node.bitmaps) - len(new):])
-        self._write_checkpoint(node_id, node.chain.tip, node.heads, state)
+        size, sha256 = self._chains[node_id]
+        sha256.update(appended)
+        self._chains[node_id] = (size + len(appended), sha256)
+        self._write_checkpoint(node)
 
-    def _write_checkpoint(
-        self, node_id: int, tip: Block, heads: HeadState, state: _ChainState
-    ) -> None:
+    def _write_checkpoint(self, node: NodeRuntime) -> None:
+        """Replace the node's checkpoint with one made from the runtime's
+        heads and decisions, for its chain file as this workspace last read
+        or wrote it."""
+        node_id = node.config.node_id
+        size, sha256 = self._chains[node_id]
+        tip, heads, decisions = node.chain.tip, node.heads, node.decisions()
         # Honest replicas write identical checkpoints: encode each once.
-        key = (state.size, state.sha256.digest(), tip.block_hash, heads, state.record)
+        key = (size, sha256.digest(), tip.block_hash, heads, decisions)
         if self._last_written is None or self._last_written[0] != key:
-            self._last_written = (key, state.checkpoint_text(tip, heads))
+            text = _checkpoint_text(size, sha256.hexdigest(), tip, heads, decisions)
+            self._last_written = (key, text)
         path = self.checkpoint_path(node_id)
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_text(self._last_written[1], encoding="utf-8")
@@ -399,7 +372,7 @@ class Workspace:
         checkpoint that does not match the chain file is ignored by every
         reader, so it is no defect.
         """
-        trusted = self._trusted_checkpoint(node_id)
+        trusted = self._trusted_checkpoint(node_id, self._chain_bytes(node_id))
         if trusted is None:
             return []
         checkpoint = trusted[0]

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from revledger import ledger, revisions
+from revledger import ledger, revisions, workspace
 from revledger.cli import main
 from revledger.workspace import Workspace
 
@@ -206,11 +206,16 @@ def test_commit_reads_only_each_replicas_tip(ws_dir, tmp_path, capsys, monkeypat
     parsed = _count_calls(monkeypatch, ledger, "block_from_line")
     checked = _count_calls(monkeypatch, ledger, "check_chain")
     applied = _count_calls(monkeypatch, revisions, "apply_block")
+    # The four replicas are byte-identical: they share one checkpoint parse
+    # and one encoding of the checkpoint they write.
+    loaded = _count_calls(monkeypatch, workspace, "_parse_checkpoint")
+    encoded = _count_calls(monkeypatch, workspace, "_checkpoint_text")
     assert commit(ws_dir, tmp_path, "w0", "p.txt", "one more") == 0
     assert "height=31" in capsys.readouterr().out
     assert len(parsed) <= 4
     assert len(checked) == 0
     assert len(applied) == 4
+    assert (len(loaded), len(encoded)) == (1, 1)
     monkeypatch.undo()
     assert main(["verify", "--dir", str(ws_dir)]) == 0
 
@@ -232,6 +237,32 @@ def test_stalled_commit_lists_whole_chains_above_genesis(ws_dir, tmp_path, capsy
     for digests in doc["committed_digests"].values():
         assert digests[: len(hashes)] == hashes
     assert all(v["ok"] for v in doc["verify"].values())
+
+
+def test_stall_after_some_replicas_committed_leaves_trusted_checkpoints(ws_dir, tmp_path, capsys):
+    """Nodes 1-3 commit one of three one-transaction blocks before the run
+    stalls; every replica's checkpoint then matches its chain file and
+    agrees with its chain."""
+    commit(ws_dir, tmp_path, "w", "a.txt", "first")
+    commit(ws_dir, tmp_path, "w", "b.txt", "second")
+    config = json.loads((ws_dir / "config.json").read_text())
+    (ws_dir / "config.json").write_text(json.dumps({**config, "timeout_ticks": 2, "max_batch": 1}))
+    argv = ["commit", "--dir", str(ws_dir), "--work", "w", "--author", "ada"]
+    for k in range(3):
+        (tmp_path / f"p{k}.txt").write_text(f"payload {k}")
+        argv += ["--file" if k == 0 else "--also-file", str(tmp_path / f"p{k}.txt")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "consensus stalled" in err
+    assert json.loads(out)["committed_heights"] == {"0": 2, "1": 3, "2": 3, "3": 3}
+    for i in range(4):
+        chain = (ws_dir / f"node-{i}" / "chain.jsonl").read_bytes()
+        saved = json.loads(checkpoint_path(ws_dir, i).read_text())
+        assert saved["chain_sha256"] == hashlib.sha256(chain).hexdigest()
+        assert len(saved["blocks"]) == saved["height"] == chain.count(b"\n") - 1
+    (ws_dir / "config.json").write_text(json.dumps(config))
+    assert main(["verify", "--dir", str(ws_dir)]) == 0
 
 
 def test_checkpoint_is_replaced_whole_through_a_temp_file(ws_dir, tmp_path):
