@@ -259,7 +259,7 @@ def verify_chain(
                     kind = "content-missing"
                 elif key in damaged:
                     kind = "content-hash-mismatch"
-                elif (key[:2] in damaged or "blobs" in damaged) and key not in read:
+                elif damaged and (key[:2] in damaged or "blobs" in damaged) and key not in read:
                     read.add(key)
                     store.get(tx.record.content_hash)  # unlisted: the audit never read it
                     continue
