@@ -15,6 +15,7 @@ from revledger.digests import ZERO_DIGEST
 from revledger.ledger import build_block, genesis_block
 from revledger.pbft import (
     ConfigError,
+    Evidence,
     MessageKind,
     NodeConfig,
     PbftMessage,
@@ -401,3 +402,88 @@ def test_normal_messages_ignored_during_view_change():
         now=31,
     )
     assert out == [] and committed == []
+
+
+# -- rarely reached branches ---------------------------------------------------------
+
+
+def test_commit_quorum_for_a_block_off_the_new_tip_is_not_released():
+    """Seq 2 gathers both quorums before seq 1 commits, but its block names
+    another parent: releasing seq 1 stops at seq 2 and logs evidence."""
+    r1 = replica(1)
+    block1, blobs1 = make_block()
+    block2, blobs2 = make_block(height=2, prev=b"\x99" * 32, tick=2, salt="y")
+    d1, d2 = block1.block_hash, block2.block_hash
+    r1.handle_message(msg(MessageKind.PRE_PREPARE, 0, 2, d2, 0, block=block2, blobs=blobs2), now=1)
+    for kind in (MessageKind.PREPARE, MessageKind.COMMIT):
+        for sender in (0, 1, 2):
+            r1.handle_message(msg(kind, 0, 2, d2, sender), now=2)
+    r1.handle_message(msg(MessageKind.PRE_PREPARE, 0, 1, d1, 0, block=block1, blobs=blobs1), now=3)
+    committed = []
+    for kind in (MessageKind.PREPARE, MessageKind.COMMIT):
+        for sender in (0, 1, 2):
+            committed += r1.handle_message(msg(kind, 0, 1, d1, sender), now=4)[1]
+    assert [e.block.block_hash for e in committed] == [d1]
+    assert (r1.last_committed_seq, r1.tip_hash) == (1, d1)
+    assert r1.evidence == [Evidence("link-mismatch-at-commit", 0, 2, 1)]
+
+
+def test_new_primary_refuses_view_changes_whose_proofs_conflict():
+    """Two proofs naming different digests for one (seq, view) cannot both
+    be honest, so the new primary announces no NewView from them."""
+    r1 = replica(1)
+    proofs = {0: ((1, b"\x0a" * 32, 0),), 2: ((1, b"\x0b" * 32, 0),), 3: ()}
+    out = []
+    for sender, proof in proofs.items():
+        out += r1.handle_message(
+            msg(MessageKind.VIEW_CHANGE, 1, 0, ZERO_DIGEST, sender, prepared_proof=proof), now=40
+        )[0]
+    assert [(m.kind, m.view) for m in out] == [(MessageKind.VIEW_CHANGE, 1)]  # joined only
+    assert r1.current_view == 0 and r1.in_view_change
+    assert r1.evidence == [Evidence("invalid-proof-set", 1, 0, 1)]
+
+
+def test_new_primary_without_the_prepared_block_announces_but_cannot_repropose():
+    r1 = replica(1)
+    proofs = {0: ((1, b"\x0a" * 32, 0),), 2: (), 3: ()}
+    for sender, proof in proofs.items():
+        out, _ = r1.handle_message(
+            msg(MessageKind.VIEW_CHANGE, 1, 0, ZERO_DIGEST, sender, prepared_proof=proof), now=40
+        )
+    assert [m.kind for m in out] == [MessageKind.NEW_VIEW]
+    assert r1.current_view == 1 and not r1.in_view_change
+    assert r1.evidence == [Evidence("reproposal-block-unknown", 1, 1, 1)]
+
+
+def test_replica_rejects_new_view_whose_proofs_conflict_and_escalates():
+    r3 = replica(3)
+    vcs = (
+        msg(MessageKind.VIEW_CHANGE, 1, 0, ZERO_DIGEST, 0, prepared_proof=((1, b"\x0a" * 32, 0),)),
+        msg(MessageKind.VIEW_CHANGE, 1, 0, ZERO_DIGEST, 1, prepared_proof=((1, b"\x0b" * 32, 0),)),
+        msg(MessageKind.VIEW_CHANGE, 1, 0, ZERO_DIGEST, 2, prepared_proof=()),
+    )
+    nv = msg(MessageKind.NEW_VIEW, 1, 0, ZERO_DIGEST, 1, view_changes=vcs)
+    out, _ = r3.handle_message(nv, now=45)
+    assert [(m.kind, m.view) for m in out] == [(MessageKind.VIEW_CHANGE, 2)]
+    assert r3.current_view == 0 and r3.in_view_change and r3.pending_view == 2
+    assert r3.timer_deadline == 45 + 30
+    assert r3.evidence == [Evidence("invalid-new-view", 1, 0, 1)]
+
+
+def test_entering_a_view_drops_messages_buffered_for_skipped_views():
+    """Messages buffered for views 1 and 2 wait; a NewView for view 2
+    replays view 2's and discards view 1's, which can never be entered."""
+    r3 = replica(3)
+    block, blobs = make_block()
+    d = block.block_hash
+    for view in (1, 2):
+        pp = msg(MessageKind.PRE_PREPARE, view, 1, d, primary_of(view, 4), block=block, blobs=blobs)
+        assert r3.handle_message(pp, now=44) == ([], [])
+    vcs = tuple(
+        msg(MessageKind.VIEW_CHANGE, 2, 0, ZERO_DIGEST, s, prepared_proof=()) for s in (0, 1, 3)
+    )
+    out, _ = r3.handle_message(
+        msg(MessageKind.NEW_VIEW, 2, 0, ZERO_DIGEST, 2, view_changes=vcs), now=45
+    )
+    assert [(m.kind, m.view) for m in out] == [(MessageKind.PREPARE, 2)]
+    assert r3._future == {}
