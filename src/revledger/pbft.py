@@ -18,12 +18,12 @@ the NewView against the same rule and reject a primary that re-proposes
 a different digest than the proofs dictate.
 
 Committed blocks live in each replica's chain, which therefore serves as
-the stable checkpoint of PBFT's low-water mark: when a block commits, the
-replica drops every per-instance entry (accepted PrePrepares, logged
-messages, seen digests, block and payload copies) at or below
-last_committed_seq. Every read of that state is guarded by
-seq > last_committed_seq, so the prune changes no behaviour, and replica
-memory stays bounded by the in-flight window rather than the chain height.
+the stable checkpoint of PBFT's low-water mark. A replica keeps all it
+holds about one sequence number in one record, and when a block commits
+it deletes every record at or below last_committed_seq. Messages at or
+below that mark are dropped on arrival and proofs below it are ignored,
+so no record is made again for a committed sequence, and replica memory
+stays bounded by the in-flight window rather than the chain height.
 
 Replica state machines are strictly single threaded: all transitions go
 through handle_message / on_timeout, driven by the simulator's event
@@ -34,7 +34,7 @@ behaviors are injected at the behavior layer, not by forging envelopes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .digests import ZERO_DIGEST
@@ -130,6 +130,26 @@ def block_structurally_valid(block: Block, seq: int) -> bool:
 _NORMAL_KINDS = (MessageKind.PRE_PREPARE, MessageKind.PREPARE, MessageKind.COMMIT)
 
 
+@dataclass(slots=True)
+class _Instance:
+    """All a replica holds about one uncommitted sequence number."""
+
+    accepted: dict[int, PbftMessage] = field(default_factory=dict)  # view -> PrePrepare
+    # (view, kind) -> sender -> that sender's first Prepare or Commit
+    log: dict[tuple[int, MessageKind], dict[int, PbftMessage]] = field(default_factory=dict)
+    digests: dict[tuple[int, int], bytes] = field(default_factory=dict)  # (view, sender) -> first
+    flagged: set[tuple[int, int]] = field(default_factory=set)  # (view, sender) shown conflicting
+    sent_commit: set[int] = field(default_factory=set)  # views
+    blocks: dict[bytes, Block] = field(default_factory=dict)  # digest -> block
+    blobs: dict[bytes, dict[bytes, bytes]] = field(default_factory=dict)  # digest -> payloads
+    prepared: tuple[int, bytes] | None = None  # (view, digest), highest view
+    commit_ready: bytes | None = None  # digest with a commit quorum, awaiting release
+
+    def matching(self, view: int, kind: MessageKind, digest: bytes) -> int:
+        log = self.log.get((view, kind), {})
+        return sum(1 for m in log.values() if m.digest == digest)
+
+
 class Replica:
     """PBFT replica state machine for one node.
 
@@ -159,15 +179,7 @@ class Replica:
         self.proposal_validator = proposal_validator
 
         self._quorum = quorum_size(config.n, config.f)
-        self._log: dict[tuple[int, int, MessageKind], dict[int, PbftMessage]] = {}
-        self._digest_seen: dict[tuple[int, int, int], bytes] = {}
-        self._conflict_flagged: set[tuple[int, int, int]] = set()
-        self._accepted: dict[tuple[int, int], PbftMessage] = {}
-        self._blocks_seen: dict[bytes, Block] = {}
-        self._blobs_seen: dict[bytes, dict[bytes, bytes]] = {}
-        self._prepared: dict[int, tuple[int, bytes]] = {}
-        self._sent_commit: set[tuple[int, int]] = set()
-        self._commit_ready: dict[int, bytes] = {}
+        self._instances: dict[int, _Instance] = {}
         self._view_change_log: dict[int, dict[int, PbftMessage]] = {}
         self._new_view_sent: set[int] = set()
         self._must_repropose: dict[int, bytes] = {}
@@ -205,10 +217,7 @@ class Replica:
     def on_timeout(self, now: int) -> list[PbftMessage]:
         """Timer expiry: move (or escalate) to the next view."""
         target = (self.pending_view if self.in_view_change else self.current_view) + 1
-        self.in_view_change = True
-        self.pending_view = target
-        self.timer_deadline = now + self.config.timeout_ticks
-        return [self._make_view_change(target)]
+        return [self._start_view_change(target, now)]
 
     def has_open_work(self) -> bool:
         """Uncommitted instances still able to commit, or a view change.
@@ -219,18 +228,16 @@ class Replica:
         constrain what may commit and must keep the timer armed until a
         re-proposal lands.
 
-        State at or below last_committed_seq is dropped on commit (the
+        Records at or below last_committed_seq are dropped on commit (the
         chain holds the committed blocks), so this scans only the
         in-flight instances.
         """
         if self.in_view_change:
             return True
-        if any(
-            view == self.current_view and seq > self.last_committed_seq
-            for view, seq in self._accepted
-        ):
-            return True
-        return any(seq > self.last_committed_seq for seq in self._prepared)
+        return any(
+            inst.prepared is not None or self.current_view in inst.accepted
+            for inst in self._instances.values()
+        )
 
     def arm_timer(self, now: int) -> None:
         if self.timer_deadline is None:
@@ -274,13 +281,11 @@ class Replica:
             del self._view_change_log[stale]
         self._replay_view(view, queue)
 
-    def _record_digest(self, msg: PbftMessage) -> None:
-        key = (msg.view, msg.seq, msg.sender)
-        seen = self._digest_seen.get(key)
-        if seen is None:
-            self._digest_seen[key] = msg.digest
-        elif seen != msg.digest and key not in self._conflict_flagged:
-            self._conflict_flagged.add(key)
+    def _record_digest(self, inst: _Instance, msg: PbftMessage) -> None:
+        key = (msg.view, msg.sender)
+        seen = inst.digests.setdefault(key, msg.digest)
+        if seen != msg.digest and key not in inst.flagged:
+            inst.flagged.add(key)
             self.evidence.append(
                 Evidence(
                     kind="conflicting-digest",
@@ -306,18 +311,21 @@ class Replica:
             return
         if msg.seq <= self.last_committed_seq:
             return
-        self._record_digest(msg)
+        inst = self._instances.get(msg.seq)
+        if inst is None:
+            inst = self._instances[msg.seq] = _Instance()
+        self._record_digest(inst, msg)
         if msg.kind is MessageKind.PRE_PREPARE:
-            self._on_pre_prepare(msg, out)
+            self._on_pre_prepare(inst, msg, out)
         else:
-            log = self._log.setdefault((msg.view, msg.seq, msg.kind), {})
+            log = inst.log.setdefault((msg.view, msg.kind), {})
             if msg.sender in log:
                 return  # first message per sender wins
             log[msg.sender] = msg
-        self._try_prepare(msg.view, msg.seq, out)
-        self._try_commit(msg.view, msg.seq, committed)
+        self._try_prepare(inst, msg.view, msg.seq, out)
+        self._try_commit(inst, msg.view, committed)
 
-    def _on_pre_prepare(self, msg: PbftMessage, out: list[PbftMessage]) -> None:
+    def _on_pre_prepare(self, inst: _Instance, msg: PbftMessage, out: list[PbftMessage]) -> None:
         me = self.config.node_id
         if msg.sender != primary_of(msg.view, self.config.n):
             return
@@ -336,18 +344,17 @@ class Replica:
                 Evidence("reproposal-mismatch", msg.view, msg.seq, msg.sender)
             )
             return
-        key = (msg.view, msg.seq)
-        existing = self._accepted.get(key)
+        existing = inst.accepted.get(msg.view)
         if existing is not None:
             if existing.digest != msg.digest:
                 self.evidence.append(
                     Evidence("conflicting-digest", msg.view, msg.seq, msg.sender, "pre-prepare")
                 )
             return
-        self._accepted[key] = msg
-        self._blocks_seen[msg.digest] = msg.block
+        inst.accepted[msg.view] = msg
+        inst.blocks[msg.digest] = msg.block
         if msg.blobs:
-            self._blobs_seen[msg.digest] = dict(msg.blobs)
+            inst.blobs[msg.digest] = dict(msg.blobs)
         out.append(
             PbftMessage(
                 kind=MessageKind.PREPARE,
@@ -358,20 +365,15 @@ class Replica:
             )
         )
 
-    def _count_matching(self, view: int, seq: int, kind: MessageKind, digest: bytes) -> int:
-        log = self._log.get((view, seq, kind), {})
-        return sum(1 for m in log.values() if m.digest == digest)
-
-    def _try_prepare(self, view: int, seq: int, out: list[PbftMessage]) -> None:
-        pp = self._accepted.get((view, seq))
-        if pp is None or (view, seq) in self._sent_commit:
+    def _try_prepare(self, inst: _Instance, view: int, seq: int, out: list[PbftMessage]) -> None:
+        pp = inst.accepted.get(view)
+        if pp is None or view in inst.sent_commit:
             return
-        if self._count_matching(view, seq, MessageKind.PREPARE, pp.digest) < self._quorum:
+        if inst.matching(view, MessageKind.PREPARE, pp.digest) < self._quorum:
             return
-        current = self._prepared.get(seq)
-        if current is None or current[0] <= view:
-            self._prepared[seq] = (view, pp.digest)
-        self._sent_commit.add((view, seq))
+        if inst.prepared is None or inst.prepared[0] <= view:
+            inst.prepared = (view, pp.digest)
+        inst.sent_commit.add(view)
         out.append(
             PbftMessage(
                 kind=MessageKind.COMMIT,
@@ -382,57 +384,53 @@ class Replica:
             )
         )
 
-    def _try_commit(self, view: int, seq: int, committed: list[CommitEvent]) -> None:
-        if seq <= self.last_committed_seq or seq in self._commit_ready:
+    def _try_commit(self, inst: _Instance, view: int, committed: list[CommitEvent]) -> None:
+        if inst.commit_ready is not None or inst.prepared is None or inst.prepared[0] != view:
             return
-        prepared = self._prepared.get(seq)
-        if prepared is None or prepared[0] != view:
+        digest = inst.prepared[1]
+        if inst.matching(view, MessageKind.COMMIT, digest) < self._quorum:
             return
-        digest = prepared[1]
-        if self._count_matching(view, seq, MessageKind.COMMIT, digest) < self._quorum:
-            return
-        self._commit_ready[seq] = digest
+        inst.commit_ready = digest
         released = False
-        while self.last_committed_seq + 1 in self._commit_ready:
+        while True:
             nxt = self.last_committed_seq + 1
-            d = self._commit_ready.pop(nxt)
-            block = self._blocks_seen[d]
+            ready = self._instances.get(nxt)
+            if ready is None or ready.commit_ready is None:
+                break
+            d, ready.commit_ready = ready.commit_ready, None
+            block = ready.blocks[d]
             if block.header.prev_hash != self.tip_hash:
                 self.evidence.append(
                     Evidence("link-mismatch-at-commit", view, nxt, self.config.node_id)
                 )
                 break
-            committed.append(CommitEvent(block=block, blobs=self._blobs_seen.get(d, {})))
+            committed.append(CommitEvent(block=block, blobs=ready.blobs.get(d, {})))
             self.last_committed_seq = nxt
             self.tip_hash = block.block_hash
-            self._prepared.pop(nxt, None)
             released = True
         if released:
             self._prune_committed()
 
     def _prune_committed(self) -> None:
-        """Drop per-instance state at or below last_committed_seq; the
-        module docstring gives the invariant that makes this safe."""
+        """Drop every record at or below last_committed_seq; the module
+        docstring gives the invariant that makes this safe."""
         low = self.last_committed_seq
-        # keys are (view, seq) or (view, seq, kind|sender): seq is k[1]
-        self._accepted = {k: v for k, v in self._accepted.items() if k[1] > low}
-        self._sent_commit = {k for k in self._sent_commit if k[1] > low}
-        self._log = {k: v for k, v in self._log.items() if k[1] > low}
-        self._digest_seen = {k: v for k, v in self._digest_seen.items() if k[1] > low}
-        self._conflict_flagged = {k for k in self._conflict_flagged if k[1] > low}
-        self._must_repropose = {s: d for s, d in self._must_repropose.items() if s > low}
-        self._blocks_seen = {
-            d: b for d, b in self._blocks_seen.items() if b.header.height > low
-        }
-        self._blobs_seen = {d: p for d, p in self._blobs_seen.items() if d in self._blocks_seen}
+        for held in (self._instances, self._must_repropose):
+            for seq in [s for s in held if s <= low]:
+                del held[seq]
 
     # -- view change -----------------------------------------------------------
 
-    def _make_view_change(self, target: int) -> PbftMessage:
+    def _start_view_change(self, target: int, now: int) -> PbftMessage:
+        """Wait for view target with the timer rearmed; the returned
+        ViewChange proves every prepared, uncommitted sequence."""
+        self.in_view_change = True
+        self.pending_view = target
+        self.timer_deadline = now + self.config.timeout_ticks
         proof = tuple(
-            (seq, digest, view)
-            for seq, (view, digest) in sorted(self._prepared.items())
-            if seq > self.last_committed_seq
+            (seq, inst.prepared[1], inst.prepared[0])
+            for seq, inst in sorted(self._instances.items())
+            if inst.prepared is not None
         )
         return PbftMessage(
             kind=MessageKind.VIEW_CHANGE,
@@ -484,10 +482,7 @@ class Replica:
         if len(senders_above) >= self.config.f + 1:
             target = min(views_above)
             if not (self.in_view_change and self.pending_view >= target):
-                self.in_view_change = True
-                self.pending_view = target
-                self.timer_deadline = now + self.config.timeout_ticks
-                out.append(self._make_view_change(target))
+                out.append(self._start_view_change(target, now))
 
         # New-primary rule: with a quorum of ViewChanges for a view this node
         # leads, announce NewView and re-issue prepared instances.
@@ -517,7 +512,8 @@ class Replica:
         )
         for seq in sorted(repro):
             digest = repro[seq]
-            block = self._blocks_seen.get(digest)
+            inst = self._instances.get(seq)
+            block = inst.blocks.get(digest) if inst is not None else None
             if block is None:
                 # Without the block bytes this primary cannot re-propose;
                 # replicas holding it will force another view change.
@@ -531,7 +527,7 @@ class Replica:
                     digest=digest,
                     sender=me,
                     block=block,
-                    blobs=self._blobs_seen.get(digest, {}),
+                    blobs=inst.blobs.get(digest, {}),
                 )
             )
 
@@ -553,10 +549,7 @@ class Replica:
         repro = self._reproposals(vcs, self.last_committed_seq) if valid else None
         if not valid or repro is None:
             self.evidence.append(Evidence("invalid-new-view", nv, 0, msg.sender))
-            self.in_view_change = True
-            self.pending_view = nv + 1
-            self.timer_deadline = now + self.config.timeout_ticks
-            out.append(self._make_view_change(nv + 1))
+            out.append(self._start_view_change(nv + 1, now))
             return
         self._must_repropose = dict(repro)
         self._enter_view(nv, queue)

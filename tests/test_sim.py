@@ -285,8 +285,8 @@ def test_crashed_primary_recovers_via_view_change():
     assert report.throughput == 6 / report.ticks_elapsed
 
 
-# Per-instance replica maps, keyed by (view, seq, ...) unless noted.
-_INSTANCE_MAPS = ("_accepted", "_log", "_digest_seen", "_conflict_flagged", "_sent_commit")
+# Containers of a replica's per-sequence record (`Replica._instances`).
+_INSTANCE_MAPS = ("accepted", "log", "digests", "flagged", "sent_commit", "blocks", "blobs")
 # A primary proposes a one-transaction block only once its previous block
 # has committed, so a replica sees at most a few sequences past its own
 # last committed one.
@@ -294,10 +294,15 @@ _WINDOW = 3
 
 
 def _held_seqs(replica) -> dict[str, list[int]]:
-    held = {name: [key[1] for key in getattr(replica, name)] for name in _INSTANCE_MAPS}
+    """The sequence of each entry the replica holds, per container; a block
+    counts at its own height, whichever record holds it."""
+    held = {"_instances": list(replica._instances)}
     held["_must_repropose"] = list(replica._must_repropose)
-    held["_blocks_seen"] = [b.header.height for b in replica._blocks_seen.values()]
-    held["_blobs_seen"] = [replica._blocks_seen[d].header.height for d in replica._blobs_seen]
+    for name in _INSTANCE_MAPS:
+        held[name] = [seq for seq, inst in replica._instances.items() for _ in getattr(inst, name)]
+    held["blocks"] = [
+        b.header.height for inst in replica._instances.values() for b in inst.blocks.values()
+    ]
     return held
 
 
