@@ -524,9 +524,11 @@ class Simulation:
                 )
             )
 
-        # A crashed replica stopped committing, so it cannot speak for the run.
+        # A crashed replica stopped committing, and a lagging one missed
+        # blocks that others committed, so neither can speak for the run:
+        # count on the tallest live honest chain, the lowest id on a tie.
         live = [i for i in honest if i not in self.crashed] or honest or [0]
-        reference = self.nodes[live[0]]
+        reference = max((self.nodes[i] for i in live), key=lambda node: node.chain.height)
         # Flags of the blocks committed in this run, as the reference recorded them.
         run_bitmaps = reference.bitmaps[len(reference.bitmaps) - len(reference.blocks_since_load):]
         counts = Counter(flag.value for flags in run_bitmaps for flag in flags)
