@@ -51,19 +51,17 @@ def _warn(msg: str) -> int:
 
 
 def cmd_init(args) -> int:
-    config = WorkspaceConfig(
-        n=args.nodes,
-        f=args.faulty,
-        seed=args.seed,
-        timeout_ticks=args.timeout_ticks,
-        max_batch=args.max_batch,
-        endorsement_m=args.endorsements,
-    )
     try:
+        config = WorkspaceConfig(
+            n=args.nodes,
+            f=args.faulty,
+            seed=args.seed,
+            timeout_ticks=args.timeout_ticks,
+            max_batch=args.max_batch,
+            endorsement_m=args.endorsements,
+        )
         Workspace.init(args.dir, config)
-    except ConfigError as exc:
-        return _err(f"bad node count: {exc}")
-    except WorkspaceError as exc:
+    except (ConfigError, WorkspaceError) as exc:
         return _err(str(exc))
     print(
         f"initialized workspace {args.dir}: nodes={args.nodes} faulty={args.faulty} "

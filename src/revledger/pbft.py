@@ -78,10 +78,7 @@ class NodeConfig:
     timeout_ticks: int = 30
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("need at least one node")
-        if self.n < 3 * self.f + 1:
-            raise ConfigError(f"n={self.n} cannot tolerate f={self.f}: need n >= 3f+1")
+        quorum_size(self.n, self.f)  # also refuses n < 1
         if not 0 <= self.node_id < self.n:
             raise ConfigError(f"node_id {self.node_id} outside 0..{self.n - 1}")
         if self.timeout_ticks < 1:
@@ -96,7 +93,9 @@ def primary_of(view: int, n: int) -> int:
 
 
 def quorum_size(n: int, f: int) -> int:
-    """2f+1, defined only where n >= 3f+1 holds."""
+    """2f+1, defined only where f >= 0 and n >= 3f+1 hold."""
+    if f < 0:
+        raise ConfigError(f"f={f} is negative")
     if n < 3 * f + 1:
         raise ConfigError(f"n={n} cannot tolerate f={f}: need n >= 3f+1")
     return 2 * f + 1

@@ -47,8 +47,9 @@ from .ledger import (
     read_chain_file,
     write_chain_file,
 )
+from .encoding import MalformedError, u64
 from .node import NodeRuntime
-from .pbft import NodeConfig, quorum_size
+from .pbft import ConfigError, NodeConfig, quorum_size
 from .revisions import (
     HeadState,
     Transaction,
@@ -126,6 +127,21 @@ class WorkspaceConfig:
     max_batch: int = 100
     endorsement_m: int = 1
 
+    def __post_init__(self):
+        """Refuse, with ConfigError, a config no workspace could run."""
+        try:
+            quorum_size(self.n, self.f)
+        except ConfigError as exc:
+            raise ConfigError(f"bad node count: {exc}") from exc
+        if self.timeout_ticks < 1:
+            raise ConfigError("timeout_ticks must be positive")
+        try:
+            u64(self.seed, "seed")
+        except MalformedError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not 1 <= self.endorsement_m <= self.n:
+            raise ConfigError(f"endorsement_m={self.endorsement_m} outside 1..{self.n}")
+
 
 class Workspace:
     def __init__(self, root: Path, config: WorkspaceConfig):
@@ -143,7 +159,6 @@ class Workspace:
     @classmethod
     def init(cls, root: Path | str, config: WorkspaceConfig) -> "Workspace":
         """Create a fresh workspace; refuses a non-empty directory."""
-        quorum_size(config.n, config.f)  # raises on n < 3f+1
         root = Path(root)
         if root.exists() and any(root.iterdir()):
             raise WorkspaceError(f"directory {root} is not empty")
@@ -167,7 +182,7 @@ class Workspace:
         try:
             raw = json.loads(config_path.read_text(encoding="utf-8"))
             config = WorkspaceConfig(**raw)
-        except (json.JSONDecodeError, TypeError) as exc:
+        except (json.JSONDecodeError, TypeError, ConfigError) as exc:
             raise WorkspaceError(f"unreadable workspace config: {exc}") from exc
         return cls(root, config)
 

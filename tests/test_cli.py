@@ -52,6 +52,33 @@ def test_init_rejects_insufficient_nodes(tmp_path, capsys):
     assert "3f+1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--timeout-ticks", "0"], "timeout_ticks must be positive"),
+        (["--seed", "-1"], "seed out of u64 range: -1"),
+        (["--endorsements", "5"], "endorsement_m=5 outside 1..4"),
+        (["--faulty", "-1"], "bad node count: f=-1 is negative"),
+    ],
+)
+def test_init_refuses_a_bad_config_before_writing(tmp_path, capsys, flags, error):
+    target = tmp_path / "x"
+    rc = main(["init", "--dir", str(target), "--nodes", "4", "--faulty", "1", *flags])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (1, "", f"error: {error}\n")
+    assert not target.exists()
+
+
+def test_load_refuses_a_hand_edited_bad_config(ws_dir, capsys):
+    config = json.loads((ws_dir / "config.json").read_text())
+    (ws_dir / "config.json").write_text(json.dumps({**config, "endorsement_m": 0}))
+    capsys.readouterr()
+    assert main(["history", "--dir", str(ws_dir), "--work", "w"]) == 1
+    assert capsys.readouterr().err == (
+        "error: unreadable workspace config: endorsement_m=0 outside 1..4\n"
+    )
+
+
 def test_init_refuses_nonempty_dir(ws_dir, capsys):
     rc = main(["init", "--dir", str(ws_dir), "--nodes", "4", "--faulty", "1"])
     assert rc != 0
