@@ -5,7 +5,7 @@ import pytest
 
 from revledger.content_store import MemoryStore
 from revledger.digests import ZERO_DIGEST
-from revledger.encoding import transaction_id
+from revledger.encoding import header_hash, transaction_id
 from revledger.ledger import (
     Chain,
     ChainParseError,
@@ -15,6 +15,7 @@ from revledger.ledger import (
     block_to_line,
     build_block,
     check_block,
+    check_genesis,
     genesis_block,
     read_chain_file,
     verify_chain,
@@ -126,6 +127,51 @@ def test_check_block_reports_unencodable_header_instead_of_raising(store):
 def test_check_block_reports_revision_gap(store):
     block = build_block(1, genesis_block().block_hash, [gap_transaction(store)], "node-0", 0, 1)
     assert check_block(block) == [Defect(1, "record-malformed", "tx 0: revision gap")]
+
+
+def rehashed(block, **header_fields):
+    """The block with header fields replaced and its hash recomputed, so
+    only the replaced fields can be at fault."""
+    header = replace(block.header, **header_fields)
+    return replace(block, header=header, block_hash=header_hash(header))
+
+
+def long_author_block(store):
+    record = RevisionRecord("w", 1, store.put(b"x"), "a" * 129, 0)
+    tx = Transaction(tx_id=b"\x00" * 32, record=record, read_version=0)
+    return build_block(1, genesis_block().block_hash, [tx], "node-0", 0, 1)
+
+
+@pytest.mark.parametrize(
+    "check, damaged, expected",
+    [
+        (check_genesis, lambda store: chain_of(1, store).tip, [Defect(0, "missing-genesis")]),
+        (
+            check_genesis,
+            lambda store: rehashed(genesis_block(), prev_hash=b"\x01" * 32),
+            [Defect(0, "genesis-invariant")],
+        ),
+        (
+            check_block,
+            lambda store: rehashed(
+                replace(chain_of(1, store).tip, transactions=()), merkle_root=ZERO_DIGEST, tx_count=0
+            ),
+            [Defect(1, "empty-block")],
+        ),
+        (
+            check_block,
+            lambda store: rehashed(chain_of(2, store).tip, merkle_root=b"\x01" * 32),
+            [Defect(2, "merkle-root-mismatch")],
+        ),
+        (
+            check_block,
+            long_author_block,
+            [Defect(1, "record-malformed", "tx 0: author_id exceeds 128 bytes")],
+        ),
+    ],
+)
+def test_block_checks_report_each_defect_kind_at_its_height(store, check, damaged, expected):
+    assert check(damaged(store)) == expected
 
 
 # -- verify -----------------------------------------------------------------------
