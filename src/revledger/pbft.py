@@ -136,15 +136,17 @@ class _Instance:
     accepted: dict[int, PbftMessage] = field(default_factory=dict)  # view -> PrePrepare
     # (view, kind) -> sender -> that sender's first Prepare or Commit
     log: dict[tuple[int, MessageKind], dict[int, PbftMessage]] = field(default_factory=dict)
-    digests: dict[tuple[int, int], bytes] = field(default_factory=dict)  # (view, sender) -> first
-    flagged: set[tuple[int, int]] = field(default_factory=set)  # (view, sender) shown conflicting
-    sent_commit: set[int] = field(default_factory=set)  # views
+    # (view, sender) -> first digest seen; flagged once a conflicting one was reported
+    digests: dict[tuple[int, int], bytes] = field(default_factory=dict)
+    flagged: set[tuple[int, int]] = field(default_factory=set)
+    sent_commit: set[int] = field(default_factory=set)  # views this replica sent Commit in
     blocks: dict[bytes, Block] = field(default_factory=dict)  # digest -> block
     blobs: dict[bytes, dict[bytes, bytes]] = field(default_factory=dict)  # digest -> payloads
-    prepared: tuple[int, bytes] | None = None  # (view, digest), highest view
+    prepared: tuple[int, bytes] | None = None  # (view, digest) of the highest prepared view
     commit_ready: bytes | None = None  # digest with a commit quorum, awaiting release
 
     def matching(self, view: int, kind: MessageKind, digest: bytes) -> int:
+        """Logged messages of one view and kind that carry digest."""
         log = self.log.get((view, kind), {})
         return sum(1 for m in log.values() if m.digest == digest)
 

@@ -24,7 +24,7 @@ from .digests import sha256, to_hex
 from .encoding import u64
 from .ledger import Block, build_block
 from .node import NodeRuntime, Outbound, ReceiptStatus
-from .pbft import MessageKind, NodeConfig, PbftMessage
+from .pbft import ConfigError, MessageKind, NodeConfig, PbftMessage, quorum_size
 from .revisions import EndorsementPolicy, ValidityFlag
 from .rng import SplitMix64, derive_stream_seed
 
@@ -105,8 +105,10 @@ class SimConfig:
             raise SimError("delay_max must be >= delay_min")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise SimError("drop_prob must be in [0, 1]")
-        if self.n < 3 * self.f + 1:
-            raise SimError(f"n={self.n} cannot tolerate f={self.f}: need n >= 3f+1")
+        try:
+            quorum_size(self.n, self.f)
+        except ConfigError as exc:
+            raise SimError(str(exc)) from exc
         seen = [nid for nid, _ in self.byzantine]
         if len(seen) != len(set(seen)):
             raise SimError("duplicate byzantine node entries")

@@ -36,6 +36,7 @@ from types import SimpleNamespace
 
 from .content_store import ContentStore
 from .digests import from_hex, to_hex
+from .encoding import MalformedError, u64
 from .ledger import (
     Block,
     Chain,
@@ -47,7 +48,6 @@ from .ledger import (
     read_chain_file,
     write_chain_file,
 )
-from .encoding import MalformedError, u64
 from .node import NodeRuntime
 from .pbft import ConfigError, NodeConfig, quorum_size
 from .revisions import (

@@ -154,7 +154,9 @@ def long_author_block(store):
         (
             check_block,
             lambda store: rehashed(
-                replace(chain_of(1, store).tip, transactions=()), merkle_root=ZERO_DIGEST, tx_count=0
+                replace(chain_of(1, store).tip, transactions=()),
+                merkle_root=ZERO_DIGEST,
+                tx_count=0,
             ),
             [Defect(1, "empty-block")],
         ),

@@ -154,6 +154,8 @@ def test_sim_config_validation():
     with pytest.raises(SimError):
         SimConfig(n=3, f=1, seed=1)
     with pytest.raises(SimError):
+        SimConfig(n=4, f=-1, seed=1)
+    with pytest.raises(SimError):
         SimConfig(n=4, f=1, seed=1, delay_min=0)
     with pytest.raises(SimError):
         SimConfig(n=4, f=1, seed=1, delay_min=3, delay_max=2)
@@ -285,8 +287,9 @@ def test_crashed_primary_recovers_via_view_change():
     assert report.throughput == 6 / report.ticks_elapsed
 
 
-# Containers of a replica's per-sequence record (`Replica._instances`).
-_INSTANCE_MAPS = ("accepted", "log", "digests", "flagged", "sent_commit", "blocks", "blobs")
+# Containers of a replica's per-sequence record (`Replica._instances`); its
+# blocks are checked at their own heights instead.
+_INSTANCE_MAPS = ("accepted", "log", "digests", "flagged", "sent_commit", "blobs")
 # A primary proposes a one-transaction block only once its previous block
 # has committed, so a replica sees at most a few sequences past its own
 # last committed one.
@@ -294,8 +297,7 @@ _WINDOW = 3
 
 
 def _held_seqs(replica) -> dict[str, list[int]]:
-    """The sequence of each entry the replica holds, per container; a block
-    counts at its own height, whichever record holds it."""
+    """The sequence of each entry the replica holds, per container."""
     held = {"_instances": list(replica._instances)}
     held["_must_repropose"] = list(replica._must_repropose)
     for name in _INSTANCE_MAPS:
