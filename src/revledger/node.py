@@ -217,7 +217,7 @@ class NodeRuntime:
         more, committed = self.replica.handle_message(payload, now)
         for event in committed:
             self._apply_commit(event, now)
-        return self._drain(more, now)
+        return self._drain(more, now) if more else []
 
     def _accept_forward(self, fwd: TxForward) -> None:
         tx = fwd.tx
@@ -263,6 +263,33 @@ class NodeRuntime:
         out.extend(self._forward_pending(now))
         out.extend(self._maybe_propose(now))
         return out
+
+    def next_due(self, now: int) -> int | None:
+        """The next tick at which tick_duties would act if no event reached
+        this node first, or None while it holds no work. That is the next
+        tick while its work has no armed timer, while a mempool entry is not
+        forwarded in the current view, or while it is a primary with a
+        mempool and nothing in flight; otherwise the earlier of its timer
+        deadline and its earliest forward retry. Called after this tick's
+        duties, so every armed deadline and retry lies past now."""
+        replica = self.replica
+        open_work = replica.has_open_work()
+        if not self.mempool and not open_work:
+            return None
+        due = replica.timer_deadline
+        if due is None:
+            return now + 1
+        if self.mempool and not replica.in_view_change:
+            view = replica.current_view
+            if not open_work and primary_of(view, self.config.n) == self.config.node_id:
+                return now + 1  # _maybe_propose proposes again
+            retry = max(1, self.config.timeout_ticks // 2)
+            for entry in self.mempool.values():
+                if entry.forwarded_view != view:
+                    return now + 1
+                if entry.forwarded_tick is not None:
+                    due = min(due, entry.forwarded_tick + retry)
+        return due
 
     def _forward_pending(self, now: int) -> list[Outbound]:
         """Relay pending transactions to the current primary.

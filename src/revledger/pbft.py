@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import IntEnum
 
 from .digests import ZERO_DIGEST
 from .ledger import Block, check_block
@@ -45,7 +45,7 @@ class ConfigError(ValueError):
     """Replica group configuration violates the fault-tolerance bound."""
 
 
-class MessageKind(Enum):
+class MessageKind(IntEnum):
     PRE_PREPARE = 0x20
     PREPARE = 0x21
     COMMIT = 0x22
@@ -134,8 +134,10 @@ class _Instance:
     """All a replica holds about one uncommitted sequence number."""
 
     accepted: dict[int, PbftMessage] = field(default_factory=dict)  # view -> PrePrepare
-    # (view, kind) -> sender -> that sender's first Prepare or Commit
-    log: dict[tuple[int, MessageKind], dict[int, PbftMessage]] = field(default_factory=dict)
+    # (view, kind, sender) of each sender's first Prepare or Commit
+    log: set[tuple[int, MessageKind, int]] = field(default_factory=set)
+    # (view, kind, digest) -> logged messages carrying digest
+    counts: dict[tuple[int, MessageKind, bytes], int] = field(default_factory=dict)
     # (view, sender) -> first digest seen; flagged once a conflicting one was reported
     digests: dict[tuple[int, int], bytes] = field(default_factory=dict)
     flagged: set[tuple[int, int]] = field(default_factory=set)
@@ -146,9 +148,9 @@ class _Instance:
     commit_ready: bytes | None = None  # digest with a commit quorum, awaiting release
 
     def matching(self, view: int, kind: MessageKind, digest: bytes) -> int:
-        """Logged messages of one view and kind that carry digest."""
-        log = self.log.get((view, kind), {})
-        return sum(1 for m in log.values() if m.digest == digest)
+        """Logged messages of one view and kind that carry digest: a count
+        raised as each sender's first message is logged, not a log scan."""
+        return self.counts.get((view, kind, digest), 0)
 
 
 class Replica:
@@ -210,7 +212,8 @@ class Replica:
     def handle_message(self, msg: PbftMessage, now: int) -> tuple[list[PbftMessage], list[CommitEvent]]:
         out: list[PbftMessage] = []
         committed: list[CommitEvent] = []
-        queue: deque[PbftMessage] = deque([msg])
+        queue: deque[PbftMessage] = deque()
+        self._dispatch(msg, now, out, committed, queue)
         while queue:
             self._dispatch(queue.popleft(), now, out, committed, queue)
         return out, committed
@@ -319,10 +322,12 @@ class Replica:
         if msg.kind is MessageKind.PRE_PREPARE:
             self._on_pre_prepare(inst, msg, out)
         else:
-            log = inst.log.setdefault((msg.view, msg.kind), {})
-            if msg.sender in log:
+            first = (msg.view, msg.kind, msg.sender)
+            if first in inst.log:
                 return  # first message per sender wins
-            log[msg.sender] = msg
+            inst.log.add(first)
+            key = (msg.view, msg.kind, msg.digest)
+            inst.counts[key] = inst.counts.get(key, 0) + 1
         self._try_prepare(inst, msg.view, msg.seq, out)
         self._try_commit(inst, msg.view, committed)
 

@@ -10,6 +10,13 @@ draws happen in a pinned order per (src, dst, message): the drop draw
 first, then (if the message survives drop and partition filtering) the
 delay draw. Identical (config, workload) therefore reproduce the run
 bit-for-bit, including report and chain files.
+
+The loop visits only ticks with an event, a crash or a due node, and
+ends once no event is pending and no live node is due. A live node runs
+its duties when an event reached it, or at the tick `NodeRuntime.next_due`
+gave after its last duties (see there for what makes a node due). At a
+tick it skips, its duties would change nothing and send nothing, and
+draws are made only for sent messages, so no draw moves.
 """
 
 from __future__ import annotations
@@ -105,6 +112,8 @@ class SimConfig:
             raise SimError("delay_max must be >= delay_min")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise SimError("drop_prob must be in [0, 1]")
+        if self.max_batch < 1:
+            raise SimError("max_batch must be positive")
         try:
             quorum_size(self.n, self.f)
         except ConfigError as exc:
@@ -143,30 +152,36 @@ def check_workload(workload: list[Submission], config: SimConfig) -> None:
 
 
 class EventQueue:
-    """Events ordered by (tick, insertion sequence): FIFO within a tick."""
+    """Events by tick, FIFO within a tick: one list per tick plus a heap of
+    the distinct ticks that hold one."""
 
     def __init__(self):
-        self._heap: list[tuple[int, int, tuple]] = []
-        self._next_seq = 0
+        self._ticks: list[int] = []
+        self._by_tick: dict[int, list[tuple]] = {}
         self.current_tick = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
     def schedule(self, item: tuple, deliver_tick: int) -> None:
         if deliver_tick < self.current_tick:
             raise SimError(
                 f"cannot schedule at tick {deliver_tick}, now is {self.current_tick}"
             )
-        heapq.heappush(self._heap, (deliver_tick, self._next_seq, item))
-        self._next_seq += 1
+        items = self._by_tick.get(deliver_tick)
+        if items is None:
+            self._by_tick[deliver_tick] = [item]
+            heapq.heappush(self._ticks, deliver_tick)
+        else:
+            items.append(item)
 
     def peek_tick(self) -> int | None:
-        return self._heap[0][0] if self._heap else None
+        return self._ticks[0] if self._ticks else None
 
-    def next_event(self) -> tuple:
-        """Pop the earliest event and return its item."""
-        return heapq.heappop(self._heap)[2]
+    def take(self, tick: int) -> list[tuple]:
+        """Remove and return the events of tick, in insertion order, when
+        tick is the earliest that holds any; otherwise none."""
+        if not self._ticks or self._ticks[0] != tick:
+            return []
+        heapq.heappop(self._ticks)
+        return self._by_tick.pop(tick)
 
 
 def deliver(
@@ -411,55 +426,44 @@ class Simulation:
             if isinstance(behavior, Crash) and now >= behavior.at_tick:
                 self.crashed.add(nid)
 
-    def _idle(self) -> bool:
-        if len(self.queue):
-            return False
-        for i, node in enumerate(self.nodes):
-            if i in self.crashed:
-                continue
-            if node.mempool or node.replica.has_open_work():
-                return False
-            if node.replica.timer_deadline is not None:
-                return False
-        return True
-
     def run(self) -> SimReport:
         """Run to quiescence or max_ticks. The replicas are not audited;
         `NodeRuntime.verify` on `self.nodes` does that."""
         for sub in self.workload:
             self.queue.schedule(("submit", sub), sub.tick)
+        crash_ticks = [b.at_tick for b in self.behaviors.values() if isinstance(b, Crash)]
+        due: list[int | None] = [0] * self.config.n
         tick = 0
         while tick <= self.config.max_ticks:
             self.queue.current_tick = tick
             self._mark_crashes(tick)
-            while self.queue.peek_tick() == tick:
-                self._handle_event(self.queue.next_event(), tick)
+            reached = {self._handle_event(item, tick) for item in self.queue.take(tick)}
             for i, node in enumerate(self.nodes):
-                if i in self.crashed:
+                if i in self.crashed or (due[i] != tick and i not in reached):
                     continue
                 self._dispatch(i, node.tick_duties(tick), tick)
-            if self._idle():
+                due[i] = node.next_due(tick)
+            upcoming = [d for i, d in enumerate(due) if d is not None and i not in self.crashed]
+            upcoming += [t for t in (self.queue.peek_tick(),) if t is not None]
+            if not upcoming:
                 break
-            tick += 1
+            # A crash can leave the run idle before anything else happens.
+            tick = min(upcoming + [c for c in crash_ticks if c > tick])
         return self.report(min(tick, self.config.max_ticks))
 
-    def _handle_event(self, item: tuple, now: int) -> None:
-        kind = item[0]
-        if kind == "submit":
+    def _handle_event(self, item: tuple, now: int) -> int:
+        """Apply one event; returns the node it reached."""
+        if item[0] == "submit":
             sub: Submission = item[1]
-            if sub.node in self.crashed:
-                self.receipt_rows.append((sub, None))
-                return
-            receipt = self.nodes[sub.node].submit(
-                sub.work_id, sub.author_id, sub.payload, now
-            )
+            receipt = None
+            if sub.node not in self.crashed:
+                receipt = self.nodes[sub.node].submit(sub.work_id, sub.author_id, sub.payload, now)
             self.receipt_rows.append((sub, receipt))
-        elif kind == "deliver":
-            _, src, dst, payload = item
-            if dst in self.crashed:
-                return
-            out = self.nodes[dst].on_message(src, payload, now)
-            self._dispatch(dst, out, now)
+            return sub.node
+        _, src, dst, payload = item
+        if dst not in self.crashed:
+            self._dispatch(dst, self.nodes[dst].on_message(src, payload, now), now)
+        return dst
 
     # -- report assembly ---------------------------------------------------------
 

@@ -135,6 +135,8 @@ class WorkspaceConfig:
             raise ConfigError(f"bad node count: {exc}") from exc
         if self.timeout_ticks < 1:
             raise ConfigError("timeout_ticks must be positive")
+        if self.max_batch < 1:
+            raise ConfigError("max_batch must be positive")
         try:
             u64(self.seed, "seed")
         except MalformedError as exc:

@@ -59,6 +59,7 @@ def test_init_rejects_insufficient_nodes(tmp_path, capsys):
         (["--seed", "-1"], "seed out of u64 range: -1"),
         (["--endorsements", "5"], "endorsement_m=5 outside 1..4"),
         (["--faulty", "-1"], "bad node count: f=-1 is negative"),
+        (["--max-batch", "0"], "max_batch must be positive"),
     ],
 )
 def test_init_refuses_a_bad_config_before_writing(tmp_path, capsys, flags, error):
@@ -76,6 +77,16 @@ def test_load_refuses_a_hand_edited_bad_config(ws_dir, capsys):
     assert main(["history", "--dir", str(ws_dir), "--work", "w"]) == 1
     assert capsys.readouterr().err == (
         "error: unreadable workspace config: endorsement_m=0 outside 1..4\n"
+    )
+
+
+def test_load_refuses_a_hand_edited_zero_max_batch(ws_dir, capsys):
+    config = json.loads((ws_dir / "config.json").read_text())
+    (ws_dir / "config.json").write_text(json.dumps({**config, "max_batch": 0}))
+    capsys.readouterr()
+    assert main(["history", "--dir", str(ws_dir), "--work", "w"]) == 1
+    assert capsys.readouterr().err == (
+        "error: unreadable workspace config: max_batch must be positive\n"
     )
 
 
@@ -577,6 +588,19 @@ def test_simulate_parse_error_names_position(tmp_path, capsys):
     assert rc != 0
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
+
+
+def test_simulate_refuses_a_scenario_with_zero_max_batch(tmp_path, capsys):
+    scenario = tmp_path / "zero-batch.json"
+    scenario.write_text(json.dumps({
+        "config": {"n": 4, "f": 1, "seed": 1, "max_batch": 0},
+        "workload": [{"tick": 1, "node": 0, "work": "w"}],
+    }))
+    report = tmp_path / "r.json"
+    rc = main(["simulate", "--scenario", str(scenario), "--report", str(report)])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (1, "", "error: scenario parse failed: max_batch must be positive\n")
+    assert not report.exists()
 
 
 def test_simulate_unknown_scenario(tmp_path, capsys):

@@ -244,3 +244,56 @@ def test_timeout_emits_view_change_via_duties():
     out = node.tick_duties(now=30)
     kinds = [o.payload.kind for o in out if hasattr(o.payload, "kind")]
     assert MessageKind.VIEW_CHANGE in kinds
+
+
+# -- due ticks -----------------------------------------------------------------------
+# make_node uses timeout_ticks 30, so a forward is retried 15 ticks after it was sent.
+
+
+def test_node_without_work_is_never_due():
+    node = make_node(node_id=1)
+    assert node.next_due(now=5) is None
+    node.tick_duties(now=5)
+    assert node.next_due(now=5) is None
+
+
+def test_pending_work_without_a_timer_is_due_next_tick():
+    node = make_node(node_id=1)
+    node.submit("w1", "ada", b"x", now=2)
+    assert node.replica.timer_deadline is None
+    assert node.next_due(now=2) == 3
+
+
+def test_forwarded_work_is_due_at_its_retry():
+    node = make_node(node_id=2)
+    node.submit("w1", "ada", b"x", now=1)
+    node.tick_duties(now=1)  # forwards, arms the timer for tick 31
+    assert node.next_due(now=1) == 16
+    node.submit("w2", "ada", b"y", now=3)
+    assert node.next_due(now=3) == 4  # w2 is not forwarded in view 0 yet
+    node.tick_duties(now=4)
+    assert node.next_due(now=4) == 16
+    out = node.tick_duties(now=16)
+    assert [o.payload.tx.record.work_id for o in out] == ["w1"]
+    assert node.next_due(now=16) == 19  # w2's retry, before w1's at 31
+
+
+def test_view_change_is_due_only_at_its_timer():
+    node = make_node(node_id=1)
+    node.submit("w1", "ada", b"x", now=0)
+    node.tick_duties(now=0)
+    node.tick_duties(now=30)  # times out: waits for view 1 until tick 60
+    assert node.replica.in_view_change
+    assert node.next_due(now=30) == 60  # no forward retry during a view change
+
+
+def test_primary_able_to_propose_is_due_next_tick():
+    primary, backup = make_node(node_id=0), make_node(node_id=1)
+    backup.submit("w1", "ada", b"x", now=1)
+    (fwd,) = [o.payload for o in backup.tick_duties(now=1) if isinstance(o.payload, TxForward)]
+    primary.on_message(1, fwd, now=2)  # taken as forwarded in view 0: no retry of its own
+    primary.replica.arm_timer(2)  # as a commit leaves it with work still queued
+    assert primary.next_due(now=2) == 3
+    kinds = [o.payload.kind for o in primary.tick_duties(now=3)]
+    assert kinds == [MessageKind.PRE_PREPARE, MessageKind.PREPARE]
+    assert primary.next_due(now=3) == 32  # in flight: due at its timer

@@ -3,6 +3,7 @@ import pytest
 from revledger.cli import _report_text
 from revledger.content_store import MemoryStore
 from revledger.ledger import Chain, build_block
+from revledger.node import NodeRuntime
 from revledger.pbft import MessageKind, PbftMessage
 from revledger.revisions import check_endorsement_policy, propose_revision
 from revledger.rng import SplitMix64, derive_stream_seed
@@ -96,9 +97,12 @@ def test_same_tick_events_fifo():
     q.schedule(("a",), 5)
     q.schedule(("b",), 5)
     q.schedule(("c",), 3)
-    assert q.next_event() == ("c",)
-    assert q.next_event() == ("a",)
-    assert q.next_event() == ("b",)
+    assert q.peek_tick() == 3
+    assert q.take(5) == []  # not the earliest tick yet
+    assert q.take(3) == [("c",)]
+    assert q.peek_tick() == 5
+    assert q.take(5) == [("a",), ("b",)]
+    assert q.peek_tick() is None
 
 
 def test_past_scheduling_rejected():
@@ -114,7 +118,7 @@ def test_interleaved_kinds_keep_insertion_order():
     q.schedule(("timer",), 4)
     q.schedule(("msg",), 4)
     q.schedule(("timer2",), 4)
-    assert [q.next_event()[0] for _ in range(3)] == ["timer", "msg", "timer2"]
+    assert [item[0] for item in q.take(4)] == ["timer", "msg", "timer2"]
 
 
 # -- deliver ------------------------------------------------------------------
@@ -161,6 +165,8 @@ def test_sim_config_validation():
         SimConfig(n=4, f=1, seed=1, delay_min=3, delay_max=2)
     with pytest.raises(SimError):
         SimConfig(n=4, f=1, seed=1, drop_prob=1.5)
+    with pytest.raises(SimError, match="max_batch must be positive"):
+        SimConfig(n=4, f=1, seed=1, max_batch=0)
 
 
 def test_workload_tick_monotonicity_enforced():
@@ -289,7 +295,7 @@ def test_crashed_primary_recovers_via_view_change():
 
 # Containers of a replica's per-sequence record (`Replica._instances`); its
 # blocks are checked at their own heights instead.
-_INSTANCE_MAPS = ("accepted", "log", "digests", "flagged", "sent_commit", "blobs")
+_INSTANCE_MAPS = ("accepted", "log", "counts", "digests", "flagged", "sent_commit", "blobs")
 # A primary proposes a one-transaction block only once its previous block
 # has committed, so a replica sees at most a few sequences past its own
 # last committed one.
@@ -312,7 +318,9 @@ def test_replica_state_stays_within_the_in_flight_window():
     """300 one-transaction blocks at n=4, with the primary crashing so a
     view change happens mid-run. At every tick, each live replica holds
     nothing at or below its last committed sequence, and each map holds
-    no more than the in-flight window, however tall the chain grows."""
+    no more than the in-flight window, however tall the chain grows.
+    A replica changes only at the ticks the loop visits it, where it is
+    checked after its duties."""
     config = SimConfig(
         n=4, f=1, seed=7, delay_min=1, delay_max=3, max_batch=1, max_ticks=5000,
         byzantine=((0, Crash(at_tick=100)),),
@@ -323,22 +331,29 @@ def test_replica_state_stays_within_the_in_flight_window():
         for i in range(300)
     ]
     sim = Simulation(config, wl)
-    check_idle = sim._idle
+    checks = 0
 
-    def checked_idle():
-        for i, node in enumerate(sim.nodes):
-            if i in sim.crashed:
-                continue
+    def checked(i, node):
+        duties = node.tick_duties
+
+        def tick_duties(now):
+            nonlocal checks
+            out = duties(now)
             r = node.replica
             low = r.last_committed_seq
             bound = _WINDOW * config.n * (r.current_view + 1)
             for name, seqs in _held_seqs(r).items():
                 assert all(low < s <= low + _WINDOW for s in seqs), (i, name, low, seqs)
                 assert len(seqs) <= bound, (i, name, len(seqs))
-        return check_idle()
+            checks += 1
+            return out
 
-    sim._idle = checked_idle
+        node.tick_duties = tick_duties
+
+    for i, node in enumerate(sim.nodes):
+        checked(i, node)
     report = sim.run()
+    assert checks > 300 * 3
     assert not report.stalled and report.safety_ok
     assert all(report.committed_heights[i] == 300 for i in (1, 2, 3))
     assert all(report.final_views[i] >= 1 for i in (1, 2, 3))
@@ -399,6 +414,40 @@ def test_safety_matches_blocks_by_header_height_on_chains_based_past_genesis():
     fork.append(block_on(fork, "x"))
     sim.nodes[3].chain = fork
     assert not sim.run().safety_ok
+
+
+def test_long_idle_gap_is_jumped_not_stepped(monkeypatch):
+    calls = 0
+    duties = NodeRuntime.tick_duties
+
+    def counting(self, now):
+        nonlocal calls
+        calls += 1
+        return duties(self, now)
+
+    monkeypatch.setattr(NodeRuntime, "tick_duties", counting)
+    config = SimConfig(n=4, f=1, seed=3, delay_min=1, delay_max=2)
+    wl = [
+        Submission(tick=t, node=1, work_id="w", author_id="ada", payload=f"draft {t}".encode())
+        for t in (1, 4000)
+    ]
+    report = Simulation(config, wl).run()
+    assert [r.commit_tick for r in report.receipts] == [8, 4007]
+    # Stepping every tick made 16,032 calls over the same 4,007 ticks.
+    assert report.ticks_elapsed == 4007
+    assert calls <= 100
+
+
+def test_run_ends_at_the_crash_that_leaves_no_work():
+    # Every message is dropped, so node 1's own work is all that keeps the
+    # run going; its timer (tick 31) would come after its crash at 20.
+    config = SimConfig(
+        n=4, f=1, seed=3, drop_prob=1.0, byzantine=((1, Crash(at_tick=20)),),
+    )
+    wl = [Submission(tick=1, node=1, work_id="w", author_id="ada", payload=b"x")]
+    report = Simulation(config, wl).run()
+    assert report.crashed_nodes == [1]
+    assert report.ticks_elapsed == 20
 
 
 def test_submission_to_crashed_node_is_lost_and_flagged():
