@@ -8,9 +8,11 @@ Each commit is exported with `git archive` into its own directory under
 `--scratch` and every run starts there, so neither side sees the other's
 files or the working tree. Each seed is one pair: one run of each side,
 one after the other, with the parent first on odd seeds and the change
-first on even seeds. `--trace-workload` adds one traced run per side,
-whose per-layer metrics go to the file's `trace` section. Nothing but
-the output file is written outside `--scratch`.
+first on even seeds. `--held-out` runs the claimed workload once more per
+side on seeds not used while the change was written, by the same order
+rule, and `--trace-workload` adds one traced run per side, whose per-layer
+metrics go to the file's `trace` section. Nothing but the output file is
+written outside `--scratch`.
 
 A claim `workload:metric:min_drop` is met when the change is better in at
 least 9 of 10 pairs (the same share of any other count), the medians are
@@ -121,6 +123,7 @@ def main(argv=None) -> int:
     p.add_argument("--workloads", default="cli-tall,sim-wide,sim-tall")
     p.add_argument("--seeds", type=int, default=10, help="seeds 1..N, one pair each")
     p.add_argument("--seconds", type=float, default=30)
+    p.add_argument("--held-out", default="", help="comma-separated seeds for the claim")
     p.add_argument("--trace-workload")
     p.add_argument("--trace-seed", type=int, default=11)
     p.add_argument("--trace-seconds", type=float, default=10)
@@ -137,23 +140,26 @@ def main(argv=None) -> int:
         "hardware": f"{os.cpu_count()} vCPU, Python {platform.python_version()}, "
                     f"{platform.machine()}, no other benchmark running",
     }
+
+    def pair(workload: str, seed: int, failed: dict) -> dict:
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        record = {"seed": seed, "first": order[0]}
+        for side in order:
+            out = run(roots[side], workload, seed, args.seconds, 0)
+            if not out["correct"]:
+                sys.exit(f"{side} run of {workload} seed {seed} is not correct")
+            failed[side][0] += out["failed"]
+            failed[side][1] += out["attempted"]
+            record[side] = {k: v["value"] for k, v in out["metrics"].items()}
+        print(f"{workload} seed {seed}: " + ", ".join(
+            f"{side} commit_ms {record[side]['commit_ms']:.4f}" for side in order),
+            file=sys.stderr)
+        return record
+
     workloads = {}
     for workload in args.workloads.split(","):
-        runs, failed = [], {"parent": [0, 0], "change": [0, 0]}
-        for seed in range(1, args.seeds + 1):
-            order = ("parent", "change") if seed % 2 else ("change", "parent")
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                out = run(roots[side], workload, seed, args.seconds, 0)
-                if not out["correct"]:
-                    sys.exit(f"{side} run of {workload} seed {seed} is not correct")
-                failed[side][0] += out["failed"]
-                failed[side][1] += out["attempted"]
-                pair[side] = {k: v["value"] for k, v in out["metrics"].items()}
-            runs.append(pair)
-            print(f"{workload} seed {seed}: " + ", ".join(
-                f"{side} commit_ms {pair[side]['commit_ms']:.4f}" for side in order),
-                file=sys.stderr)
+        failed = {"parent": [0, 0], "change": [0, 0]}
+        runs = [pair(workload, seed, failed) for seed in range(1, args.seeds + 1)]
         workloads[workload] = {
             "pairs": len(runs), "seeds": [r["seed"] for r in runs],
             "metrics": summarize(runs, declared),
@@ -162,6 +168,18 @@ def main(argv=None) -> int:
         }
     if args.claim:
         doc["claim"] = judge(args.claim, workloads)
+        workload, metric, _ = args.claim.split(":")
+        failed = {"parent": [0, 0], "change": [0, 0]}
+        held = [pair(workload, int(seed), failed) for seed in args.held_out.split(",") if seed]
+        if held:
+            doc["held_out_seeds"] = {
+                "method": f"{workload} on seeds not used while the change was written, one "
+                          "pair each, same command and order rule as the pairs above",
+                "failed": {s: {"failed": f, "attempted": a} for s, (f, a) in failed.items()},
+                "runs": [{"seed": r["seed"], "first": r["first"],
+                          **{side: r[side][metric] for side in ("parent", "change")}}
+                         for r in held],
+            }
     doc["workloads"] = workloads
     if args.trace_workload:
         doc["trace"] = {
