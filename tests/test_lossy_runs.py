@@ -1,15 +1,17 @@
-"""Byte pins of six lossy and Byzantine runs that no bundled scenario covers.
+"""Lossy and Byzantine runs, pinned by digest and checked against a loop
+that steps every node through every tick.
 
 The bundled golden scenarios commit without a forward retry or a primary
-re-proposing into its own refusal. These runs reach both, as well as
-partitions, silent and slowed nodes, corrupted digests, equivocation with
-a crash and a run cut at `max_ticks`. Each test hashes the run's whole
-report, so any change to message order, timer behaviour or RNG draws
-shows up as a different digest.
+re-proposing into its own refusal. The six pinned runs reach both, as well
+as partitions, silent and slowed nodes, corrupted digests, equivocation
+with a crash and a run cut at `max_ticks`. Each test hashes the run's
+whole report, so any change to message order, timer behaviour or RNG
+draws shows up as a different digest.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -109,3 +111,67 @@ def test_drop_run_reaches_the_reproposal_refusal():
     report = Simulation(config, workload).run()
     kinds = {ev["kind"] for ev in report.equivocation_evidence}
     assert {"reproposal-block-unknown", "reproposal-mismatch"} <= kinds
+
+
+def stepping_run(sim: Simulation):
+    """The reference loop: every live node runs its duties on every tick,
+    and the run ends at the first tick with no event pending and no live
+    node holding work or an armed timer."""
+    for sub in sim.workload:
+        sim.queue.schedule(("submit", sub), sub.tick)
+    tick = 0
+    while tick <= sim.config.max_ticks:
+        sim.queue.current_tick = tick
+        sim._mark_crashes(tick)
+        for item in sim.queue.take(tick):
+            sim._handle_event(item, tick)
+        live = [(i, node) for i, node in enumerate(sim.nodes) if i not in sim.crashed]
+        for i, node in live:
+            sim._dispatch(i, node.tick_duties(tick), tick)
+        if sim.queue.peek_tick() is None and not any(
+            node.mempool or node.replica.has_open_work() or node.replica.timer_deadline is not None
+            for _, node in live
+        ):
+            break
+        tick += 1
+    return sim.report(min(tick, sim.config.max_ticks))
+
+
+def random_run(seed: int):
+    rng = random.Random(seed)
+    n, f = rng.choice([(1, 0), (4, 1), (5, 1), (7, 2)])
+    behaviors = [
+        lambda: Crash(at_tick=rng.randrange(200)),
+        Silent,
+        lambda: DelayAll(extra=rng.randrange(1, 6)),
+        EquivocatePrePrepare,
+        CorruptDigest,
+    ]
+    faulty = rng.sample(range(n), rng.randrange(min(n, f + 2)))
+    partitions = ()
+    if n > 1 and rng.random() < 0.3:
+        start = rng.randrange(100)
+        group = frozenset(rng.sample(range(n), rng.randrange(1, n)))
+        partitions = (Partition(start, start + rng.randrange(5, 120), group),)
+    delay_min = rng.randrange(1, 3)
+    config = SimConfig(
+        n=n, f=f, seed=seed, delay_min=delay_min, delay_max=delay_min + rng.randrange(4),
+        drop_prob=rng.choice([0.0, 0.05, 0.2, 0.5, 1.0]), timeout_ticks=rng.randrange(1, 40),
+        max_batch=rng.randrange(1, 5), max_ticks=rng.randrange(50, 800),
+        partitions=partitions, byzantine=tuple((i, rng.choice(behaviors)()) for i in faulty),
+    )
+    ticks = sorted(rng.randrange(300) for _ in range(rng.randrange(15)))
+    workload = [
+        Submission(tick=t, node=rng.randrange(n), work_id=f"w{rng.randrange(4)}",
+                   author_id="ada", payload=bytes([i]))
+        for i, t in enumerate(ticks)
+    ]
+    return config, workload
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_due_tick_loop_matches_stepping_every_tick(seed):
+    config, workload = random_run(seed)
+    due = Simulation(config, workload).run()
+    stepped = stepping_run(Simulation(config, workload))
+    assert due.to_obj() == stepped.to_obj()
