@@ -252,8 +252,7 @@ class NodeRuntime:
 
     def tick_duties(self, now: int) -> list[Outbound]:
         out: list[Outbound] = []
-        pending_work = bool(self.mempool) or self.replica.has_open_work()
-        if pending_work:
+        if self._has_work():
             self.replica.arm_timer(now)
         else:
             self.replica.disarm_timer()
@@ -266,30 +265,40 @@ class NodeRuntime:
 
     def next_due(self, now: int) -> int | None:
         """The next tick at which tick_duties would act if no event reached
-        this node first, or None while it holds no work. That is the next
-        tick while its work has no armed timer, while a mempool entry is not
-        forwarded in the current view, or while it is a primary with a
-        mempool and nothing in flight; otherwise the earlier of its timer
-        deadline and its earliest forward retry. Called after this tick's
-        duties, so every armed deadline and retry lies past now."""
-        replica = self.replica
-        open_work = replica.has_open_work()
-        if not self.mempool and not open_work:
+        this node first, or None while it holds no work: the next tick while
+        its work has no armed timer or while _can_propose holds, otherwise
+        the earliest of its timer deadline and each entry's _forward_due.
+        Called after this tick's duties, so every deadline lies past now."""
+        if not self._has_work():
             return None
-        due = replica.timer_deadline
-        if due is None:
+        due = self.replica.timer_deadline
+        if due is None or self._can_propose():
             return now + 1
-        if self.mempool and not replica.in_view_change:
-            view = replica.current_view
-            if not open_work and primary_of(view, self.config.n) == self.config.node_id:
-                return now + 1  # _maybe_propose proposes again
-            retry = max(1, self.config.timeout_ticks // 2)
-            for entry in self.mempool.values():
-                if entry.forwarded_view != view:
-                    return now + 1
-                if entry.forwarded_tick is not None:
-                    due = min(due, entry.forwarded_tick + retry)
-        return due
+        if self.replica.in_view_change:
+            return due
+        view = self.replica.current_view
+        ats = [self._forward_due(e, view, now + 1) for e in self.mempool.values()]
+        return min([due] + [at for at in ats if at is not None])
+
+    def _has_work(self) -> bool:
+        """A mempool entry or open consensus work keeps the timer armed."""
+        return bool(self.mempool) or self.replica.has_open_work()
+
+    def _can_propose(self) -> bool:
+        """Whether _maybe_propose forms a batch: the primary outside a view
+        change, with a mempool and nothing in flight."""
+        r = self.replica
+        mine = primary_of(r.current_view, self.config.n) == self.config.node_id
+        return mine and not r.in_view_change and bool(self.mempool) and not r.has_open_work()
+
+    def _forward_due(self, entry: MempoolEntry, view: int, now: int) -> int | None:
+        """The first tick from now on at which _forward_pending sends entry in
+        view: now, half a timeout after its last send, or None if forwarded to us."""
+        if entry.forwarded_view != view:
+            return now
+        if entry.forwarded_tick is None:
+            return None
+        return entry.forwarded_tick + max(1, self.config.timeout_ticks // 2)
 
     def _forward_pending(self, now: int) -> list[Outbound]:
         """Relay pending transactions to the current primary.
@@ -302,12 +311,10 @@ class NodeRuntime:
             return []
         view = self.replica.current_view
         leader = primary_of(view, self.config.n)
-        retry = max(1, self.config.timeout_ticks // 2)
         out: list[Outbound] = []
         for entry in self._mempool_in_order():
-            if entry.forwarded_view == view and (
-                entry.forwarded_tick is None or now - entry.forwarded_tick < retry
-            ):
+            at = self._forward_due(entry, view, now)
+            if at is None or at > now:
                 continue
             entry.forwarded_view = view
             entry.forwarded_tick = now
@@ -326,18 +333,13 @@ class NodeRuntime:
         return sorted(self.mempool.values(), key=lambda e: (e.arrival_tick, e.tx.tx_id))
 
     def _maybe_propose(self, now: int) -> list[Outbound]:
-        replica = self.replica
-        if replica.in_view_change:
-            return []
-        if primary_of(replica.current_view, self.config.n) != self.config.node_id:
-            return []
-        if replica.has_open_work() or not self.mempool:
+        if not self._can_propose():
             return []
         proposal = self.form_batch(now)
         if proposal is None:
             return []
         block, blobs = proposal
-        return self._drain(replica.on_propose(block, blobs), now)
+        return self._drain(self.replica.on_propose(block, blobs), now)
 
     def form_batch(self, now: int) -> tuple[Block, dict[bytes, bytes]] | None:
         """Select up to max_batch endorsed transactions in arrival order.
@@ -392,7 +394,7 @@ class NodeRuntime:
             self.mempool.pop(tx.tx_id, None)
         # A commit is progress: the timer restarts rather than firing on a
         # deadline armed while older work was still in flight.
-        if not self.mempool and not self.replica.has_open_work():
+        if not self._has_work():
             self.replica.disarm_timer()
         else:
             self.replica.timer_deadline = now + self.config.timeout_ticks

@@ -443,8 +443,8 @@ class Simulation:
                     continue
                 self._dispatch(i, node.tick_duties(tick), tick)
                 due[i] = node.next_due(tick)
-            upcoming = [d for i, d in enumerate(due) if d is not None and i not in self.crashed]
-            upcoming += [t for t in (self.queue.peek_tick(),) if t is not None]
+            live = [d for i, d in enumerate(due) if i not in self.crashed]
+            upcoming = [t for t in live + [self.queue.peek_tick()] if t is not None]
             if not upcoming:
                 break
             # A crash can leave the run idle before anything else happens.

@@ -6,18 +6,20 @@
 
 Each commit is exported with `git archive` into its own directory under
 `--scratch` and every run starts there, so neither side sees the other's
-files or the working tree. Each seed is one pair: one run of each side,
-one after the other, with the parent first on odd seeds and the change
-first on even seeds. `--held-out` runs the claimed workload once more per
-side on seeds not used while the change was written, by the same order
-rule, and `--trace-workload` adds one traced run per side, whose per-layer
-metrics go to the file's `trace` section. Nothing but the output file is
-written outside `--scratch`.
+files or the working tree. Every workload BENCHMARK.json declares runs
+for seeds 1-10, each run as long as its `run_seconds`, and each seed is
+one pair: one run of each side, one after the other, with the parent
+first on odd seeds and the change first on even seeds. `--held-out` runs
+the claimed workload once more per side on seeds not used while the
+change was written, by the same order rule, and `--trace-workload` adds
+one traced 10 s run of seed 11 per side, whose per-layer metrics go to
+the file's `trace` section. Nothing but the output file is written
+outside `--scratch`.
 
 A claim `workload:metric:min_drop` is met when the change is better in at
-least 9 of 10 pairs (the same share of any other count), the medians are
-further apart than the parent's interquartile range, and the change's
-median is at least `min_drop` better than the parent's.
+least 9 of the 10 pairs, the medians are further apart than the parent's
+interquartile range, and the change's median is at least `min_drop`
+better than the parent's.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+SEEDS = range(1, 11)
+TRACE_SEED = 11
+TRACE_SECONDS = 10
 COMMAND = "python3 perfbench/run.py --workload {w} --seed {s} --seconds {t} --trace {trace}"
 METHOD = (
     "Parent and change exported side by side with git archive, each run from its own "
@@ -99,16 +104,15 @@ def judge(claim: str, workloads: dict) -> dict:
     m = record["metrics"][metric]
     p, c = m["parent"]["median"], m["change"]["median"]
     drop = (p - c) / p if m["better"] == "lower" else (c - p) / p
-    pairs = record["pairs"]
     rule = (
-        f"change better in at least {-(-9 * pairs // 10)} of {pairs} pairs, medians apart by "
-        f"more than the parent's interquartile range, and the change's median at least "
+        f"change better in at least 9 of {len(SEEDS)} pairs, medians apart by more than the "
+        f"parent's interquartile range, and the change's median at least "
         f"{float(min_drop):.0%} better than the parent's"
     )
     iqr = m["parent"]["q3"] - m["parent"]["q1"]
-    met = m["change_wins"] * 10 >= 9 * pairs and abs(p - c) > iqr and drop >= float(min_drop)
+    met = m["change_wins"] >= 9 and abs(p - c) > iqr and drop >= float(min_drop)
     return {"workload": workload, "metric": metric, "rule": rule, "wins": m["change_wins"],
-            "pairs": pairs, "median_difference": round(abs(p - c), 4),
+            "pairs": record["pairs"], "median_difference": round(abs(p - c), 4),
             "parent_iqr": round(iqr, 4), "drop": round(drop, 4), "met": met}
 
 
@@ -120,22 +124,18 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--title", required=True)
     p.add_argument("--claim", help="workload:metric:min_drop, e.g. sim-wide:commit_ms:0.10")
-    p.add_argument("--workloads", default="cli-tall,sim-wide,sim-tall")
-    p.add_argument("--seeds", type=int, default=10, help="seeds 1..N, one pair each")
-    p.add_argument("--seconds", type=float, default=30)
     p.add_argument("--held-out", default="", help="comma-separated seeds for the claim")
     p.add_argument("--trace-workload")
-    p.add_argument("--trace-seed", type=int, default=11)
-    p.add_argument("--trace-seconds", type=float, default=10)
     args = p.parse_args(argv)
 
     roots = {side: args.scratch.resolve() / side for side in ("parent", "change")}
     revs = {side: export(getattr(args, side), root) for side, root in roots.items()}
-    declared = {m["name"]: m for m in json.loads((roots["change"] / "BENCHMARK.json")
-                                                 .read_text())["end_to_end"]}
+    bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    declared = {m["name"]: m for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     doc = {
         "title": args.title, "parent": revs["parent"], "change": revs["change"],
-        "command": COMMAND.format(w="<w>", s="<s>", t=f"{args.seconds:g}", trace=0),
+        "command": COMMAND.format(w="<w>", s="<s>", t=seconds, trace=0),
         "method": METHOD,
         "hardware": f"{os.cpu_count()} vCPU, Python {platform.python_version()}, "
                     f"{platform.machine()}, no other benchmark running",
@@ -145,7 +145,7 @@ def main(argv=None) -> int:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         record = {"seed": seed, "first": order[0]}
         for side in order:
-            out = run(roots[side], workload, seed, args.seconds, 0)
+            out = run(roots[side], workload, seed, seconds, 0)
             if not out["correct"]:
                 sys.exit(f"{side} run of {workload} seed {seed} is not correct")
             failed[side][0] += out["failed"]
@@ -157,9 +157,9 @@ def main(argv=None) -> int:
         return record
 
     workloads = {}
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in bench["workloads"]):
         failed = {"parent": [0, 0], "change": [0, 0]}
-        runs = [pair(workload, seed, failed) for seed in range(1, args.seeds + 1)]
+        runs = [pair(workload, seed, failed) for seed in SEEDS]
         workloads[workload] = {
             "pairs": len(runs), "seeds": [r["seed"] for r in runs],
             "metrics": summarize(runs, declared),
@@ -184,11 +184,11 @@ def main(argv=None) -> int:
     if args.trace_workload:
         doc["trace"] = {
             "method": "One traced run per side of "
-                      + COMMAND.format(w=args.trace_workload, s=args.trace_seed,
-                                       t=f"{args.trace_seconds:g}", trace=1)
+                      + COMMAND.format(w=args.trace_workload, s=TRACE_SEED,
+                                       t=TRACE_SECONDS, trace=1)
                       + "; counts are per round, seconds are self time per round.",
             **{side: {k: v["value"] for k, v in run(roots[side], args.trace_workload,
-                                                     args.trace_seed, args.trace_seconds,
+                                                     TRACE_SEED, TRACE_SECONDS,
                                                      1)["metrics"].items()}
                for side in ("parent", "change")},
         }
