@@ -18,13 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
 from .content_store import NotFoundError, StoreError
 from .digests import from_hex, to_hex
 from .ledger import verify_chain, write_chain_file
-from .pbft import ConfigError
+from .pbft import ConfigError, GroupConfig
 from .revisions import check_endorsement_policy
 from .sim import (
     ScenarioError,
@@ -34,7 +35,7 @@ from .sim import (
     Submission,
     parse_scenario,
 )
-from .workspace import Workspace, WorkspaceConfig, WorkspaceError
+from .workspace import Workspace, WorkspaceError
 
 
 def _err(msg: str) -> int:
@@ -52,7 +53,7 @@ def _warn(msg: str) -> int:
 
 def cmd_init(args) -> int:
     try:
-        config = WorkspaceConfig(
+        config = GroupConfig(
             n=args.nodes,
             f=args.faulty,
             seed=args.seed,
@@ -75,18 +76,7 @@ def cmd_init(args) -> int:
 
 def _run_local_consensus(ws: Workspace, submissions: list[Submission]):
     cfg = ws.config
-    sim_config = SimConfig(
-        n=cfg.n,
-        f=cfg.f,
-        seed=cfg.seed,
-        delay_min=1,
-        delay_max=1,
-        drop_prob=0.0,
-        timeout_ticks=cfg.timeout_ticks,
-        max_batch=cfg.max_batch,
-        endorsement_m=cfg.endorsement_m,
-        max_ticks=50 * cfg.timeout_ticks,
-    )
+    sim_config = SimConfig(**asdict(cfg), max_ticks=50 * cfg.timeout_ticks)
     sim = Simulation(sim_config, submissions, nodes=ws.load_all_nodes())
     return sim, sim.run()
 

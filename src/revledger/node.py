@@ -26,9 +26,10 @@ from typing import Iterable
 
 from . import revisions
 from .content_store import NotFoundError
-from .encoding import MalformedError
+from .digests import sha256
+from .encoding import MalformedError, u64
 from .ledger import Block, Chain, VerifyReport, build_block, verify_chain
-from .pbft import CommitEvent, NodeConfig, PbftMessage, Replica, primary_of
+from .pbft import CommitEvent, GroupConfig, PbftMessage, Replica, primary_of
 from .revisions import (
     EndorsementPolicy,
     Transaction,
@@ -39,6 +40,21 @@ from .revisions import (
     history,
     propose_revision,
 )
+
+
+def endorsement_secret(seed: int, node_id: int) -> bytes:
+    """Simulation-local endorsement key, derivable by anyone holding the
+    workspace seed. Not a signature scheme and not claimed to be one."""
+    return sha256(b"revledger/endorse/" + u64(seed) + u64(node_id))
+
+
+def make_policy(config: GroupConfig) -> EndorsementPolicy:
+    """`endorsement_m`-of-n endorsement over every node, with the seed's secrets."""
+    return EndorsementPolicy(
+        required=config.endorsement_m,
+        eligible=frozenset(range(config.n)),
+        secrets={i: endorsement_secret(config.seed, i) for i in range(config.n)},
+    )
 
 
 class ReceiptStatus(Enum):
@@ -89,11 +105,10 @@ class NodeRuntime:
 
     def __init__(
         self,
-        config: NodeConfig,
+        node_id: int,
+        config: GroupConfig,
         store,
-        policy: EndorsementPolicy,
         chain: Chain | None = None,
-        max_batch: int = 100,
         recorded: tuple[revisions.HeadState, list[list[tuple[bytes, ValidityFlag]]]]
         | None = None,
     ):
@@ -102,10 +117,10 @@ class NodeRuntime:
         replayed. `chain` may then start at a later block than genesis, such
         as the tip: `bitmaps` covers only the blocks after its first, and the
         runtime keeps the recorded lists of the blocks up to it."""
+        self.node_id = node_id
         self.config = config
         self.store = store
-        self.policy = policy
-        self.max_batch = max_batch
+        self.policy = make_policy(config)
         self.chain = chain if chain is not None else Chain()
         self.heads: revisions.HeadState = {}
         self.bitmaps: list[list[ValidityFlag]] = []
@@ -122,6 +137,7 @@ class NodeRuntime:
             self._recorded_before_chain = blocks[:base]
             self.bitmaps = [[flag for _, flag in pairs] for pairs in blocks[base:]]
         self.replica = Replica(
+            node_id,
             config,
             tip_hash=self.chain.tip.block_hash,
             last_committed_seq=self.chain.height,
@@ -204,7 +220,7 @@ class NodeRuntime:
         return receipt
 
     def _endorser_order(self) -> list[int]:
-        me = self.config.node_id
+        me = self.node_id
         others = sorted(self.policy.eligible - {me})
         return ([me] if me in self.policy.eligible else []) + others
 
@@ -226,7 +242,7 @@ class NodeRuntime:
         if not check_endorsement_policy(tx, self.policy):
             return
         entry = MempoolEntry(tx=tx, payload=fwd.payload, arrival_tick=fwd.submit_tick)
-        if primary_of(self.replica.current_view, self.config.n) == self.config.node_id:
+        if primary_of(self.replica.current_view, self.config.n) == self.node_id:
             entry.forwarded_view = self.replica.current_view
         self.mempool[tx.tx_id] = entry
 
@@ -288,7 +304,7 @@ class NodeRuntime:
         """Whether _maybe_propose forms a batch: the primary outside a view
         change, with a mempool and nothing in flight."""
         r = self.replica
-        mine = primary_of(r.current_view, self.config.n) == self.config.node_id
+        mine = primary_of(r.current_view, self.config.n) == self.node_id
         return mine and not r.in_view_change and bool(self.mempool) and not r.has_open_work()
 
     def _forward_due(self, entry: MempoolEntry, view: int, now: int) -> int | None:
@@ -318,7 +334,7 @@ class NodeRuntime:
                 continue
             entry.forwarded_view = view
             entry.forwarded_tick = now
-            if leader != self.config.node_id:
+            if leader != self.node_id:
                 out.append(
                     Outbound(
                         dst=leader,
@@ -352,7 +368,7 @@ class NodeRuntime:
             if not check_endorsement_policy(entry.tx, self.policy):
                 continue
             chosen.append(entry)
-            if len(chosen) >= self.max_batch:
+            if len(chosen) >= self.config.max_batch:
                 break
         if not chosen:
             return None
@@ -360,7 +376,7 @@ class NodeRuntime:
             height=self.chain.height + 1,
             prev_hash=self.chain.tip.block_hash,
             txs=[e.tx for e in chosen],
-            proposer_id=f"node-{self.config.node_id}",
+            proposer_id=f"node-{self.node_id}",
             view=self.replica.current_view,
             tick=now,
         )

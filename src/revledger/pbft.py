@@ -38,11 +38,14 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 from .digests import ZERO_DIGEST
+from .encoding import MalformedError, u64
 from .ledger import Block, check_block
 
 
 class ConfigError(ValueError):
-    """Replica group configuration violates the fault-tolerance bound."""
+    """Replica group parameters no group could run with: n below 3f+1 or a
+    negative f, a seed outside u64, a timeout or batch size below 1, or an
+    endorsement count outside 1..n; or a replica id outside 0..n-1."""
 
 
 class MessageKind(IntEnum):
@@ -71,24 +74,36 @@ class PbftMessage:
 
 
 @dataclass(frozen=True)
-class NodeConfig:
-    node_id: int
+class GroupConfig:
+    """The replica group's parameters: the keys of a workspace's config.json."""
+
     n: int
     f: int
+    seed: int
     timeout_ticks: int = 30
+    max_batch: int = 100
+    endorsement_m: int = 1
 
     def __post_init__(self):
-        quorum_size(self.n, self.f)  # also refuses n < 1
-        if not 0 <= self.node_id < self.n:
-            raise ConfigError(f"node_id {self.node_id} outside 0..{self.n - 1}")
+        """Refuse, with ConfigError, a config no workspace could run."""
+        try:
+            quorum_size(self.n, self.f)
+        except ConfigError as exc:
+            raise ConfigError(f"bad node count: {exc}") from exc
         if self.timeout_ticks < 1:
             raise ConfigError("timeout_ticks must be positive")
+        if self.max_batch < 1:
+            raise ConfigError("max_batch must be positive")
+        try:
+            u64(self.seed, "seed")
+        except MalformedError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not 1 <= self.endorsement_m <= self.n:
+            raise ConfigError(f"endorsement_m={self.endorsement_m} outside 1..{self.n}")
 
 
 def primary_of(view: int, n: int) -> int:
     """Rotating primary: the replica whose id is view mod n."""
-    if n < 1:
-        raise ConfigError("need at least one node")
     return view % n
 
 
@@ -164,11 +179,15 @@ class Replica:
 
     def __init__(
         self,
-        config: NodeConfig,
+        node_id: int,
+        config: GroupConfig,
         tip_hash: bytes,
         last_committed_seq: int = 0,
         proposal_validator=None,
     ):
+        if not 0 <= node_id < config.n:
+            raise ConfigError(f"node_id {node_id} outside 0..{config.n - 1}")
+        self.node_id = node_id
         self.config = config
         self.current_view = 0
         self.last_committed_seq = last_committed_seq
@@ -192,7 +211,7 @@ class Replica:
 
     def on_propose(self, block: Block, blobs: dict[bytes, bytes]) -> list[PbftMessage]:
         """Primary-only: open a consensus instance for the next height."""
-        me = self.config.node_id
+        me = self.node_id
         if self.in_view_change or primary_of(self.current_view, self.config.n) != me:
             return []
         if block.header.height != self.last_committed_seq + 1:
@@ -332,7 +351,7 @@ class Replica:
         self._try_commit(inst, msg.view, committed)
 
     def _on_pre_prepare(self, inst: _Instance, msg: PbftMessage, out: list[PbftMessage]) -> None:
-        me = self.config.node_id
+        me = self.node_id
         if msg.sender != primary_of(msg.view, self.config.n):
             return
         if msg.block is None or msg.digest != msg.block.block_hash:
@@ -386,7 +405,7 @@ class Replica:
                 view=view,
                 seq=seq,
                 digest=pp.digest,
-                sender=self.config.node_id,
+                sender=self.node_id,
             )
         )
 
@@ -407,7 +426,7 @@ class Replica:
             block = ready.blocks[d]
             if block.header.prev_hash != self.tip_hash:
                 self.evidence.append(
-                    Evidence("link-mismatch-at-commit", view, nxt, self.config.node_id)
+                    Evidence("link-mismatch-at-commit", view, nxt, self.node_id)
                 )
                 break
             committed.append(CommitEvent(block=block, blobs=ready.blobs.get(d, {})))
@@ -443,7 +462,7 @@ class Replica:
             view=target,
             seq=0,
             digest=ZERO_DIGEST,
-            sender=self.config.node_id,
+            sender=self.node_id,
             prepared_proof=proof,
         )
 
@@ -478,7 +497,7 @@ class Replica:
 
         # Join rule: f+1 distinct nodes asking for views above ours is proof
         # that at least one honest node timed out, so time out with them.
-        me = self.config.node_id
+        me = self.node_id
         senders_above: set[int] = set()
         views_above: list[int] = []
         for view, entries in self._view_change_log.items():

@@ -24,15 +24,14 @@ from __future__ import annotations
 import heapq
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .content_store import MemoryStore
-from .digests import sha256, to_hex
-from .encoding import u64
+from .digests import to_hex
 from .ledger import Block, build_block
 from .node import NodeRuntime, Outbound, ReceiptStatus
-from .pbft import ConfigError, MessageKind, NodeConfig, PbftMessage, quorum_size
-from .revisions import EndorsementPolicy, ValidityFlag
+from .pbft import ConfigError, GroupConfig, MessageKind, PbftMessage
+from .revisions import ValidityFlag
 from .rng import SplitMix64, derive_stream_seed
 
 
@@ -91,33 +90,24 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    n: int
-    f: int
-    seed: int
+class SimConfig(GroupConfig):
+    """The replica group's parameters plus the network's and the faults'."""
+
     delay_min: int = 1
     delay_max: int = 1
     drop_prob: float = 0.0
-    timeout_ticks: int = 30
-    max_batch: int = 100
-    endorsement_m: int = 1
     max_ticks: int = 5000
     partitions: tuple[Partition, ...] = ()
     byzantine: tuple[tuple[int, ByzantineBehavior], ...] = ()
 
     def __post_init__(self):
+        super().__post_init__()
         if self.delay_min < 1:
             raise SimError("delay_min must be >= 1")
         if self.delay_max < self.delay_min:
             raise SimError("delay_max must be >= delay_min")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise SimError("drop_prob must be in [0, 1]")
-        if self.max_batch < 1:
-            raise SimError("max_batch must be positive")
-        try:
-            quorum_size(self.n, self.f)
-        except ConfigError as exc:
-            raise SimError(str(exc)) from exc
         seen = [nid for nid, _ in self.byzantine]
         if len(seen) != len(set(seen)):
             raise SimError("duplicate byzantine node entries")
@@ -266,25 +256,6 @@ def apply_behavior(
     raise SimError(f"unknown behavior {behavior!r}")
 
 
-# -- endorsement secrets ----------------------------------------------------------
-
-
-def endorsement_secret(seed: int, node_id: int) -> bytes:
-    """Simulation-local endorsement key, derivable by anyone holding the
-    workspace seed. Not a signature scheme and not claimed to be one."""
-    return sha256(b"revledger/endorse/" + u64(seed) + u64(node_id))
-
-
-def make_policy(n: int, seed: int, required: int) -> EndorsementPolicy:
-    """`required`-of-n endorsement over every node, with the seed's secrets."""
-    secrets = {i: endorsement_secret(seed, i) for i in range(n)}
-    return EndorsementPolicy(
-        required=required,
-        eligible=frozenset(range(n)),
-        secrets=secrets,
-    )
-
-
 # -- report -----------------------------------------------------------------------
 
 
@@ -390,16 +361,7 @@ class Simulation:
         self.behaviors: dict[int, ByzantineBehavior] = dict(config.byzantine)
         self.crashed: set[int] = set()
         if nodes is None:
-            policy = make_policy(config.n, config.seed, config.endorsement_m)
-            nodes = [
-                NodeRuntime(
-                    NodeConfig(i, config.n, config.f, config.timeout_ticks),
-                    MemoryStore(),
-                    policy,
-                    max_batch=config.max_batch,
-                )
-                for i in range(config.n)
-            ]
+            nodes = [NodeRuntime(i, config, MemoryStore()) for i in range(config.n)]
         elif len(nodes) != config.n:
             raise SimError(f"expected {config.n} nodes, got {len(nodes)}")
         self.nodes = nodes
@@ -640,23 +602,12 @@ def parse_scenario(text: str) -> tuple[SimConfig, list[Submission]]:
             for p in c.get("partitions", [])
         )
         byzantine = tuple(_parse_behavior(b) for b in c.get("byzantine", []))
-        config = SimConfig(
-            n=c["n"],
-            f=c["f"],
-            seed=c["seed"],
-            delay_min=c.get("delay_min", 1),
-            delay_max=c.get("delay_max", 1),
-            drop_prob=c.get("drop_prob", 0.0),
-            timeout_ticks=c.get("timeout_ticks", 30),
-            max_batch=c.get("max_batch", 100),
-            endorsement_m=c.get("endorsement_m", 1),
-            max_ticks=c.get("max_ticks", 5000),
-            partitions=partitions,
-            byzantine=byzantine,
-        )
+        keys = {f.name for f in fields(SimConfig)} - {"partitions", "byzantine"}
+        given = {k: v for k, v in c.items() if k in keys}  # unknown keys are ignored
+        config = SimConfig(**given, partitions=partitions, byzantine=byzantine)
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"bad config: {exc}") from exc
-    except SimError as exc:
+    except (ConfigError, SimError) as exc:
         raise ScenarioError(str(exc)) from exc
     workload = []
     if not isinstance(doc["workload"], list):

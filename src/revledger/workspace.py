@@ -36,7 +36,6 @@ from types import SimpleNamespace
 
 from .content_store import ContentStore
 from .digests import from_hex, to_hex
-from .encoding import MalformedError, u64
 from .ledger import (
     Block,
     Chain,
@@ -48,8 +47,8 @@ from .ledger import (
     read_chain_file,
     write_chain_file,
 )
-from .node import NodeRuntime
-from .pbft import ConfigError, NodeConfig, quorum_size
+from .node import NodeRuntime, make_policy
+from .pbft import ConfigError, GroupConfig
 from .revisions import (
     HeadState,
     Transaction,
@@ -57,7 +56,6 @@ from .revisions import (
     apply_block,
     check_endorsement_policy,
 )
-from .sim import make_policy
 
 CONFIG_NAME = "config.json"
 LOCK_NAME = ".lock"
@@ -118,35 +116,8 @@ def _parse_checkpoint(data: bytes) -> _Checkpoint:
     )
 
 
-@dataclass(frozen=True)
-class WorkspaceConfig:
-    n: int
-    f: int
-    seed: int
-    timeout_ticks: int = 30
-    max_batch: int = 100
-    endorsement_m: int = 1
-
-    def __post_init__(self):
-        """Refuse, with ConfigError, a config no workspace could run."""
-        try:
-            quorum_size(self.n, self.f)
-        except ConfigError as exc:
-            raise ConfigError(f"bad node count: {exc}") from exc
-        if self.timeout_ticks < 1:
-            raise ConfigError("timeout_ticks must be positive")
-        if self.max_batch < 1:
-            raise ConfigError("max_batch must be positive")
-        try:
-            u64(self.seed, "seed")
-        except MalformedError as exc:
-            raise ConfigError(str(exc)) from exc
-        if not 1 <= self.endorsement_m <= self.n:
-            raise ConfigError(f"endorsement_m={self.endorsement_m} outside 1..{self.n}")
-
-
 class Workspace:
-    def __init__(self, root: Path, config: WorkspaceConfig):
+    def __init__(self, root: Path, config: GroupConfig):
         self.root = Path(root)
         self.config = config
         # Each loaded node's chain file length and running SHA-256, extended
@@ -159,7 +130,7 @@ class Workspace:
     # -- lifecycle -------------------------------------------------------------
 
     @classmethod
-    def init(cls, root: Path | str, config: WorkspaceConfig) -> "Workspace":
+    def init(cls, root: Path | str, config: GroupConfig) -> "Workspace":
         """Create a fresh workspace; refuses a non-empty directory."""
         root = Path(root)
         if root.exists() and any(root.iterdir()):
@@ -183,7 +154,7 @@ class Workspace:
             raise WorkspaceError(f"{root} is not a ledger workspace (no {CONFIG_NAME})")
         try:
             raw = json.loads(config_path.read_text(encoding="utf-8"))
-            config = WorkspaceConfig(**raw)
+            config = GroupConfig(**raw)
         except (json.JSONDecodeError, TypeError, ConfigError) as exc:
             raise WorkspaceError(f"unreadable workspace config: {exc}") from exc
         return cls(root, config)
@@ -226,8 +197,7 @@ class Workspace:
     # -- endorsement -------------------------------------------------------------
 
     def endorsement_checker(self):
-        cfg = self.config
-        policy = make_policy(cfg.n, cfg.seed, cfg.endorsement_m)
+        policy = make_policy(self.config)
 
         def check(tx: Transaction) -> bool:
             return check_endorsement_policy(tx, policy)
@@ -316,15 +286,8 @@ class Workspace:
             chain = Chain([tip]) if tip_only else self.read_chain(node_id)
             recorded = (checkpoint.heads, checkpoint.decisions)
         self._chains[node_id] = (len(raw), sha256)
-        cfg = self.config
-        return NodeRuntime(
-            NodeConfig(node_id, cfg.n, cfg.f, cfg.timeout_ticks),
-            self.store(node_id),
-            make_policy(cfg.n, cfg.seed, cfg.endorsement_m),
-            chain=chain,
-            max_batch=cfg.max_batch,
-            recorded=recorded,
-        )
+        store = self.store(node_id)
+        return NodeRuntime(node_id, self.config, store, chain=chain, recorded=recorded)
 
     def load_all_nodes(self) -> list[NodeRuntime]:
         """Every replica, each holding only its tip where its checkpoint is
@@ -353,7 +316,7 @@ class Workspace:
         checkpoint to match; existing chain bytes stay untouched."""
         if not node.blocks_since_load:
             return
-        node_id = node.config.node_id
+        node_id = node.node_id
         appended = append_chain_file(self.chain_path(node_id), node.blocks_since_load)
         if node_id not in self._chains:  # not loaded here: leave the checkpoint stale
             return
@@ -366,7 +329,7 @@ class Workspace:
         """Replace the node's checkpoint with one made from the runtime's
         heads and decisions, for its chain file as this workspace last read
         or wrote it."""
-        node_id = node.config.node_id
+        node_id = node.node_id
         size, sha256 = self._chains[node_id]
         tip, heads, decisions = node.chain.tip, node.heads, node.decisions()
         # Honest replicas write identical checkpoints: encode each once.

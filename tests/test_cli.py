@@ -70,6 +70,48 @@ def test_init_refuses_a_bad_config_before_writing(tmp_path, capsys, flags, error
     assert not target.exists()
 
 
+# One row per fact the group config checks: the config.json key, a value it
+# refuses, the init flag that sets the key and the one message for it.
+BAD_GROUP_VALUES = [
+    ("n", 3, "--nodes", "bad node count: n=3 cannot tolerate f=1: need n >= 3f+1"),
+    ("f", -1, "--faulty", "bad node count: f=-1 is negative"),
+    ("seed", -1, "--seed", "seed out of u64 range: -1"),
+    ("timeout_ticks", 0, "--timeout-ticks", "timeout_ticks must be positive"),
+    ("max_batch", 0, "--max-batch", "max_batch must be positive"),
+    ("endorsement_m", 5, "--endorsements", "endorsement_m=5 outside 1..4"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, flag, error", BAD_GROUP_VALUES, ids=[row[0] for row in BAD_GROUP_VALUES]
+)
+def test_init_a_scenario_and_config_json_refuse_a_value_alike(
+    ws_dir, tmp_path, capsys, key, value, flag, error
+):
+    capsys.readouterr()
+    target = tmp_path / "x"
+    init = ["init", "--dir", str(target), "--nodes", "4", "--faulty", "1", flag, str(value)]
+    scenario = write_scenario(tmp_path / "bad.json", **{key: value})
+    config = json.loads((ws_dir / "config.json").read_text())
+    (ws_dir / "config.json").write_text(json.dumps({**config, key: value}))
+    errors = []
+    for argv in (
+        init,
+        ["simulate", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")],
+        ["history", "--dir", str(ws_dir), "--work", "w"],
+    ):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append(err)
+    assert errors == [
+        f"error: {error}\n",
+        f"error: scenario parse failed: {error}\n",
+        f"error: unreadable workspace config: {error}\n",
+    ]
+    assert not target.exists()
+
+
 def test_load_refuses_a_hand_edited_bad_config(ws_dir, capsys):
     config = json.loads((ws_dir / "config.json").read_text())
     (ws_dir / "config.json").write_text(json.dumps({**config, "endorsement_m": 0}))
@@ -590,16 +632,32 @@ def test_simulate_parse_error_names_position(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
-def test_simulate_refuses_a_scenario_with_zero_max_batch(tmp_path, capsys):
-    scenario = tmp_path / "zero-batch.json"
-    scenario.write_text(json.dumps({
-        "config": {"n": 4, "f": 1, "seed": 1, "max_batch": 0},
+def write_scenario(path, **config):
+    path.write_text(json.dumps({
+        "config": {"n": 4, "f": 1, "seed": 1, **config},
         "workload": [{"tick": 1, "node": 0, "work": "w"}],
     }))
+    return path
+
+
+@pytest.mark.parametrize(
+    "key, value, error",
+    [
+        ("max_batch", 0, "max_batch must be positive"),
+        ("seed", -5, "seed out of u64 range: -5"),
+        ("seed", 2**64, f"seed out of u64 range: {2**64}"),
+        ("timeout_ticks", 0, "timeout_ticks must be positive"),
+        ("endorsement_m", 0, "endorsement_m=0 outside 1..4"),
+        ("endorsement_m", 9, "endorsement_m=9 outside 1..4"),
+    ],
+    ids=["max_batch=0", "seed=-5", "seed=2**64", "timeout=0", "endorsements=0", "endorsements=9"],
+)
+def test_simulate_refuses_a_bad_group_config(tmp_path, capsys, key, value, error):
+    scenario = write_scenario(tmp_path / "bad.json", **{key: value})
     report = tmp_path / "r.json"
     rc = main(["simulate", "--scenario", str(scenario), "--report", str(report)])
     out, err = capsys.readouterr()
-    assert (rc, out, err) == (1, "", "error: scenario parse failed: max_batch must be positive\n")
+    assert (rc, out, err) == (1, "", f"error: scenario parse failed: {error}\n")
     assert not report.exists()
 
 

@@ -2,15 +2,13 @@ import pytest
 
 from revledger.content_store import MemoryStore
 from revledger.node import NodeRuntime, ReceiptStatus, TxForward
-from revledger.pbft import MessageKind, NodeConfig
+from revledger.pbft import GroupConfig, MessageKind
 from revledger.revisions import ValidityFlag
-from revledger.sim import make_policy
 
 
 def make_node(node_id=0, n=4, m=1, max_batch=100):
-    return NodeRuntime(
-        NodeConfig(node_id, n, 1, 30), MemoryStore(), make_policy(n, 5, m), max_batch=max_batch
-    )
+    config = GroupConfig(n, 1, 5, timeout_ticks=30, max_batch=max_batch, endorsement_m=m)
+    return NodeRuntime(node_id, config, MemoryStore())
 
 
 def test_submit_returns_pending_receipt():
@@ -202,9 +200,8 @@ def test_history_reads_the_flags_recorded_at_commit():
     assert node.bitmaps == [[ValidityFlag.MISSING_CONTENT]]
     assert node.heads == {}
 
-    loaded = NodeRuntime(
-        node.config, node.store, node.policy, chain=Chain(list(node.chain.blocks))
-    )
+    chain = Chain(list(node.chain.blocks))
+    loaded = NodeRuntime(node.node_id, node.config, node.store, chain=chain)
     assert len(loaded.bitmaps) == loaded.chain.height == 1
 
 

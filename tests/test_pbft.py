@@ -16,8 +16,8 @@ from revledger.ledger import build_block, genesis_block
 from revledger.pbft import (
     ConfigError,
     Evidence,
+    GroupConfig,
     MessageKind,
-    NodeConfig,
     PbftMessage,
     Replica,
     primary_of,
@@ -38,7 +38,8 @@ def make_block(height=1, prev=None, tick=1, salt="x"):
 
 
 def replica(node_id, timeout=30):
-    return Replica(NodeConfig(node_id, 4, 1, timeout), tip_hash=GENESIS.block_hash)
+    config = GroupConfig(4, 1, 1, timeout_ticks=timeout)
+    return Replica(node_id, config, tip_hash=GENESIS.block_hash)
 
 
 def msg(kind, view, seq, digest, sender, **kw):
@@ -64,7 +65,13 @@ def test_quorum_rejects_insufficient_n():
     with pytest.raises(ConfigError):
         quorum_size(3, 1)
     with pytest.raises(ConfigError):
-        NodeConfig(0, 6, 2)
+        GroupConfig(6, 2, 1)
+
+
+@pytest.mark.parametrize("node_id", [-1, 4])
+def test_replica_refuses_a_node_id_outside_the_group(node_id):
+    with pytest.raises(ConfigError, match=rf"node_id {node_id} outside 0\.\.3"):
+        replica(node_id)
 
 
 def test_quorum_intersection_contains_honest_node():

@@ -4,7 +4,7 @@ from revledger.cli import _report_text
 from revledger.content_store import MemoryStore
 from revledger.ledger import Chain, build_block
 from revledger.node import NodeRuntime
-from revledger.pbft import MessageKind, PbftMessage
+from revledger.pbft import ConfigError, MessageKind, PbftMessage
 from revledger.revisions import check_endorsement_policy, propose_revision
 from revledger.rng import SplitMix64, derive_stream_seed
 from revledger.sim import (
@@ -155,9 +155,9 @@ def test_partition_blocks_crossing_messages():
 
 
 def test_sim_config_validation():
-    with pytest.raises(SimError):
+    with pytest.raises(ConfigError):
         SimConfig(n=3, f=1, seed=1)
-    with pytest.raises(SimError):
+    with pytest.raises(ConfigError):
         SimConfig(n=4, f=-1, seed=1)
     with pytest.raises(SimError):
         SimConfig(n=4, f=1, seed=1, delay_min=0)
@@ -165,7 +165,7 @@ def test_sim_config_validation():
         SimConfig(n=4, f=1, seed=1, delay_min=3, delay_max=2)
     with pytest.raises(SimError):
         SimConfig(n=4, f=1, seed=1, drop_prob=1.5)
-    with pytest.raises(SimError, match="max_batch must be positive"):
+    with pytest.raises(ConfigError, match="max_batch must be positive"):
         SimConfig(n=4, f=1, seed=1, max_batch=0)
 
 
