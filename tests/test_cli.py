@@ -25,6 +25,14 @@ def commit(ws_dir, tmp_path, work, name, text, author="ada", extra=()):
     return main(argv)
 
 
+def write_scenario(path, **config):
+    path.write_text(json.dumps({
+        "config": {"n": 4, "f": 1, "seed": 1, **config},
+        "workload": [{"tick": 1, "node": 0, "work": "w"}],
+    }))
+    return path
+
+
 def workspace_snapshot(ws_dir):
     """Bytes of every chain file and blob (the tamper-protected surfaces)."""
     snap = {}
@@ -630,14 +638,6 @@ def test_simulate_parse_error_names_position(tmp_path, capsys):
     assert rc != 0
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
-
-
-def write_scenario(path, **config):
-    path.write_text(json.dumps({
-        "config": {"n": 4, "f": 1, "seed": 1, **config},
-        "workload": [{"tick": 1, "node": 0, "work": "w"}],
-    }))
-    return path
 
 
 @pytest.mark.parametrize(
