@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .content_store import NotFoundError, StoreError
 from .digests import from_hex, to_hex
-from .ledger import verify_chain, write_chain_file
+from .ledger import check_chain, parse_chain, verify_chain, write_chain_file
 from .pbft import ConfigError, GroupConfig
 from .revisions import check_endorsement_policy
 from .sim import (
@@ -183,16 +183,23 @@ def cmd_show(args) -> int:
 
 def verify_workspace(ws: Workspace) -> dict[int, dict]:
     """Per-node integrity results: chain defects, a trusted checkpoint's
-    disagreement with its chain, and the store audit."""
+    disagreement with its chain, and the store audit. Replicas whose chain
+    files hold equal bytes share one parse and check_chain; the rest is per replica."""
     checker = ws.endorsement_checker()
+    structural: dict[bytes, tuple] = {}
     results: dict[int, dict] = {}
     for i in range(ws.config.n):
-        chain, parse_defects = ws.load_chain(i)
+        raw, missing = ws.read_chain_bytes(i)
+        if raw is not None and raw not in structural:
+            chain, defects = parse_chain(raw)
+            structural[raw] = chain, defects + (check_chain(chain) if chain else [])
+        chain, defects = structural.get(raw, (None, missing))
         if chain is None:
-            results[i] = {"ok": False, "defects": parse_defects, "audit": []}
+            results[i] = {"ok": False, "defects": defects, "audit": []}
             continue
-        report = verify_chain(chain, ws.store(i), checker, extra_defects=parse_defects)
-        defects = sorted(report.defects + ws.checkpoint_defects(i, chain), key=lambda d: d.height)
+        report = verify_chain(chain, ws.store(i), defects, checker)
+        defects = report.defects + ws.checkpoint_defects(i, raw, chain)
+        defects.sort(key=lambda d: d.height)
         results[i] = {
             "ok": not defects and not report.audit,
             "defects": defects,

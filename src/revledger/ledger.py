@@ -230,11 +230,12 @@ def check_chain(chain: Chain) -> list[Defect]:
 def verify_chain(
     chain: Chain,
     store,
+    structural: Iterable[Defect],
     endorsement_checker: Callable[[Transaction], bool] | None = None,
-    extra_defects: Iterable[Defect] = (),
 ) -> VerifyReport:
-    """The store's audit, the only read of blob bytes, then check_chain, the
-    content and endorsement checks, with the defects sorted by height.
+    """The store's audit, the only read of blob bytes, then the content and
+    endorsement checks, merged with `structural`, the chain's parse and
+    check_chain defects (shareable by replicas of one chain), by height.
 
     Referenced content that is absent is content-missing; content the audit
     found damaged, or whose lookup fails, is content-hash-mismatch. A blob
@@ -242,14 +243,13 @@ def verify_chain(
     and hashed here, once.
     `endorsement_checker`, when given, re-verifies each transaction's
     endorsements (possible only where the endorsement secrets are known,
-    e.g. inside a workspace). `extra_defects` merges in parse-level
-    defects found while loading a chain file.
+    e.g. inside a workspace).
     """
     audit = store.audit()
     # Only a blob at its own fan-out path is read, so a stray copy is no content defect.
     damaged = {a.key for a in audit if a.kind in ("key-mismatch", "unreadable")}
     read: set[str] = set()
-    defects: list[Defect] = list(extra_defects) + check_chain(chain)
+    defects: list[Defect] = list(structural)
     for i, block in enumerate(chain.blocks[1:], start=1):
         height = block.header.height
         for j, tx in enumerate(block.transactions):
@@ -434,18 +434,23 @@ def append_chain_file(path: Path, blocks: Iterable[Block]) -> bytes:
 
 
 def read_chain_file(path: Path) -> tuple[Chain | None, list[Defect]]:
-    """Load a chain file; an unparseable line becomes a defect at its height.
-
-    Returns (chain, defects). Line position is the authoritative height
-    (a tampered height field cannot relocate a block). Reading stops at
-    the first unparseable line: without it the link to later blocks is
-    broken anyway, and the defect already pins the earliest bad height.
-    The chain is None when genesis itself is unusable.
-    """
+    """Load a chain file through parse_chain; an unreadable file is a missing replica."""
     try:
         raw = path.read_bytes()
     except OSError as exc:
         return None, [Defect(0, "missing-replica", str(exc))]
+    return parse_chain(raw)
+
+
+def parse_chain(raw: bytes) -> tuple[Chain | None, list[Defect]]:
+    """Parse a chain file's bytes; an unparseable line becomes a defect at its height.
+
+    Returns (chain, defects). Line position is the authoritative height
+    (a tampered height field cannot relocate a block). Parsing stops at
+    the first unparseable line: without it the link to later blocks is
+    broken anyway, and the defect already pins the earliest bad height.
+    The chain is None when genesis itself is unusable.
+    """
     lines = raw.split(b"\n")
     if lines and lines[-1] == b"":
         lines.pop()

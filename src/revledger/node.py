@@ -28,7 +28,7 @@ from . import revisions
 from .content_store import NotFoundError
 from .digests import sha256
 from .encoding import MalformedError, u64
-from .ledger import Block, Chain, VerifyReport, build_block, verify_chain
+from .ledger import Block, Chain, VerifyReport, build_block, check_chain, verify_chain
 from .pbft import CommitEvent, GroupConfig, PbftMessage, Replica, primary_of
 from .revisions import (
     EndorsementPolicy,
@@ -429,5 +429,5 @@ class NodeRuntime:
 
     def verify(self, endorsement_checker=None) -> tuple[VerifyReport, list]:
         """verify_chain over this replica: its store's audit, then its chain."""
-        report = verify_chain(self.chain, self.store, endorsement_checker)
+        report = verify_chain(self.chain, self.store, check_chain(self.chain), endorsement_checker)
         return report, report.audit

@@ -34,7 +34,7 @@ behaviors are injected at the behavior layer, not by forging envelopes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 
 from .digests import ZERO_DIGEST
@@ -43,9 +43,9 @@ from .ledger import Block, check_block
 
 
 class ConfigError(ValueError):
-    """Replica group parameters no group could run with: n below 3f+1 or a
-    negative f, a seed outside u64, a timeout or batch size below 1, or an
-    endorsement count outside 1..n; or a replica id outside 0..n-1."""
+    """Replica group parameters no group could run with: a non-int count, n
+    below 3f+1 or a negative f, a seed outside u64, a timeout or batch size
+    below 1, or an endorsement count outside 1..n; or a replica id outside 0..n-1."""
 
 
 class MessageKind(IntEnum):
@@ -85,7 +85,11 @@ class GroupConfig:
     endorsement_m: int = 1
 
     def __post_init__(self):
-        """Refuse, with ConfigError, a config no workspace could run."""
+        """Refuse, with ConfigError, a config no workspace could run or a
+        field declared int (a subclass's too) that holds no int or a bool."""
+        for spec in fields(self):
+            if spec.type == "int" and type(getattr(self, spec.name)) is not int:
+                raise ConfigError(f"{spec.name} must be an int")
         try:
             quorum_size(self.n, self.f)
         except ConfigError as exc:

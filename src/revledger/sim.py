@@ -108,6 +108,8 @@ class SimConfig(GroupConfig):
             raise SimError("delay_max must be >= delay_min")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise SimError("drop_prob must be in [0, 1]")
+        if self.max_ticks < 1:
+            raise SimError("max_ticks must be >= 1")
         seen = [nid for nid, _ in self.byzantine]
         if len(seen) != len(set(seen)):
             raise SimError("duplicate byzantine node entries")

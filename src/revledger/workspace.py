@@ -206,17 +206,21 @@ class Workspace:
 
     # -- node state ----------------------------------------------------------------
 
-    def load_chain(self, node_id: int) -> tuple[Chain | None, list[Defect]]:
+    def read_chain_bytes(self, node_id: int) -> tuple[bytes | None, list[Defect]]:
+        """The node's chain file, or None and a missing-replica defect where it cannot be read."""
         if not self.node_dir(node_id).exists():
             return None, [Defect(0, "missing-replica", f"node-{node_id} directory absent")]
-        return read_chain_file(self.chain_path(node_id))
+        try:
+            return self.chain_path(node_id).read_bytes(), []
+        except OSError as exc:
+            return None, [Defect(0, "missing-replica", str(exc))]
 
     def read_chain(self, node_id: int) -> Chain:
         """The node's whole chain, through ledger.check_chain; a chain that
         fails to parse or has any defect is refused, so a damaged replica
         fails loudly instead of dropping revisions or proposing on a tip the
         other replicas reject."""
-        chain, defects = self.load_chain(node_id)
+        chain, defects = read_chain_file(self.chain_path(node_id))
         if chain is not None and not defects:
             defects = check_chain(chain)
         if chain is None or defects:
@@ -226,13 +230,6 @@ class Workspace:
                 "run the verify command for details"
             )
         return chain
-
-    def _chain_bytes(self, node_id: int) -> bytes:
-        """The node's chain file; empty where it cannot be read."""
-        try:
-            return self.chain_path(node_id).read_bytes()
-        except OSError:
-            return b""
 
     def _trusted_checkpoint(
         self, node_id: int, raw: bytes
@@ -277,7 +274,7 @@ class Workspace:
         runtime then replays it, deciding validity from which blobs the store
         holds (none is read).
         """
-        raw = self._chain_bytes(node_id)
+        raw = self.read_chain_bytes(node_id)[0] or b""
         trusted = self._trusted_checkpoint(node_id, raw)
         if trusted is None:
             chain, recorded, sha256 = self.read_chain(node_id), None, hashlib.sha256(raw)
@@ -342,9 +339,9 @@ class Workspace:
         tmp.write_text(self._last_written[1], encoding="utf-8")
         os.replace(tmp, path)
 
-    def checkpoint_defects(self, node_id: int, chain: Chain) -> list[Defect]:
-        """The first disagreement between the node's chain and a checkpoint
-        that a reader would trust, as one record-mismatch defect.
+    def checkpoint_defects(self, node_id: int, raw: bytes, chain: Chain) -> list[Defect]:
+        """The first disagreement between the node's chain, parsed from `raw`,
+        and a checkpoint that a reader would trust, as one record-mismatch defect.
 
         Reads no blob: every flag that does not depend on blob presence is
         recomputed (stale exactly when read_version differs from the folded
@@ -352,7 +349,7 @@ class Workspace:
         checkpoint that does not match the chain file is ignored by every
         reader, so it is no defect.
         """
-        trusted = self._trusted_checkpoint(node_id, self._chain_bytes(node_id))
+        trusted = self._trusted_checkpoint(node_id, raw)
         if trusted is None:
             return []
         checkpoint = trusted[0]

@@ -140,6 +140,18 @@ def test_load_refuses_a_hand_edited_zero_max_batch(ws_dir, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("timeout_ticks", 2.5), ("n", 4.0), ("endorsement_m", True), ("max_batch", "100")],
+)
+def test_load_refuses_a_hand_edited_non_integer(ws_dir, capsys, key, value):
+    config = json.loads((ws_dir / "config.json").read_text())
+    (ws_dir / "config.json").write_text(json.dumps({**config, key: value}))
+    capsys.readouterr()
+    assert main(["history", "--dir", str(ws_dir), "--work", "w"]) == 1
+    assert capsys.readouterr().err == f"error: unreadable workspace config: {key} must be an int\n"
+
+
 def test_init_refuses_nonempty_dir(ws_dir, capsys):
     rc = main(["init", "--dir", str(ws_dir), "--nodes", "4", "--faulty", "1"])
     assert rc != 0
@@ -649,8 +661,15 @@ def test_simulate_parse_error_names_position(tmp_path, capsys):
         ("timeout_ticks", 0, "timeout_ticks must be positive"),
         ("endorsement_m", 0, "endorsement_m=0 outside 1..4"),
         ("endorsement_m", 9, "endorsement_m=9 outside 1..4"),
+        ("timeout_ticks", 2.5, "timeout_ticks must be an int"),
+        ("n", True, "n must be an int"),
+        ("delay_max", 2.5, "delay_max must be an int"),
+        ("max_ticks", -1, "max_ticks must be >= 1"),
+        ("max_ticks", 0, "max_ticks must be >= 1"),
+        ("max_ticks", "x", "max_ticks must be an int"),
     ],
-    ids=["max_batch=0", "seed=-5", "seed=2**64", "timeout=0", "endorsements=0", "endorsements=9"],
+    ids=["max_batch=0", "seed=-5", "seed=2**64", "timeout=0", "endorsements=0", "endorsements=9",
+         "timeout=2.5", "n=true", "delay_max=2.5", "max_ticks=-1", "max_ticks=0", "max_ticks=x"],
 )
 def test_simulate_refuses_a_bad_group_config(tmp_path, capsys, key, value, error):
     scenario = write_scenario(tmp_path / "bad.json", **{key: value})

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from revledger import cli, ledger
 from revledger.cli import main
 
 FIRST = hashlib.sha256(b"first").hexdigest()
@@ -133,16 +134,12 @@ def test_verify_names_a_damaged_blob_the_audit_could_not_list(
     assert capsys.readouterr().out.splitlines() == expected
 
 
-def test_verify_opens_each_blob_once_per_replica(ws_dir, tmp_path):
-    for name in ("c.txt", "d.txt"):
-        (tmp_path / name).write_text(name * 1000)
-        argv = ["commit", "--dir", str(ws_dir), "--work", "v", "--file", str(tmp_path / name),
-                "--author", "ada"]
-        assert main(argv) == 0
-    blobs = sorted(str(p) for p in ws_dir.glob("node-*/blobs/*/*"))
-    assert len(blobs) == 4 * 4
-    # The interpreter's `open` audit event sees every way of opening a file.
-    # Audit hooks cannot be removed, so this one goes quiet after the verify.
+def record_opens(argv):
+    """Run the CLI with `argv`; return (exit code, paths it opened).
+
+    The interpreter's `open` audit event sees every way of opening a file.
+    Audit hooks cannot be removed, so this one goes quiet after the run.
+    """
     opened: list[str] = []
     listening = [True]
 
@@ -152,8 +149,79 @@ def test_verify_opens_each_blob_once_per_replica(ws_dir, tmp_path):
 
     sys.addaudithook(hook)
     try:
-        assert main(["verify", "--dir", str(ws_dir)]) == 0
+        return main(argv), opened
     finally:
         listening[0] = False
+
+
+def test_verify_opens_each_blob_once_per_replica(ws_dir, tmp_path):
+    for name in ("c.txt", "d.txt"):
+        (tmp_path / name).write_text(name * 1000)
+        argv = ["commit", "--dir", str(ws_dir), "--work", "v", "--file", str(tmp_path / name),
+                "--author", "ada"]
+        assert main(argv) == 0
+    blobs = sorted(str(p) for p in ws_dir.glob("node-*/blobs/*/*"))
+    assert len(blobs) == 4 * 4
+    rc, opened = record_opens(["verify", "--dir", str(ws_dir)])
+    assert rc == 0
     blob_opens = sorted(p for p in opened if os.sep + "blobs" + os.sep in p)
     assert blob_opens == blobs
+
+
+def test_verify_reads_each_chain_file_once(ws_dir):
+    rc, opened = record_opens(["verify", "--dir", str(ws_dir)])
+    assert rc == 0
+    chains = sorted(p for p in opened if p.endswith("chain.jsonl"))
+    assert chains == sorted(str(ws_dir / f"node-{i}" / "chain.jsonl") for i in range(4))
+
+
+def tamper_tick(ws_dir, node, block):
+    """Flip the first digit of the block's tick to another digit: the line
+    still parses, and the block's hash no longer matches its header."""
+    line = (ws_dir / f"node-{node}" / "chain.jsonl").read_bytes().split(b"\n")[block]
+    offset = line.index(b'"tick":') + len(b'"tick":')
+    argv = ["tamper", "--dir", str(ws_dir), "--node", str(node), "--block", str(block),
+            "--offset", str(offset), "--xor", "1"]
+    assert main(argv) == 0
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("tampered, distinct", [((), 1), ((0,), 2)], ids=["equal", "one-tampered"])
+def test_verify_parses_and_checks_each_distinct_chain_once(
+    ws_dir, capsys, monkeypatch, tampered, distinct
+):
+    for node in tampered:
+        tamper_tick(ws_dir, node, 1)
+    parsed = count_calls(monkeypatch, ledger, "block_from_line")
+    checked = count_calls(monkeypatch, cli, "check_chain")
+    capsys.readouterr()
+    assert main(["verify", "--dir", str(ws_dir)]) == (1 if tampered else 0)
+    # parse_chain reads every line of each distinct chain file: genesis and 2 blocks.
+    assert (parsed[0], checked[0]) == (distinct * 3, distinct)
+
+
+def test_verify_names_each_replica_of_a_shared_tampered_chain(ws_dir, capsys):
+    for node in (1, 2):
+        tamper_tick(ws_dir, node, 1)
+    capsys.readouterr()
+    assert main(["verify", "--dir", str(ws_dir)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "node 0: ok",
+        "node 1: defect height=1 kind=block-hash-mismatch",
+        "node 1: defect height=2 kind=link-mismatch",
+        "node 2: defect height=1 kind=block-hash-mismatch",
+        "node 2: defect height=2 kind=link-mismatch",
+        "node 3: ok",
+        "verify: tampering detected",
+    ]
