@@ -25,6 +25,7 @@ from pathlib import Path
 from .content_store import NotFoundError, StoreError
 from .digests import from_hex, to_hex
 from .ledger import check_chain, parse_chain, verify_chain, write_chain_file
+from .node import make_policy
 from .pbft import ConfigError, GroupConfig
 from .revisions import check_endorsement_policy
 from .sim import (
@@ -185,7 +186,11 @@ def verify_workspace(ws: Workspace) -> dict[int, dict]:
     """Per-node integrity results: chain defects, a trusted checkpoint's
     disagreement with its chain, and the store audit. Replicas whose chain
     files hold equal bytes share one parse and check_chain; the rest is per replica."""
-    checker = ws.endorsement_checker()
+    policy = make_policy(ws.config)
+
+    def checker(tx) -> bool:
+        return check_endorsement_policy(tx, policy)
+
     structural: dict[bytes, tuple] = {}
     results: dict[int, dict] = {}
     for i in range(ws.config.n):
@@ -232,14 +237,16 @@ def cmd_verify(args) -> int:
 # -- tamper -----------------------------------------------------------------------
 
 
-def _flip_byte_in_file(path: Path, offset: int, xor: int, what: str) -> int:
-    data = bytearray(path.read_bytes())
-    if offset < 0 or offset >= len(data):
-        return _err(f"offset {offset} out of range for {what} ({len(data)} bytes)")
-    old = data[offset]
-    data[offset] = old ^ xor
-    path.write_bytes(bytes(data))
-    print(f"tampered {what} offset={offset} xor={xor:#x} byte {old:#04x} -> {data[offset]:#04x}")
+def _flip_byte(path: Path, data: bytes, start: int, size: int, args, what: str, record: str) -> int:
+    """Rewrite path's `data` with the byte at args.offset of its `size`
+    bytes from `start` xored, and report it as `what`; `record` names those
+    bytes when the offset falls outside them."""
+    if not 0 <= args.offset < size:
+        return _err(f"offset {args.offset} out of range for {record} ({size} bytes)")
+    at = start + args.offset
+    old, new = data[at], data[at] ^ args.xor
+    path.write_bytes(data[:at] + bytes([new]) + data[at + 1 :])
+    print(f"tampered {what} offset={args.offset} xor={args.xor:#x} byte {old:#04x} -> {new:#04x}")
     return 0
 
 
@@ -270,21 +277,11 @@ def cmd_tamper(args) -> int:
                     return _err(
                         f"block {args.block} out of range (chain has {len(lines)} blocks)"
                     )
-                line = bytearray(lines[args.block])
-                if not 0 <= args.offset < len(line):
-                    return _err(
-                        f"offset {args.offset} out of range for block record "
-                        f"({len(line)} bytes)"
-                    )
-                old = line[args.offset]
-                line[args.offset] = old ^ args.xor
-                lines[args.block] = bytes(line)
-                chain_path.write_bytes(b"\n".join(lines) + b"\n")
-                print(
-                    f"tampered node={args.node} block={args.block} offset={args.offset} "
-                    f"xor={args.xor:#x} byte {old:#04x} -> {line[args.offset]:#04x}"
+                start = sum(len(line) + 1 for line in lines[: args.block])
+                what = f"node={args.node} block={args.block}"
+                return _flip_byte(
+                    chain_path, raw, start, len(lines[args.block]), args, what, "block record"
                 )
-                return 0
             try:
                 from_hex(args.blob)
             except ValueError as exc:
@@ -292,9 +289,9 @@ def cmd_tamper(args) -> int:
             blob_path = ws.node_dir(args.node) / "blobs" / args.blob[:2] / args.blob
             if not blob_path.exists():
                 return _err(f"node {args.node} has no blob {args.blob}")
-            return _flip_byte_in_file(
-                blob_path, args.offset, args.xor, f"node={args.node} blob={args.blob[:12]}"
-            )
+            data = blob_path.read_bytes()
+            what = f"node={args.node} blob={args.blob[:12]}"
+            return _flip_byte(blob_path, data, 0, len(data), args, what, what)
     except WorkspaceError as exc:
         return _err(str(exc))
 

@@ -52,7 +52,6 @@ def make_policy(config: GroupConfig) -> EndorsementPolicy:
     """`endorsement_m`-of-n endorsement over every node, with the seed's secrets."""
     return EndorsementPolicy(
         required=config.endorsement_m,
-        eligible=frozenset(range(config.n)),
         secrets={i: endorsement_secret(config.seed, i) for i in range(config.n)},
     )
 
@@ -66,11 +65,23 @@ class ReceiptStatus(Enum):
 
 @dataclass
 class ClientReceipt:
+    """A submission's outcome: no tx id when it was rejected before
+    consensus, otherwise no flag until its transaction committed."""
+
     tx_id: bytes | None
-    status: ReceiptStatus
     submit_tick: int
     commit_tick: int | None = None
     flag: ValidityFlag | None = None
+
+    @property
+    def status(self) -> ReceiptStatus:
+        if self.tx_id is None:
+            return ReceiptStatus.REJECTED
+        if self.flag is None:
+            return ReceiptStatus.PENDING
+        if self.flag is ValidityFlag.VALID:
+            return ReceiptStatus.COMMITTED_VALID
+        return ReceiptStatus.COMMITTED_INVALID
 
 
 @dataclass(frozen=True)
@@ -177,52 +188,36 @@ class NodeRuntime:
     def submit(self, work_id: str, author_id: str, payload: bytes, now: int) -> ClientReceipt:
         """Endorse and enqueue a revision proposal; returns a Pending receipt.
 
-        Malformed ids are rejected up front and never enter consensus.
+        Malformed ids are rejected up front and never enter consensus. The
+        policy's `required` endorsements come from this node, then the
+        others in ascending id, so the transaction meets the policy.
         """
         try:
             tx = propose_revision(work_id, author_id, payload, self.heads, self.store, now)
         except MalformedError:
-            return ClientReceipt(
-                tx_id=None,
-                status=ReceiptStatus.REJECTED,
-                submit_tick=now,
-                flag=ValidityFlag.MALFORMED,
-            )
-        for endorser in self._endorser_order():
-            if check_endorsement_policy(tx, self.policy):
-                break
-            secret = self.policy.secrets.get(endorser)
-            if secret is not None:
-                tx = endorse(tx, endorser, secret)
+            return ClientReceipt(tx_id=None, submit_tick=now, flag=ValidityFlag.MALFORMED)
+        me = self.node_id
+        endorsers = [me] + [i for i in range(self.config.n) if i != me]
+        for endorser in endorsers[: self.policy.required]:
+            tx = endorse(tx, endorser, self.policy.secrets[endorser])
         if tx.tx_id in self.receipts:
             return self.receipts[tx.tx_id]
+        # byte-identical to something already on the chain; resolve the
+        # receipt immediately instead of stranding a mempool entry the
+        # primary would refuse forever
         already = self.committed_flags.get(tx.tx_id)
-        if already is not None:
-            # byte-identical to something already on the chain; resolve the
-            # receipt immediately instead of stranding a mempool entry the
-            # primary would refuse forever
-            receipt = ClientReceipt(
-                tx_id=tx.tx_id,
-                status=ReceiptStatus.COMMITTED_VALID
-                if already is ValidityFlag.VALID
-                else ReceiptStatus.COMMITTED_INVALID,
-                submit_tick=now,
-                commit_tick=now,
-                flag=already,
-            )
-            self.receipts[tx.tx_id] = receipt
-            return receipt
-        receipt = ClientReceipt(tx_id=tx.tx_id, status=ReceiptStatus.PENDING, submit_tick=now)
-        self.receipts[tx.tx_id] = receipt
-        self.mempool.setdefault(
-            tx.tx_id, MempoolEntry(tx=tx, payload=payload, arrival_tick=now)
+        receipt = ClientReceipt(
+            tx_id=tx.tx_id,
+            submit_tick=now,
+            commit_tick=None if already is None else now,
+            flag=already,
         )
+        self.receipts[tx.tx_id] = receipt
+        if already is None:
+            self.mempool.setdefault(
+                tx.tx_id, MempoolEntry(tx=tx, payload=payload, arrival_tick=now)
+            )
         return receipt
-
-    def _endorser_order(self) -> list[int]:
-        me = self.node_id
-        others = sorted(self.policy.eligible - {me})
-        return ([me] if me in self.policy.eligible else []) + others
 
     # -- messaging -------------------------------------------------------------
 
@@ -358,18 +353,13 @@ class NodeRuntime:
         return self._drain(self.replica.on_propose(block, blobs), now)
 
     def form_batch(self, now: int) -> tuple[Block, dict[bytes, bytes]] | None:
-        """Select up to max_batch endorsed transactions in arrival order.
+        """Select up to max_batch transactions in arrival order. Each meets
+        the policy: submit endorsed it, or _accept_forward checked it.
 
         Entries stay in the mempool until commit so an abandoned proposal
         (view change mid-flight) loses nothing.
         """
-        chosen: list[MempoolEntry] = []
-        for entry in self._mempool_in_order():
-            if not check_endorsement_policy(entry.tx, self.policy):
-                continue
-            chosen.append(entry)
-            if len(chosen) >= self.config.max_batch:
-                break
+        chosen = self._mempool_in_order()[: self.config.max_batch]
         if not chosen:
             return None
         block = build_block(
@@ -387,26 +377,17 @@ class NodeRuntime:
 
     def _apply_commit(self, event: CommitEvent, now: int) -> None:
         block = event.block
-        if block.header.height != self.chain.height + 1:
-            raise AssertionError(
-                f"consensus committed height {block.header.height}, tip is {self.chain.height}"
-            )
+        self.chain.append(block)
         for digest, data in event.blobs.items():
             if not self.store.has(digest):
                 self.store.put(data)
-        self.chain.append(block)
         self.blocks_since_load.append(block)
         flags = self._apply_block(block)
         for tx, flag in zip(block.transactions, flags):
             receipt = self.receipts.get(tx.tx_id)
-            if receipt is not None and receipt.status is ReceiptStatus.PENDING:
+            if receipt is not None and receipt.flag is None:
                 receipt.commit_tick = now
                 receipt.flag = flag
-                receipt.status = (
-                    ReceiptStatus.COMMITTED_VALID
-                    if flag is ValidityFlag.VALID
-                    else ReceiptStatus.COMMITTED_INVALID
-                )
             self.mempool.pop(tx.tx_id, None)
         # A commit is progress: the timer restarts rather than firing on a
         # deadline armed while older work was still in flight.

@@ -36,6 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
+from typing import Callable
 
 from .digests import ZERO_DIGEST
 from .encoding import MalformedError, u64
@@ -186,8 +187,8 @@ class Replica:
         node_id: int,
         config: GroupConfig,
         tip_hash: bytes,
+        proposal_validator: Callable[[Block], bool],
         last_committed_seq: int = 0,
-        proposal_validator=None,
     ):
         if not 0 <= node_id < config.n:
             raise ConfigError(f"node_id {node_id} outside 0..{config.n - 1}")
@@ -200,8 +201,8 @@ class Replica:
         self.pending_view = 0
         self.timer_deadline: int | None = None
         self.evidence: list[Evidence] = []
-        # extra application-level acceptance check for proposed blocks
-        # (e.g. endorsement policy); must be deterministic across replicas
+        # application-level acceptance check for proposed blocks (the
+        # endorsement policy); must be deterministic across replicas
         self.proposal_validator = proposal_validator
 
         self._quorum = quorum_size(config.n, config.f)
@@ -362,7 +363,7 @@ class Replica:
             return
         if not block_structurally_valid(msg.block, msg.seq):
             return
-        if self.proposal_validator is not None and not self.proposal_validator(msg.block):
+        if not self.proposal_validator(msg.block):
             self.evidence.append(Evidence("proposal-rejected", msg.view, msg.seq, msg.sender))
             return
         if msg.seq == self.last_committed_seq + 1 and msg.block.header.prev_hash != self.tip_hash:

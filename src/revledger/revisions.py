@@ -62,10 +62,10 @@ class Transaction:
 
 @dataclass(frozen=True)
 class EndorsementPolicy:
-    """m-of-eligible endorsement rule with the secrets needed to re-verify."""
+    """`required`-of-n endorsement rule: the n nodes are those holding one of
+    `secrets`, which re-verify their tokens."""
 
     required: int
-    eligible: frozenset[int]
     secrets: Mapping[int, bytes]
 
 
@@ -133,13 +133,11 @@ def endorse(tx: Transaction, node_id: int, node_secret: bytes) -> Transaction:
 
 
 def check_endorsement_policy(tx: Transaction, policy: EndorsementPolicy) -> bool:
-    """True iff >= required valid tokens from distinct eligible nodes."""
+    """True iff >= required valid tokens from distinct nodes holding a secret."""
     valid_nodes: set[int] = set()
     for node_id, token in tx.endorsements:
-        if node_id not in policy.eligible or node_id in valid_nodes:
-            continue
         secret = policy.secrets.get(node_id)
-        if secret is None:
+        if secret is None or node_id in valid_nodes:
             continue
         if token == endorsement_token(secret, tx.tx_id):
             valid_nodes.add(node_id)

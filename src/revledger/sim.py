@@ -83,6 +83,11 @@ class Partition:
     end: int
     group: frozenset[int]
 
+    def __post_init__(self):
+        for name in ("start", "end"):
+            if type(getattr(self, name)) is not int:
+                raise SimError(f"partition {name} must be an int")
+
     def blocks(self, src: int, dst: int, now: int) -> bool:
         if not (self.start <= now < self.end):
             return False
@@ -133,6 +138,9 @@ class Submission:
 def check_workload(workload: list[Submission], config: SimConfig) -> None:
     last = 0
     for sub in workload:
+        for name in ("tick", "node"):
+            if type(getattr(sub, name)) is not int:
+                raise SimError(f"workload {name} must be an int")
         if sub.tick < last:
             raise SimError("workload submit ticks must be non-decreasing")
         last = sub.tick
@@ -222,13 +230,10 @@ def apply_behavior(
 ) -> tuple[list[tuple[int, object]], int]:
     """Rewrite one outbound action into per-receiver sends.
 
-    Returns (sends, extra_delay). Honest nodes pass through unchanged.
+    Returns (sends, extra_delay). Honest nodes pass through unchanged, and
+    so does a node under Crash: the simulation runs no crashed node.
     """
-    if behavior is None:
-        return [(dst, payload) for dst in receivers], 0
-    if isinstance(behavior, Crash):
-        if now >= behavior.at_tick:
-            return [], 0
+    if behavior is None or isinstance(behavior, Crash):
         return [(dst, payload) for dst in receivers], 0
     if isinstance(behavior, Silent):
         return [], 0
@@ -457,29 +462,10 @@ class Simulation:
         rows: list[ReceiptRow] = []
         latencies: list[int] = []
         stalled = False
-        for sub, receipt in self.receipt_rows:
-            if receipt is None:
-                rows.append(
-                    ReceiptRow(
-                        node=sub.node,
-                        work_id=sub.work_id,
-                        author_id=sub.author_id,
-                        submit_tick=sub.tick,
-                        tx_id=None,
-                        status="Lost",
-                        flag=None,
-                        commit_tick=None,
-                    )
-                )
-                stalled = True
-                continue
-            status = receipt.status.value
-            if receipt.status is ReceiptStatus.PENDING:
-                stalled = True
-            if (
-                receipt.status is ReceiptStatus.COMMITTED_VALID
-                and receipt.commit_tick is not None
-            ):
+        for sub, receipt in self.receipt_rows:  # no receipt: the node had crashed
+            status = receipt.status if receipt else None
+            stalled = stalled or status in (None, ReceiptStatus.PENDING)
+            if status is ReceiptStatus.COMMITTED_VALID:
                 latencies.append(receipt.commit_tick - receipt.submit_tick)
             rows.append(
                 ReceiptRow(
@@ -487,10 +473,10 @@ class Simulation:
                     work_id=sub.work_id,
                     author_id=sub.author_id,
                     submit_tick=sub.tick,
-                    tx_id=to_hex(receipt.tx_id) if receipt.tx_id else None,
-                    status=status,
-                    flag=receipt.flag.value if receipt.flag else None,
-                    commit_tick=receipt.commit_tick,
+                    tx_id=to_hex(receipt.tx_id) if receipt and receipt.tx_id else None,
+                    status=status.value if status else "Lost",
+                    flag=receipt.flag.value if receipt and receipt.flag else None,
+                    commit_tick=receipt.commit_tick if receipt else None,
                 )
             )
 
@@ -506,19 +492,11 @@ class Simulation:
         committed_valid = validity_counts.get(ValidityFlag.VALID.value, 0)
         throughput = committed_valid / ticks_elapsed if ticks_elapsed else 0.0
 
-        evidence = []
-        for i, node in enumerate(self.nodes):
-            for ev in node.replica.evidence:
-                evidence.append(
-                    {
-                        "observer": i,
-                        "kind": ev.kind,
-                        "view": ev.view,
-                        "seq": ev.seq,
-                        "sender": ev.sender,
-                        "detail": ev.detail,
-                    }
-                )
+        evidence = [
+            {"observer": i, **asdict(ev)}
+            for i, node in enumerate(self.nodes)
+            for ev in node.replica.evidence
+        ]
 
         return SimReport(
             seed=self.config.seed,
@@ -598,9 +576,7 @@ def parse_scenario(text: str) -> tuple[SimConfig, list[Submission]]:
         raise ScenarioError("'config' must be an object")
     try:
         partitions = tuple(
-            Partition(
-                start=int(p["start"]), end=int(p["end"]), group=frozenset(p["group"])
-            )
+            Partition(start=p["start"], end=p["end"], group=frozenset(p["group"]))
             for p in c.get("partitions", [])
         )
         byzantine = tuple(_parse_behavior(b) for b in c.get("byzantine", []))

@@ -44,18 +44,13 @@ from .ledger import (
     append_chain_file,
     block_from_line,
     check_chain,
+    parse_chain,
     read_chain_file,
     write_chain_file,
 )
-from .node import NodeRuntime, make_policy
+from .node import NodeRuntime
 from .pbft import ConfigError, GroupConfig
-from .revisions import (
-    HeadState,
-    Transaction,
-    ValidityFlag,
-    apply_block,
-    check_endorsement_policy,
-)
+from .revisions import HeadState, ValidityFlag, apply_block
 
 CONFIG_NAME = "config.json"
 LOCK_NAME = ".lock"
@@ -194,16 +189,6 @@ class Workspace:
     def store(self, node_id: int) -> ContentStore:
         return ContentStore(self.node_dir(node_id))
 
-    # -- endorsement -------------------------------------------------------------
-
-    def endorsement_checker(self):
-        policy = make_policy(self.config)
-
-        def check(tx: Transaction) -> bool:
-            return check_endorsement_policy(tx, policy)
-
-        return check
-
     # -- node state ----------------------------------------------------------------
 
     def read_chain_bytes(self, node_id: int) -> tuple[bytes | None, list[Defect]]:
@@ -216,11 +201,15 @@ class Workspace:
             return None, [Defect(0, "missing-replica", str(exc))]
 
     def read_chain(self, node_id: int) -> Chain:
-        """The node's whole chain, through ledger.check_chain; a chain that
-        fails to parse or has any defect is refused, so a damaged replica
-        fails loudly instead of dropping revisions or proposing on a tip the
-        other replicas reject."""
-        chain, defects = read_chain_file(self.chain_path(node_id))
+        """The node's whole chain, read through ledger.read_chain_file and
+        refused as _checked_chain refuses it."""
+        return self._checked_chain(node_id, *read_chain_file(self.chain_path(node_id)))
+
+    def _checked_chain(self, node_id: int, chain: Chain | None, defects: list[Defect]) -> Chain:
+        """`chain` as parsed, with its parse `defects`, through
+        ledger.check_chain; a chain that fails to parse or has any defect is
+        refused, so a damaged replica fails loudly instead of dropping
+        revisions or proposing on a tip the other replicas reject."""
         if chain is not None and not defects:
             defects = check_chain(chain)
         if chain is None or defects:
@@ -270,18 +259,24 @@ class Workspace:
         With a trusted checkpoint the runtime takes its heads and flags from
         it, and with `tip_only` its chain is the tip alone, parsed from the
         chain file's last line: no other block is read. Otherwise the whole
-        chain goes through `read_chain`; without a trusted checkpoint the
-        runtime then replays it, deciding validity from which blobs the store
-        holds (none is read).
+        chain is parsed from the bytes read for the trust check and goes
+        through `_checked_chain`; without a trusted checkpoint the runtime
+        then replays it, deciding validity from which blobs the store holds
+        (none is read).
         """
-        raw = self.read_chain_bytes(node_id)[0] or b""
+        raw, missing = self.read_chain_bytes(node_id)
+        raw = raw or b""
         trusted = self._trusted_checkpoint(node_id, raw)
         if trusted is None:
-            chain, recorded, sha256 = self.read_chain(node_id), None, hashlib.sha256(raw)
+            recorded, sha256 = None, hashlib.sha256(raw)
         else:
             checkpoint, tip, sha256 = trusted
-            chain = Chain([tip]) if tip_only else self.read_chain(node_id)
             recorded = (checkpoint.heads, checkpoint.decisions)
+        if trusted is not None and tip_only:
+            chain = Chain([tip])
+        else:
+            parsed = (None, missing) if missing else parse_chain(raw)
+            chain = self._checked_chain(node_id, *parsed)
         self._chains[node_id] = (len(raw), sha256)
         store = self.store(node_id)
         return NodeRuntime(node_id, self.config, store, chain=chain, recorded=recorded)

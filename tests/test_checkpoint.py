@@ -4,6 +4,7 @@ recovery path, behave as without it."""
 
 import hashlib
 import json
+import os
 import shutil
 import sys
 
@@ -218,6 +219,35 @@ def test_commit_reads_only_each_replicas_tip(ws_dir, tmp_path, capsys, monkeypat
     assert (len(loaded), len(encoded)) == (1, 1)
     monkeypatch.undo()
     assert main(["verify", "--dir", str(ws_dir)]) == 0
+
+
+# Audit hooks cannot be removed: this one notes the paths opened while a
+# list is pushed on _OPENS, and nothing otherwise.
+_OPENS: list[list[str]] = []
+
+
+def _note_open(event, args):
+    if event == "open" and _OPENS and isinstance(args[0], (str, bytes, os.PathLike)):
+        _OPENS[-1].append(os.fsdecode(args[0]))
+
+
+sys.addaudithook(_note_open)
+
+
+@pytest.mark.parametrize("command", ["history", "show"])
+def test_query_reads_node_0_chain_file_once(ws_dir, tmp_path, capsys, command):
+    for k in range(8):
+        assert commit(ws_dir, tmp_path, "w", "p.txt", f"revision {k}") == 0
+    argv = [command, "--dir", str(ws_dir), "--work", "w"]
+    if command == "show":
+        argv += ["--revision", "3", "--out", str(tmp_path / "out.bin")]
+    _OPENS.append([])
+    try:
+        assert main(argv) == 0
+    finally:
+        opened = _OPENS.pop()
+    chain = str(ws_dir / "node-0" / "chain.jsonl")
+    assert opened.count(chain) == 1
 
 
 def test_stalled_commit_lists_whole_chains_above_genesis(ws_dir, tmp_path, capsys):

@@ -539,6 +539,27 @@ def test_tamper_xor_zero_is_refused(ws_dir, tmp_path, capsys):
     assert workspace_snapshot(ws_dir) == before
 
 
+def test_tamper_messages_are_pinned(ws_dir, tmp_path, capsys):
+    commit(ws_dir, tmp_path, "w", "a.txt", "the payload")
+    blob = hashlib.sha256(b"the payload").hexdigest()
+    base = ["tamper", "--dir", str(ws_dir), "--node", "1", "--xor", "5"]
+    capsys.readouterr()
+    runs = [
+        (["--block", "1", "--offset", "40"], 0,
+         "tampered node=1 block=1 offset=40 xor=0x5 byte 0x38 -> 0x3d\n", ""),
+        (["--blob", blob, "--offset", "3"], 0,
+         f"tampered node=1 blob={blob[:12]} offset=3 xor=0x5 byte 0x20 -> 0x25\n", ""),
+        (["--block", "2", "--offset", "0"], 1,
+         "", "error: block 2 out of range (chain has 2 blocks)\n"),
+        (["--block", "0", "--offset", "999"], 1,
+         "", "error: offset 999 out of range for block record (336 bytes)\n"),
+        (["--blob", blob, "--offset", "11"], 1,
+         "", f"error: offset 11 out of range for node=1 blob={blob[:12]} (11 bytes)\n"),
+    ]
+    for flags, rc, out, err in runs:
+        assert (main(base + flags), *capsys.readouterr()) == (rc, out, err)
+
+
 def test_tamper_offset_out_of_range(ws_dir, tmp_path, capsys):
     commit(ws_dir, tmp_path, "w", "a.txt", "x")
     rc = main([
@@ -673,6 +694,49 @@ def test_simulate_parse_error_names_position(tmp_path, capsys):
 )
 def test_simulate_refuses_a_bad_group_config(tmp_path, capsys, key, value, error):
     scenario = write_scenario(tmp_path / "bad.json", **{key: value})
+    report = tmp_path / "r.json"
+    rc = main(["simulate", "--scenario", str(scenario), "--report", str(report)])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (1, "", f"error: scenario parse failed: {error}\n")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "entry, error",
+    [
+        ({"tick": "5"}, "workload tick must be an int"),
+        ({"node": "0"}, "workload node must be an int"),
+        ({"tick": 2.5}, "workload tick must be an int"),
+        ({"node": True}, "workload node must be an int"),
+    ],
+    ids=["tick=str", "node=str", "tick=2.5", "node=true"],
+)
+def test_simulate_refuses_a_non_integer_workload_field(tmp_path, capsys, entry, error):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps({
+        "config": {"n": 4, "f": 1, "seed": 1},
+        "workload": [{"tick": 1, "node": 0, "work": "w", **entry}],
+    }))
+    report = tmp_path / "r.json"
+    rc = main(["simulate", "--scenario", str(scenario), "--report", str(report)])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (1, "", f"error: scenario parse failed: {error}\n")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "bounds, error",
+    [
+        ({"start": "x"}, "partition start must be an int"),
+        ({"start": "5"}, "partition start must be an int"),
+        ({"end": 2.5}, "partition end must be an int"),
+        ({"end": True}, "partition end must be an int"),
+    ],
+    ids=["start=x", "start=str", "end=2.5", "end=true"],
+)
+def test_simulate_refuses_a_non_integer_partition_bound(tmp_path, capsys, bounds, error):
+    partition = {"start": 1, "end": 9, "group": [0], **bounds}
+    scenario = write_scenario(tmp_path / "bad.json", partitions=[partition])
     report = tmp_path / "r.json"
     rc = main(["simulate", "--scenario", str(scenario), "--report", str(report)])
     out, err = capsys.readouterr()

@@ -37,11 +37,12 @@ def test_double_submit_same_work_shares_read_version():
 
 
 def test_submission_is_endorsed_per_policy():
-    node = make_node(node_id=2, m=2)
-    node.submit("w1", "ada", b"x", now=1)
-    (entry,) = node.mempool.values()
-    endorsers = [nid for nid, _ in entry.tx.endorsements]
-    assert endorsers == [2, 0]  # self first, then lowest eligible
+    for m in range(1, 5):
+        node = make_node(node_id=2, m=m)
+        node.submit("w1", "ada", b"x", now=1)
+        (entry,) = node.mempool.values()
+        endorsers = [nid for nid, _ in entry.tx.endorsements]
+        assert endorsers == [2, 0, 1, 3][:m]  # self first, then ascending ids
 
 
 def test_form_batch_orders_by_arrival_then_tx_id():
@@ -143,8 +144,9 @@ def test_commit_at_wrong_height_is_fatal():
     store = MemoryStore()
     tx = propose_revision("w", "ada", b"x", {}, store)
     bogus = build_block(5, b"\x00" * 32, [tx], "node-0", 0, 1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="append at height 5, tip is 0"):
         node._apply_commit(CommitEvent(block=bogus, blobs={}), now=1)
+    assert node.chain.height == 0 and node.bitmaps == []
 
 
 def test_show_and_history_round_trip():
@@ -294,3 +296,55 @@ def test_primary_able_to_propose_is_due_next_tick():
     kinds = [o.payload.kind for o in primary.tick_duties(now=3)]
     assert kinds == [MessageKind.PRE_PREPARE, MessageKind.PREPARE]
     assert primary.next_due(now=3) == 32  # in flight: due at its timer
+
+
+def test_receipt_status_agrees_with_its_tx_id_and_flag():
+    """Each receipt path gives a status that agrees with its tx id and flag:
+    Rejected, Pending, CommittedValid and CommittedInvalid, and a resubmission
+    of a transaction that is already on the chain."""
+    from revledger.ledger import build_block
+    from revledger.pbft import CommitEvent
+    from revledger.revisions import propose_revision
+
+    def state(receipt):
+        return receipt.status, receipt.flag, receipt.commit_tick
+
+    nodes = [make_node(node_id=i) for i in range(4)]
+    rejected = nodes[0].submit("", "ada", b"x", now=1)
+    assert rejected.tx_id is None
+    assert state(rejected) == (ReceiptStatus.REJECTED, ValidityFlag.MALFORMED, None)
+    first = nodes[0].submit("w1", "ada", b"one", now=1)
+    rival = nodes[0].submit("w1", "ben", b"two", now=1)
+    for receipt in (first, rival):
+        assert receipt.tx_id is not None
+        assert state(receipt) == (ReceiptStatus.PENDING, None, None)
+
+    inflight = [(0, o) for o in nodes[0].tick_duties(now=1)]
+    tick = 2
+    while inflight and tick < 20:
+        nxt = []
+        for src, out in inflight:
+            for dst in range(4):
+                if dst != src:
+                    nxt.extend((dst, o) for o in nodes[dst].on_message(src, out.payload, tick))
+        inflight, tick = nxt, tick + 1
+    by_flag = {receipt.flag: receipt for receipt in (first, rival)}
+    assert set(by_flag) == {ValidityFlag.VALID, ValidityFlag.STALE_READ}
+    won, lost = by_flag[ValidityFlag.VALID], by_flag[ValidityFlag.STALE_READ]
+    assert won.commit_tick == lost.commit_tick is not None
+    assert state(won) == (ReceiptStatus.COMMITTED_VALID, ValidityFlag.VALID, won.commit_tick)
+    assert state(lost) == (
+        ReceiptStatus.COMMITTED_INVALID, ValidityFlag.STALE_READ, won.commit_tick
+    )
+
+    # Committed without its payload, then resubmitted byte for byte.
+    node = make_node()
+    tx = propose_revision("w", "ada", b"payload", {}, MemoryStore(), submit_tick=4)
+    block = build_block(1, node.chain.tip.block_hash, [tx], "node-0", 0, 4)
+    node._apply_commit(CommitEvent(block=block, blobs={}), now=5)
+    again = node.submit("w", "ada", b"payload", now=4)
+    assert again.tx_id == tx.tx_id
+    assert state(again) == (
+        ReceiptStatus.COMMITTED_INVALID, ValidityFlag.MISSING_CONTENT, 4
+    )
+    assert node.mempool == {}

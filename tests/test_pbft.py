@@ -39,7 +39,7 @@ def make_block(height=1, prev=None, tick=1, salt="x"):
 
 def replica(node_id, timeout=30):
     config = GroupConfig(4, 1, 1, timeout_ticks=timeout)
-    return Replica(node_id, config, tip_hash=GENESIS.block_hash)
+    return Replica(node_id, config, tip_hash=GENESIS.block_hash, proposal_validator=lambda b: True)
 
 
 def msg(kind, view, seq, digest, sender, **kw):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from revledger.content_store import MemoryStore
@@ -25,7 +27,7 @@ def store():
 
 
 def policy_of(m, secrets):
-    return EndorsementPolicy(required=m, eligible=frozenset(secrets), secrets=secrets)
+    return EndorsementPolicy(required=m, secrets=secrets)
 
 
 def make_chain(blocks_txs, store):
@@ -99,15 +101,16 @@ def test_forged_token_fails_policy(store):
 
 
 def test_policy_counts_distinct_eligible_nodes(store):
-    secrets = {1: b"one", 2: b"two", 9: b"nine"}
+    secrets = {1: b"one", 2: b"two"}
     tx = propose_revision("w", "ada", b"x", {}, store)
     assert not check_endorsement_policy(tx, policy_of(1, secrets))
     tx = endorse(tx, 9, b"nine")
-    # node 9 valid but not eligible under a 2-node policy
-    narrow = EndorsementPolicy(required=1, eligible=frozenset({1, 2}), secrets=secrets)
-    assert not check_endorsement_policy(tx, narrow)
+    # node 9 holds no secret under this policy, so its token counts for nothing
+    assert not check_endorsement_policy(tx, policy_of(1, secrets))
     tx = endorse(tx, 1, b"one")
-    assert check_endorsement_policy(tx, narrow)
+    tx = replace(tx, endorsements=tx.endorsements * 2)  # a repeated token counts once
+    assert check_endorsement_policy(tx, policy_of(1, secrets))
+    assert not check_endorsement_policy(tx, policy_of(2, secrets))
 
 
 # -- validation -------------------------------------------------------------------

@@ -198,13 +198,25 @@ def _pre_prepare():
 
 
 def test_crash_suppresses_outbound_at_and_after_tick():
-    msg = _pre_prepare()
-    sends, _ = apply_behavior(Crash(at_tick=5), 0, [1, 2, 3], msg, now=4)
-    assert len(sends) == 3
-    sends, _ = apply_behavior(Crash(at_tick=5), 0, [1, 2, 3], msg, now=5)
-    assert sends == []
-    sends, _ = apply_behavior(Crash(at_tick=5), 0, [1, 2, 3], msg, now=6)
-    assert sends == []
+    config = SimConfig(n=4, f=1, seed=3, timeout_ticks=10, byzantine=((0, Crash(at_tick=5)),))
+    wl = [
+        Submission(tick=t, node=1 + t % 3, work_id=f"w{t}", author_id="ada", payload=bytes([t]))
+        for t in range(1, 12)
+    ]
+    sim = Simulation(config, wl)
+    sent_at: dict[int, list[int]] = {i: [] for i in range(4)}
+    schedule = sim.queue.schedule
+
+    def noting(item, deliver_tick):
+        if item[0] == "deliver":
+            sent_at[item[1]].append(sim.queue.current_tick)
+        schedule(item, deliver_tick)
+
+    sim.queue.schedule = noting
+    report = sim.run()
+    assert report.crashed_nodes == [0] and not report.stalled
+    assert sent_at[0] and max(sent_at[0]) < 5
+    assert all(max(sent_at[i]) > 5 for i in (1, 2, 3))  # the others ran on
 
 
 def test_silent_suppresses_everything():

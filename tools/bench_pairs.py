@@ -16,6 +16,13 @@ one traced 10 s run of seed 11 per side, whose per-layer metrics go to
 the file's `trace` section. Nothing but the output file is written
 outside `--scratch`.
 
+Each (workload, end-to-end metric) gets a no-regression verdict, with the
+metric's `bound` from BENCHMARK.json: `worse` when the change's median is
+worse than the parent's by more than bound x the parent's median;
+otherwise `unresolved` when the parent's interquartile range exceeds
+bound x its median, unless every change run beats every parent run; and
+`ok` otherwise.
+
 A claim `workload:metric:min_drop` is met when the change is better in at
 least 9 of the 10 pairs, the medians are further apart than the parent's
 interquartile range, and the change's median is at least `min_drop`
@@ -82,6 +89,18 @@ def better(a: float, b: float, direction: str) -> bool:
     return a < b if direction == "lower" else a > b
 
 
+def verdict(parent: list[float], change: list[float], direction: str, bound: float) -> str:
+    """`worse`, `unresolved` or `ok`: the no-regression rule of the module docstring."""
+    p_q1, p_median, p_q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    c_median = statistics.quantiles(change, n=4, method="inclusive")[1]
+    allowed = bound * abs(p_median)
+    if better(p_median, c_median, direction) and abs(c_median - p_median) > allowed:
+        return "worse"
+    if p_q3 - p_q1 > allowed and not all(better(c, p, direction) for c in change for p in parent):
+        return "unresolved"
+    return "ok"
+
+
 def summarize(runs: list[dict], declared: dict[str, dict]) -> dict:
     metrics = {}
     for name, spec in declared.items():
@@ -94,6 +113,7 @@ def summarize(runs: list[dict], declared: dict[str, dict]) -> dict:
             "change_over_parent": round(c["median"] / p["median"], 4) if p["median"] else None,
             "change_wins": sum(better(b, a, spec["better"]) for a, b in zip(parent, change)),
             "ties": sum(a == b for a, b in zip(parent, change)),
+            "verdict": verdict(parent, change, spec["better"], spec["bound"]),
         }
     return metrics
 
