@@ -22,7 +22,7 @@ from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
-from .content_store import NotFoundError, StoreError
+from .content_store import NotFoundError, StoreError, audit_stores
 from .digests import from_hex, to_hex
 from .ledger import check_chain, parse_chain, verify_chain, write_chain_file
 from .node import make_policy
@@ -185,13 +185,17 @@ def cmd_show(args) -> int:
 def verify_workspace(ws: Workspace) -> dict[int, dict]:
     """Per-node integrity results: chain defects, a trusted checkpoint's
     disagreement with its chain, and the store audit. Replicas whose chain
-    files hold equal bytes share one parse and check_chain; the rest is per replica."""
+    files hold equal bytes share one parse and check_chain, and those whose
+    checkpoint files are equal too share one checkpoint comparison; the
+    stores are audited together, so a key's copies that agree are hashed
+    once. The presence and endorsement checks are per replica."""
     policy = make_policy(ws.config)
 
     def checker(tx) -> bool:
         return check_endorsement_policy(tx, policy)
 
     structural: dict[bytes, tuple] = {}
+    chains: dict[int, tuple] = {}
     results: dict[int, dict] = {}
     for i in range(ws.config.n):
         raw, missing = ws.read_chain_bytes(i)
@@ -201,16 +205,25 @@ def verify_workspace(ws: Workspace) -> dict[int, dict]:
         chain, defects = structural.get(raw, (None, missing))
         if chain is None:
             results[i] = {"ok": False, "defects": defects, "audit": []}
-            continue
-        report = verify_chain(chain, ws.store(i), defects, checker)
-        defects = report.defects + ws.checkpoint_defects(i, raw, chain)
+        else:
+            chains[i] = raw, chain, defects
+    stores = [ws.store(i) for i in chains]
+    compared: dict[tuple, list] = {}
+    for (i, (raw, chain, defects)), store, audit in zip(
+        chains.items(), stores, audit_stores(stores)
+    ):
+        report = verify_chain(chain, store, defects, audit, checker)
+        pair = raw, ws.read_checkpoint_bytes(i)
+        if pair not in compared:
+            compared[pair] = ws.checkpoint_defects(*pair, chain)
+        defects = report.defects + compared[pair]
         defects.sort(key=lambda d: d.height)
         results[i] = {
             "ok": not defects and not report.audit,
             "defects": defects,
             "audit": report.audit,
         }
-    return results
+    return dict(sorted(results.items()))
 
 
 def cmd_verify(args) -> int:

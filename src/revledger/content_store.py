@@ -111,42 +111,68 @@ class ContentStore:
         Dot-prefixed names are skipped: they are in-flight publications
         from concurrent puts, not blobs.
         """
-        defects: list[AuditDefect] = []
-        for fan_out in _names(self._prefix, "blobs", defects):
-            for name in _names(self._prefix + fan_out, fan_out, defects):
-                if name.startswith("."):
-                    continue
+        return audit_stores([self])[0]
+
+
+def audit_stores(stores: list[ContentStore]) -> list[list[AuditDefect]]:
+    """Each store's `audit()`, from one pass over the stores key by key.
+
+    Every store's copy of a key is read once. A copy whose bytes equal an
+    earlier copy of the key that hashed to it is accepted without hashing,
+    as equal bytes have equal hashes; any other copy is hashed. Only that
+    one accepted copy is held at a time. Each store's defects come in its
+    own `blobs/*/*` name order, as its walk is a subsequence of the joint one.
+    """
+    found: list[list[AuditDefect]] = [[] for _ in stores]
+    listed = [_names(store._prefix, "blobs", defects) for store, defects in zip(stores, found)]
+    for fan_out in sorted(set().union(*listed)):
+        names = [
+            _names(store._prefix + fan_out, fan_out, defects) if fan_out in fan_outs else set()
+            for store, defects, fan_outs in zip(stores, found, listed)
+        ]
+        for name in sorted(set().union(*names)):
+            if name.startswith("."):
+                continue
+            holders = [k for k, held in enumerate(names) if name in held]
+            try:
+                digest = from_hex(name)
+            except ValueError:
+                malformed = "not a 64-char hex name"
+            else:
+                malformed = "wrong fan-out directory" if fan_out != name[:2] else ""
+            if malformed:
+                for k in holders:
+                    found[k].append(AuditDefect(name, "malformed-key", malformed))
+                continue
+            accepted = None
+            for k in holders:
                 try:
-                    digest = from_hex(name)
-                except ValueError:
-                    defects.append(AuditDefect(name, "malformed-key", "not a 64-char hex name"))
-                    continue
-                if fan_out != name[:2]:
-                    defects.append(AuditDefect(name, "malformed-key", "wrong fan-out directory"))
-                    continue
-                try:
-                    with open(f"{self._prefix}{fan_out}/{name}", "rb") as fh:
+                    with open(f"{stores[k]._prefix}{fan_out}/{name}", "rb") as fh:
                         data = fh.read()
                 except OSError as exc:
-                    defects.append(AuditDefect(name, "unreadable", str(exc)))
+                    found[k].append(AuditDefect(name, "unreadable", str(exc)))
                     continue
-                if sha256(data) != digest:
+                if data == accepted:
+                    continue
+                if sha256(data) == digest:
+                    accepted = data
+                else:
                     detail = "content does not hash to key"
-                    defects.append(AuditDefect(name, "key-mismatch", detail))
-        return defects
+                    found[k].append(AuditDefect(name, "key-mismatch", detail))
+    return found
 
 
-def _names(directory: str, key: str, defects: list[AuditDefect]) -> list[str]:
-    """Sorted entry names; none where the directory is absent. One that cannot
-    be listed is an unreadable defect, as the blobs in it go unchecked."""
+def _names(directory: str, key: str, defects: list[AuditDefect]) -> set[str]:
+    """Entry names; none where the directory is absent. One that cannot be
+    listed is an unreadable defect, as the blobs in it go unchecked."""
     try:
-        return sorted(os.listdir(directory))
+        return set(os.listdir(directory))
     except (FileNotFoundError, NotADirectoryError):
-        return []
+        return set()
     except OSError as exc:
         if exc.errno != errno.ELOOP:  # a symlink loop holds no blob
             defects.append(AuditDefect(key, "unreadable", str(exc)))
-        return []
+        return set()
 
 
 class MemoryStore:

@@ -5,8 +5,8 @@ Merkle root of its transaction ids, so editing any historical byte
 invalidates everything after it. check_chain, run on every loaded chain,
 trusts no stored digest: every hash (tx ids, Merkle root, block hash,
 linkage) is recomputed from raw fields. verify_chain adds the blob store's
-audit, the one read and hash of each blob, the presence of referenced
-content, and the endorsement checks.
+audit, run by its caller as the one read of each blob, the presence of
+referenced content, and the endorsement checks.
 
 Chain file format: one block per line, compact JSON with sorted keys,
 hashes as lowercase hex. Payload bytes are never embedded (they live in
@@ -231,11 +231,13 @@ def verify_chain(
     chain: Chain,
     store,
     structural: Iterable[Defect],
+    audit: list[AuditDefect],
     endorsement_checker: Callable[[Transaction], bool] | None = None,
 ) -> VerifyReport:
-    """The store's audit, the only read of blob bytes, then the content and
-    endorsement checks, merged with `structural`, the chain's parse and
-    check_chain defects (shareable by replicas of one chain), by height.
+    """The content and endorsement checks against the store, given its
+    `audit()` (the only read of blob bytes, which a replica group can run
+    together), merged with `structural`, the chain's parse and check_chain
+    defects (shareable by replicas of one chain), by height.
 
     Referenced content that is absent is content-missing; content the audit
     found damaged, or whose lookup fails, is content-hash-mismatch. A blob
@@ -245,7 +247,6 @@ def verify_chain(
     endorsements (possible only where the endorsement secrets are known,
     e.g. inside a workspace).
     """
-    audit = store.audit()
     # Only a blob at its own fan-out path is read, so a stray copy is no content defect.
     damaged = {a.key for a in audit if a.kind in ("key-mismatch", "unreadable")}
     read: set[str] = set()

@@ -61,9 +61,14 @@ def merkle_proof(tx_ids: list[bytes], index: int) -> list[bytes]:
     return path
 
 
-def verify_proof(root: bytes, tx_id: bytes, index: int, path: list[bytes]) -> bool:
-    """Recompute the root from a leaf and its proof path; compare to `root`."""
-    if index < 0:
+def verify_proof(root: bytes, tx_id: bytes, index: int, tx_count: int, path: list[bytes]) -> bool:
+    """Recompute the root from a leaf and its proof path; compare to `root`.
+
+    The proof is bound to a tree of `tx_count` leaves: an index outside it,
+    or a path whose length is not that tree's depth, is refused (RFC 9162
+    §2.1.3.2), so no proof verifies at a position past the last leaf.
+    """
+    if not 0 <= index < tx_count or len(path) != (tx_count - 1).bit_length():
         return False
     node = leaf_hash(tx_id)
     pos = index

@@ -410,5 +410,8 @@ class NodeRuntime:
 
     def verify(self, endorsement_checker=None) -> tuple[VerifyReport, list]:
         """verify_chain over this replica: its store's audit, then its chain."""
-        report = verify_chain(self.chain, self.store, check_chain(self.chain), endorsement_checker)
+        structural = check_chain(self.chain)
+        report = verify_chain(
+            self.chain, self.store, structural, self.store.audit(), endorsement_checker
+        )
         return report, report.audit

@@ -226,7 +226,6 @@ def apply_behavior(
     src: int,
     receivers: list[int],
     payload,
-    now: int,
 ) -> tuple[list[tuple[int, object]], int]:
     """Rewrite one outbound action into per-receiver sends.
 
@@ -383,7 +382,7 @@ class Simulation:
                 if action.dst is not None
                 else [j for j in range(self.config.n) if j != src]
             )
-            sends, extra = apply_behavior(behavior, src, receivers, action.payload, now)
+            sends, extra = apply_behavior(behavior, src, receivers, action.payload)
             for dst, payload in sends:
                 at = deliver(self.config, self.rng, src, dst, now)
                 if at is None:

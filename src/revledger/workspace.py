@@ -220,17 +220,23 @@ class Workspace:
             )
         return chain
 
-    def _trusted_checkpoint(
-        self, node_id: int, raw: bytes
-    ) -> tuple[_Checkpoint, Block, "hashlib._Hash"] | None:
-        """The node's checkpoint, the tip block parsed from the last line of
-        its chain file's bytes `raw`, and the running SHA-256 of `raw`, when
-        `raw` hashes to the checkpoint and its tip agrees; None otherwise.
-        Honest replicas hold byte-identical files, so a replica whose chain
-        and checkpoint bytes equal the last trusted ones shares their parse."""
+    def read_checkpoint_bytes(self, node_id: int) -> bytes | None:
+        """The node's checkpoint file, or None where it cannot be read."""
         try:
-            data = self.checkpoint_path(node_id).read_bytes()
+            return self.checkpoint_path(node_id).read_bytes()
         except OSError:
+            return None
+
+    def _trusted_checkpoint(
+        self, raw: bytes, data: bytes | None
+    ) -> tuple[_Checkpoint, Block, "hashlib._Hash"] | None:
+        """The checkpoint parsed from the checkpoint file's bytes `data`, the
+        tip block parsed from the last line of the chain file's bytes `raw`,
+        and the running SHA-256 of `raw`, when `raw` hashes to the checkpoint
+        and its tip agrees; None otherwise. Honest replicas hold
+        byte-identical files, so a replica whose chain and checkpoint bytes
+        equal the last trusted ones shares their parse."""
+        if data is None:
             return None
         last = self._last_trusted
         if last is not None and last[0] == raw and last[1] == data:
@@ -266,7 +272,7 @@ class Workspace:
         """
         raw, missing = self.read_chain_bytes(node_id)
         raw = raw or b""
-        trusted = self._trusted_checkpoint(node_id, raw)
+        trusted = self._trusted_checkpoint(raw, self.read_checkpoint_bytes(node_id))
         if trusted is None:
             recorded, sha256 = None, hashlib.sha256(raw)
         else:
@@ -334,9 +340,10 @@ class Workspace:
         tmp.write_text(self._last_written[1], encoding="utf-8")
         os.replace(tmp, path)
 
-    def checkpoint_defects(self, node_id: int, raw: bytes, chain: Chain) -> list[Defect]:
-        """The first disagreement between the node's chain, parsed from `raw`,
-        and a checkpoint that a reader would trust, as one record-mismatch defect.
+    def checkpoint_defects(self, raw: bytes, data: bytes | None, chain: Chain) -> list[Defect]:
+        """The first disagreement between a chain, parsed from its file's
+        bytes `raw`, and the checkpoint file's bytes `data` (None where there
+        is none) when a reader would trust them, as one record-mismatch defect.
 
         Reads no blob: every flag that does not depend on blob presence is
         recomputed (stale exactly when read_version differs from the folded
@@ -344,7 +351,7 @@ class Workspace:
         checkpoint that does not match the chain file is ignored by every
         reader, so it is no defect.
         """
-        trusted = self._trusted_checkpoint(node_id, raw)
+        trusted = self._trusted_checkpoint(raw, data)
         if trusted is None:
             return []
         checkpoint = trusted[0]

@@ -363,7 +363,7 @@ def test_criterion_6_merkle_oracle():
         for i in range(n):
             proof = merkle_proof(ids, i)
             assert proof == ref_proof(ids, i), f"proof mismatch at {n}/{i}"
-            assert verify_proof(root, ids[i], i, proof)
+            assert verify_proof(root, ids[i], i, n, proof)
 
     ids = ids_by_count[8]
     root = merkle_root(ids)
@@ -372,12 +372,12 @@ def test_criterion_6_merkle_oracle():
         for pos in range(32):
             bad = bytearray(ids[i])
             bad[pos] ^= 0x01
-            assert not verify_proof(root, bytes(bad), i, proof)
+            assert not verify_proof(root, bytes(bad), i, 8, proof)
         for elem in range(len(proof)):
             for pos in range(32):
                 bad_path = [bytearray(p) for p in proof]
                 bad_path[elem][pos] ^= 0x01
-                assert not verify_proof(root, ids[i], i, [bytes(p) for p in bad_path])
+                assert not verify_proof(root, ids[i], i, 8, [bytes(p) for p in bad_path])
 
 
 # -- 7. metrics soundness ---------------------------------------------------------------------------

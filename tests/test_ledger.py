@@ -182,14 +182,14 @@ def test_block_checks_report_each_defect_kind_at_its_height(store, check, damage
 
 def test_honest_chain_verifies(store):
     chain = chain_of(10, store, works=("w1", "w2", "w3"))
-    report = verify_chain(chain, store, check_chain(chain))
+    report = verify_chain(chain, store, check_chain(chain), store.audit())
     assert report.ok, report.defects
 
 
 def test_missing_blob_reported(store):
     chain = chain_of(3, store)
     empty = MemoryStore()
-    report = verify_chain(chain, empty, check_chain(chain))
+    report = verify_chain(chain, empty, check_chain(chain), empty.audit())
     assert not report.ok
     assert {d.kind for d in report.defects} == {"content-missing"}
 
@@ -198,7 +198,7 @@ def test_corrupt_blob_reported_at_its_block(store):
     chain = chain_of(4, store, works=("a", "b", "c", "d"))
     victim = chain.blocks[3].transactions[0].record.content_hash
     store._blobs[victim] = b"replaced content"
-    report = verify_chain(chain, store, check_chain(chain))
+    report = verify_chain(chain, store, check_chain(chain), store.audit())
     kinds = {(d.height, d.kind) for d in report.defects}
     assert (3, "content-hash-mismatch") in kinds
     assert min(d.height for d in report.defects) == 3
@@ -209,13 +209,15 @@ def test_verify_reports_earliest_height_first(store):
     for victim_height in (2, 4):
         victim = chain.blocks[victim_height].transactions[0].record.content_hash
         store._blobs[victim] = b"junk"
-    report = verify_chain(chain, store, check_chain(chain))
+    report = verify_chain(chain, store, check_chain(chain), store.audit())
     assert report.defects[0].height == 2
 
 
 def test_endorsement_checker_is_applied(store):
     chain = chain_of(2, store, works=("a", "b"))
-    report = verify_chain(chain, store, check_chain(chain), endorsement_checker=lambda tx: False)
+    report = verify_chain(
+        chain, store, check_chain(chain), store.audit(), endorsement_checker=lambda tx: False
+    )
     assert {d.kind for d in report.defects} == {"endorsement-invalid"}
 
 

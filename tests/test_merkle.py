@@ -104,7 +104,7 @@ def test_every_proof_verifies(n):
     for i in range(n):
         path = merkle_proof(ids, i)
         assert path == ref_proof(ids, i)
-        assert verify_proof(root, ids[i], i, path)
+        assert verify_proof(root, ids[i], i, n, path)
 
 
 def test_proof_rejects_flipped_tx_id_bytes():
@@ -115,7 +115,7 @@ def test_proof_rejects_flipped_tx_id_bytes():
         for pos in range(32):
             bad = bytearray(ids[i])
             bad[pos] ^= 0x01
-            assert not verify_proof(root, bytes(bad), i, path)
+            assert not verify_proof(root, bytes(bad), i, 8, path)
 
 
 def test_proof_rejects_flipped_path_bytes():
@@ -127,22 +127,45 @@ def test_proof_rejects_flipped_path_bytes():
             for pos in range(0, 32, 7):
                 bad_path = [bytearray(p) for p in path]
                 bad_path[elem][pos] ^= 0x01
-                assert not verify_proof(root, ids[i], i, [bytes(p) for p in bad_path])
+                assert not verify_proof(root, ids[i], i, 8, [bytes(p) for p in bad_path])
 
 
 def test_proof_against_other_trees_root_fails():
     a = tx_ids(8)
     b = [hashlib.sha256(f"other-{i}".encode()).digest() for i in range(8)]
     proof = merkle_proof(a, 3)
-    assert not verify_proof(merkle_root(b), a[3], 3, proof)
+    assert not verify_proof(merkle_root(b), a[3], 3, 8, proof)
 
 
 def test_proof_with_wrong_index_fails():
     ids = tx_ids(8)
     root = merkle_root(ids)
     proof = merkle_proof(ids, 3)
-    assert not verify_proof(root, ids[3], 2, proof)
-    assert not verify_proof(root, ids[3], -1, proof)
+    assert not verify_proof(root, ids[3], 2, 8, proof)
+    assert not verify_proof(root, ids[3], -1, 8, proof)
+
+
+@pytest.mark.parametrize(
+    "n, index, forged",
+    [(4, 0, 4), (4, 0, 8), (4, 0, 12)] + [(3, 2, f) for f in (3, 6, 7, 10, 11, 14, 15)],
+)
+def test_proof_refused_at_a_position_past_the_last_leaf(n, index, forged):
+    # Only the index's low depth bits steer the path, so without the leaf
+    # count a proof also verifies at index + k * 2**depth (and, where the
+    # last leaf was paired with itself, at its odd neighbour).
+    ids = tx_ids(n)
+    root = merkle_root(ids)
+    path = merkle_proof(ids, index)
+    assert verify_proof(root, ids[index], index, n, path)
+    assert not verify_proof(root, ids[index], forged, n, path)
+
+
+@pytest.mark.parametrize("n, claimed", [(2, 3), (4, 5), (4, 2), (5, 4), (1, 2)])
+def test_proof_refused_for_a_leaf_count_of_another_depth(n, claimed):
+    ids = tx_ids(n)
+    root = merkle_root(ids)
+    for i in range(min(n, claimed)):
+        assert not verify_proof(root, ids[i], i, claimed, merkle_proof(ids, i))
 
 
 def test_proof_index_bounds():

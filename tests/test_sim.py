@@ -220,18 +220,18 @@ def test_crash_suppresses_outbound_at_and_after_tick():
 
 
 def test_silent_suppresses_everything():
-    sends, _ = apply_behavior(Silent(), 0, [1, 2, 3], _pre_prepare(), now=1)
+    sends, _ = apply_behavior(Silent(), 0, [1, 2, 3], _pre_prepare())
     assert sends == []
 
 
 def test_delay_all_adds_extra_ticks():
-    sends, extra = apply_behavior(DelayAll(extra=7), 0, [1, 2], _pre_prepare(), now=1)
+    sends, extra = apply_behavior(DelayAll(extra=7), 0, [1, 2], _pre_prepare())
     assert len(sends) == 2 and extra == 7
 
 
 def test_equivocate_splits_receivers_with_conflicting_digests():
     msg = _pre_prepare()
-    sends, _ = apply_behavior(EquivocatePrePrepare(), 0, [1, 2, 3], msg, now=1)
+    sends, _ = apply_behavior(EquivocatePrePrepare(), 0, [1, 2, 3], msg)
     assert [dst for dst, _ in sends] == [1, 2, 3]
     d1 = sends[0][1].digest
     d2 = sends[1][1].digest
@@ -245,13 +245,13 @@ def test_equivocate_splits_receivers_with_conflicting_digests():
 
 def test_equivocate_leaves_other_kinds_alone():
     msg = PbftMessage(kind=MessageKind.PREPARE, view=0, seq=1, digest=b"\x01" * 32, sender=0)
-    sends, _ = apply_behavior(EquivocatePrePrepare(), 0, [1, 2, 3], msg, now=1)
+    sends, _ = apply_behavior(EquivocatePrePrepare(), 0, [1, 2, 3], msg)
     assert all(m is msg for _, m in sends)
 
 
 def test_corrupt_digest_flips_one_byte():
     msg = PbftMessage(kind=MessageKind.PREPARE, view=0, seq=1, digest=b"\x01" * 32, sender=0)
-    sends, _ = apply_behavior(CorruptDigest(), 0, [1], msg, now=1)
+    sends, _ = apply_behavior(CorruptDigest(), 0, [1], msg)
     corrupted = sends[0][1].digest
     assert corrupted != msg.digest
     assert sum(a != b for a, b in zip(corrupted, msg.digest)) == 1

@@ -2,14 +2,17 @@
 damaged blob exactly as the chain check plus audit did before."""
 
 import hashlib
+import json
 import os
 import shutil
 import sys
+from collections import Counter
 
 import pytest
 
 from revledger import cli, ledger
 from revledger.cli import main
+from revledger.workspace import Workspace
 
 FIRST = hashlib.sha256(b"first").hexdigest()
 
@@ -30,10 +33,14 @@ def blob_path(ws_dir, node, key):
     return ws_dir / f"node-{node}" / "blobs" / key[:2] / key
 
 
-def flip_first_byte(path):
+def flip_byte(path, at):
     data = bytearray(path.read_bytes())
-    data[0] ^= 1
+    data[at] ^= 1
     path.write_bytes(bytes(data))
+
+
+def flip_first_byte(path):
+    flip_byte(path, 0)
 
 
 def replace_with_directory(path):
@@ -59,38 +66,77 @@ def replace_with_broken_symlink(path):
     os.symlink(f"{path}.gone", path)
 
 
+# A valid key in the same fan-out directory that the blob's bytes do not hash to.
+RENAMED = FIRST[:-1] + ("0" if FIRST[-1] != "0" else "1")
+
+
+def rename_in_fan_out(path):
+    path.rename(path.with_name(RENAMED))
+
+
+def verify_lines(by_node):
+    """verify's output on the 4-replica workspace where `by_node` maps each
+    damaged node to its lines."""
+    lines = []
+    for i in range(4):
+        lines += [f"node {i}: {line}" for line in by_node.get(i, ["ok"])]
+    return lines + ["verify: tampering detected"]
+
+
 def node_1_lines(*lines):
-    return ["node 0: ok", *lines, "node 2: ok", "node 3: ok", "verify: tampering detected"]
+    return verify_lines({1: lines})
 
 
-CONTENT_MISSING = f"node 1: defect height=1 kind=content-missing tx 0: {FIRST}"
-CONTENT_HASH_MISMATCH = f"node 1: defect height=1 kind=content-hash-mismatch tx 0: {FIRST}"
+CONTENT_MISSING = f"defect height=1 kind=content-missing tx 0: {FIRST}"
+CONTENT_HASH_MISMATCH = f"defect height=1 kind=content-hash-mismatch tx 0: {FIRST}"
 
 
-def blob_defect(kind):
-    return f"node 1: blob-defect key={FIRST} kind={kind}"
+def blob_defect(kind, key=FIRST):
+    return f"blob-defect key={key} kind={kind}"
+
+
+# (id, damage, one damaged replica's lines)
+DAMAGES = [
+    ("deleted", os.unlink, [CONTENT_MISSING]),
+    ("flipped-byte", flip_first_byte, [CONTENT_HASH_MISMATCH, blob_defect("key-mismatch")]),
+    ("directory", replace_with_directory, [CONTENT_HASH_MISMATCH, blob_defect("unreadable")]),
+    # The stored blob is intact, so a stray copy is a store defect only.
+    ("wrong-fan-out", copy_to_wrong_fan_out, [blob_defect("malformed-key")]),
+    ("damaged-wrong-fan-out", copy_damaged_to_wrong_fan_out, [blob_defect("malformed-key")]),
+    # Absence is checked before the audit's verdict: a dangling link is missing content.
+    ("broken-symlink", replace_with_broken_symlink, [CONTENT_MISSING, blob_defect("unreadable")]),
+    ("renamed", rename_in_fan_out, [CONTENT_MISSING, blob_defect("key-mismatch", RENAMED)]),
+]
+
+# Node 0's copy is the first one the audit reads of each key.
+CASES = [(name, (1,), damage, lines) for name, damage, lines in DAMAGES]
+CASES += [(f"node-0-{name}", (0,), damage, lines) for name, damage, lines in DAMAGES]
+CASES += [
+    ("same-flip-everywhere", (0, 1, 2, 3), flip_first_byte, DAMAGES[1][2]),
+    ("flipped-on-2-and-3", (2, 3), flip_first_byte, DAMAGES[1][2]),
+]
 
 
 @pytest.mark.parametrize(
-    "damage, expected",
-    [
-        (os.unlink, node_1_lines(CONTENT_MISSING)),
-        (flip_first_byte, node_1_lines(CONTENT_HASH_MISMATCH, blob_defect("key-mismatch"))),
-        (replace_with_directory, node_1_lines(CONTENT_HASH_MISMATCH, blob_defect("unreadable"))),
-        # The stored blob is intact, so a stray copy is a store defect only.
-        (copy_to_wrong_fan_out, node_1_lines(blob_defect("malformed-key"))),
-        (copy_damaged_to_wrong_fan_out, node_1_lines(blob_defect("malformed-key"))),
-        # Absence is checked before the audit's verdict: a dangling link is missing content.
-        (replace_with_broken_symlink, node_1_lines(CONTENT_MISSING, blob_defect("unreadable"))),
-    ],
-    ids=["deleted", "flipped-byte", "directory", "wrong-fan-out", "damaged-wrong-fan-out",
-         "broken-symlink"],
+    "nodes, damage, lines",
+    [case[1:] for case in CASES],
+    ids=[case[0] for case in CASES],
 )
-def test_verify_output_for_a_damaged_blob(ws_dir, capsys, damage, expected):
-    damage(blob_path(ws_dir, 1, FIRST))
+def test_verify_output_for_a_damaged_blob(ws_dir, capsys, nodes, damage, lines):
+    for node in nodes:
+        damage(blob_path(ws_dir, node, FIRST))
     capsys.readouterr()
     assert main(["verify", "--dir", str(ws_dir)]) == 1
-    assert capsys.readouterr().out.splitlines() == expected
+    assert capsys.readouterr().out.splitlines() == verify_lines({i: lines for i in nodes})
+
+
+def test_verify_output_for_a_different_flip_on_each_replica(ws_dir, capsys):
+    for node in range(4):
+        flip_byte(blob_path(ws_dir, node, FIRST), node)
+    capsys.readouterr()
+    assert main(["verify", "--dir", str(ws_dir)]) == 1
+    lines = [CONTENT_HASH_MISMATCH, blob_defect("key-mismatch")]
+    assert capsys.readouterr().out.splitlines() == verify_lines(dict.fromkeys(range(4), lines))
 
 
 def refuse_listing(monkeypatch, directory):
@@ -107,7 +153,7 @@ def refuse_listing(monkeypatch, directory):
     monkeypatch.setattr(os, "listdir", listdir_refusing)
 
 
-FAN_OUT_UNREADABLE = f"node 1: blob-defect key={FIRST[:2]} kind=unreadable"
+FAN_OUT_UNREADABLE = f"blob-defect key={FIRST[:2]} kind=unreadable"
 
 
 @pytest.mark.parametrize(
@@ -116,7 +162,7 @@ FAN_OUT_UNREADABLE = f"node 1: blob-defect key={FIRST[:2]} kind=unreadable"
         (1, flip_first_byte, node_1_lines(CONTENT_HASH_MISMATCH, FAN_OUT_UNREADABLE)),
         (1, lambda path: None, node_1_lines(FAN_OUT_UNREADABLE)),
         (2, flip_first_byte,
-         node_1_lines(CONTENT_HASH_MISMATCH, "node 1: blob-defect key=blobs kind=unreadable")),
+         node_1_lines(CONTENT_HASH_MISMATCH, "blob-defect key=blobs kind=unreadable")),
     ],
     ids=["damaged-in-fan-out", "intact-in-fan-out", "damaged-under-blobs"],
 )
@@ -225,3 +271,36 @@ def test_verify_names_each_replica_of_a_shared_tampered_chain(ws_dir, capsys):
         "node 3: ok",
         "verify: tampering detected",
     ]
+
+
+def test_verify_hashes_each_blob_key_once_where_the_replicas_agree(ws_dir, monkeypatch):
+    """Each replica's copy is still read (see the open test above), but a
+    copy equal to one already hashed to its key is not hashed again."""
+    keys = {path.name for path in ws_dir.glob("node-*/blobs/*/*")}
+    hashed = Counter()
+    sha256 = hashlib.sha256
+
+    def counted(*args, **kwargs):
+        digest = sha256(*args, **kwargs)
+        if digest.hexdigest() in keys:
+            hashed[digest.hexdigest()] += 1
+        return digest
+
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    assert main(["verify", "--dir", str(ws_dir)]) == 0
+    assert hashed == dict.fromkeys(keys, 1)
+
+
+@pytest.mark.parametrize("edited, distinct", [((), 1), ((2,), 2)], ids=["equal", "one-edited"])
+def test_verify_compares_each_distinct_checkpoint_once(
+    ws_dir, capsys, monkeypatch, edited, distinct
+):
+    for node in edited:
+        path = ws_dir / f"node-{node}" / "checkpoint.json"
+        path.write_text(json.dumps(json.loads(path.read_bytes()), indent=1))  # same facts
+    compared = count_calls(monkeypatch, Workspace, "checkpoint_defects")
+    rc, opened = record_opens(["verify", "--dir", str(ws_dir)])
+    assert rc == 0
+    assert compared[0] == distinct
+    checkpoints = sorted(p for p in opened if p.endswith("checkpoint.json"))
+    assert checkpoints == sorted(str(ws_dir / f"node-{i}" / "checkpoint.json") for i in range(4))
