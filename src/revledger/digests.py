@@ -31,4 +31,6 @@ def from_hex(text: str) -> bytes:
     if text != text.lower():
         raise ValueError("digest hex must be lowercase")
     digest = bytes.fromhex(text)
+    if len(digest) != DIGEST_LEN:  # fromhex skips whitespace between digit pairs
+        raise ValueError(f"digest hex must be {2 * DIGEST_LEN} hex digits")
     return digest

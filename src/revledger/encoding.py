@@ -12,45 +12,29 @@ display form, so hashes are recomputable by construction. Layout rules:
 
 A transaction's encoding deliberately excludes its endorsement list, so
 the transaction id stays stable while endorsements accumulate.
+
+The encoders only pack: they trust fields that were checked where they
+entered. A chain file's parse (ledger.block_from_line) guarantees every
+shape (u64 integers, 32-byte digests, UTF-8 text, the proposer bound),
+check_record the record bounds, and propose_revision a new record's ids
+and submit tick. check_block runs check_record before it derives a tx id.
 """
 
 from __future__ import annotations
 
-from .digests import DIGEST_LEN, sha256
+from .digests import sha256
 
-TAG_RECORD = 0x01
-TAG_TRANSACTION = 0x02
-TAG_BLOCK_HEADER = 0x03
+TAG_RECORD = b"\x01"
+TAG_TRANSACTION = b"\x02"
+TAG_BLOCK_HEADER = b"\x03"
 
 MAX_WORK_ID_BYTES = 256
 MAX_AUTHOR_ID_BYTES = 128
 MAX_PROPOSER_ID_BYTES = 256
 
-_U64_MAX = (1 << 64) - 1
-
 
 class MalformedError(ValueError):
-    """A field violates its declared bounds or shape."""
-
-
-def u64(value: int, name: str = "integer") -> bytes:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise MalformedError(f"{name} must be an int")
-    if value < 0 or value > _U64_MAX:
-        raise MalformedError(f"{name} out of u64 range: {value}")
-    return value.to_bytes(8, "big")
-
-
-def length_prefixed(data: bytes, name: str = "bytes") -> bytes:
-    if len(data) >= 1 << 32:
-        raise MalformedError(f"{name} exceeds 4-byte length prefix")
-    return len(data).to_bytes(4, "big") + data
-
-
-def digest32(value: bytes, name: str = "digest") -> bytes:
-    if not isinstance(value, (bytes, bytearray)) or len(value) != DIGEST_LEN:
-        raise MalformedError(f"{name} must be exactly {DIGEST_LEN} bytes")
-    return bytes(value)
+    """A record field violates its declared bounds."""
 
 
 def _check_text(value: str, name: str, max_bytes: int) -> bytes:
@@ -79,18 +63,30 @@ def check_author_id(author_id: str) -> bytes:
     return _check_text(author_id, "author_id", MAX_AUTHOR_ID_BYTES)
 
 
-def encode_record(record) -> bytes:
-    """Canonical bytes of a revision record (duck-typed on field names)."""
+def check_record(record) -> None:
+    """Refuse a record that breaks a bound: the revision number below 1,
+    then the work id, then the author id (duck-typed on field names)."""
     if record.revision_number < 1:
         raise MalformedError("revision_number must be >= 1")
+    check_work_id(record.work_id)
+    check_author_id(record.author_id)
+
+
+def _text(value: str) -> bytes:
+    raw = value.encode("utf-8")
+    return len(raw).to_bytes(4, "big") + raw
+
+
+def encode_record(record) -> bytes:
+    """Canonical bytes of a revision record (duck-typed on field names)."""
     return b"".join(
         (
-            bytes([TAG_RECORD]),
-            length_prefixed(check_work_id(record.work_id), "work_id"),
-            u64(record.revision_number, "revision_number"),
-            digest32(record.content_hash, "content_hash"),
-            length_prefixed(check_author_id(record.author_id), "author_id"),
-            u64(record.submit_tick, "submit_tick"),
+            TAG_RECORD,
+            _text(record.work_id),
+            record.revision_number.to_bytes(8, "big"),
+            record.content_hash,
+            _text(record.author_id),
+            record.submit_tick.to_bytes(8, "big"),
         )
     )
 
@@ -98,13 +94,7 @@ def encode_record(record) -> bytes:
 def encode_transaction(record, read_version: int) -> bytes:
     """Canonical transaction bytes: record plus read_version, endorsements
     excluded so the id survives endorsement accumulation."""
-    return b"".join(
-        (
-            bytes([TAG_TRANSACTION]),
-            encode_record(record),
-            u64(read_version, "read_version"),
-        )
-    )
+    return TAG_TRANSACTION + encode_record(record) + read_version.to_bytes(8, "big")
 
 
 def transaction_id(record, read_version: int) -> bytes:
@@ -113,19 +103,16 @@ def transaction_id(record, read_version: int) -> bytes:
 
 def encode_header(header) -> bytes:
     """Canonical block header bytes (duck-typed on field names)."""
-    proposer_raw = header.proposer_id.encode("utf-8")
-    if len(proposer_raw) > MAX_PROPOSER_ID_BYTES:
-        raise MalformedError(f"proposer_id exceeds {MAX_PROPOSER_ID_BYTES} bytes")
     return b"".join(
         (
-            bytes([TAG_BLOCK_HEADER]),
-            u64(header.height, "height"),
-            digest32(header.prev_hash, "prev_hash"),
-            digest32(header.merkle_root, "merkle_root"),
-            length_prefixed(proposer_raw, "proposer_id"),
-            u64(header.view, "view"),
-            u64(header.tick, "tick"),
-            u64(header.tx_count, "tx_count"),
+            TAG_BLOCK_HEADER,
+            header.height.to_bytes(8, "big"),
+            header.prev_hash,
+            header.merkle_root,
+            _text(header.proposer_id),
+            header.view.to_bytes(8, "big"),
+            header.tick.to_bytes(8, "big"),
+            header.tx_count.to_bytes(8, "big"),
         )
     )
 

@@ -172,20 +172,18 @@ def check_block(block: Block) -> list[Defect]:
     """Structural defects of one non-genesis block, in a fixed order.
 
     Covers what a block's own fields must satisfy: at least one
-    transaction, the block hash, the Merkle root, tx_count, every tx id,
-    record field bounds and the revision gap. It reads no store and no
-    chain position. Consensus runs it on each pre-prepare, check_chain on
-    each block of a chain; apply_block trusts what passed.
+    transaction, the block hash, the Merkle root, tx_count, and per
+    transaction its record bounds (check_record), its tx id and the
+    revision gap. It trusts the field shapes block_from_line checks, reads
+    no store and no chain position. Consensus runs it on each pre-prepare,
+    check_chain on each block of a chain; apply_block trusts what passed.
     """
     height = block.header.height
     defects: list[Defect] = []
     if not block.transactions:
         defects.append(Defect(height, "empty-block"))
-    try:
-        if encoding.header_hash(block.header) != block.block_hash:
-            defects.append(Defect(height, "block-hash-mismatch"))
-    except encoding.MalformedError as exc:
-        defects.append(Defect(height, "block-hash-mismatch", str(exc)))
+    if encoding.header_hash(block.header) != block.block_hash:
+        defects.append(Defect(height, "block-hash-mismatch"))
     if merkle_root([tx.tx_id for tx in block.transactions]) != block.header.merkle_root:
         defects.append(Defect(height, "merkle-root-mismatch"))
     if block.header.tx_count != len(block.transactions):
@@ -194,11 +192,12 @@ def check_block(block: Block) -> list[Defect]:
         )
     for i, tx in enumerate(block.transactions):
         try:
-            if encoding.transaction_id(tx.record, tx.read_version) != tx.tx_id:
-                defects.append(Defect(height, "tx-id-mismatch", f"tx {i}"))
+            encoding.check_record(tx.record)
         except encoding.MalformedError as exc:
             defects.append(Defect(height, "record-malformed", f"tx {i}: {exc}"))
             continue
+        if encoding.transaction_id(tx.record, tx.read_version) != tx.tx_id:
+            defects.append(Defect(height, "tx-id-mismatch", f"tx {i}"))
         if tx.record.revision_number != tx.read_version + 1:
             defects.append(Defect(height, "record-malformed", f"tx {i}: revision gap"))
     return defects
@@ -364,7 +363,12 @@ _TX_KEYS = {
 
 def block_from_line(line: str) -> Block:
     """Strict parse of one chain file line; raises ChainParseError on any
-    shape deviation so tampering can never hide inside an unparsed field."""
+    shape deviation so tampering can never hide inside an unparsed field.
+
+    The one check of every field's shape: u64 integers, 64 lowercase hex
+    digits for each digest, UTF-8 encodable text and the proposer bound, so
+    the encoders can hash any block it returns. Record bounds are left to
+    check_block, which reports them at the block's height."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -372,7 +376,6 @@ def block_from_line(line: str) -> Block:
     _require_keys(obj, _BLOCK_KEYS, "block record")
     _require_keys(obj["header"], _HEADER_KEYS, "header")
     h = obj["header"]
-    # Bounded at parse so every loaded header can be hashed.
     proposer_id = _require_str(h["proposer_id"], "proposer_id")
     if len(proposer_id.encode("utf-8")) > encoding.MAX_PROPOSER_ID_BYTES:
         raise ChainParseError(f"proposer_id exceeds {encoding.MAX_PROPOSER_ID_BYTES} bytes")

@@ -27,7 +27,7 @@ from typing import Iterable
 from . import revisions
 from .content_store import NotFoundError
 from .digests import sha256
-from .encoding import MalformedError, u64
+from .encoding import MalformedError
 from .ledger import Block, Chain, VerifyReport, build_block, check_chain, verify_chain
 from .pbft import CommitEvent, GroupConfig, PbftMessage, Replica, primary_of
 from .revisions import (
@@ -45,7 +45,7 @@ from .revisions import (
 def endorsement_secret(seed: int, node_id: int) -> bytes:
     """Simulation-local endorsement key, derivable by anyone holding the
     workspace seed. Not a signature scheme and not claimed to be one."""
-    return sha256(b"revledger/endorse/" + u64(seed) + u64(node_id))
+    return sha256(b"revledger/endorse/" + seed.to_bytes(8, "big") + node_id.to_bytes(8, "big"))
 
 
 def make_policy(config: GroupConfig) -> EndorsementPolicy:

@@ -39,7 +39,6 @@ from enum import IntEnum
 from typing import Callable
 
 from .digests import ZERO_DIGEST
-from .encoding import MalformedError, u64
 from .ledger import Block, check_block
 
 
@@ -99,10 +98,8 @@ class GroupConfig:
             raise ConfigError("timeout_ticks must be positive")
         if self.max_batch < 1:
             raise ConfigError("max_batch must be positive")
-        try:
-            u64(self.seed, "seed")
-        except MalformedError as exc:
-            raise ConfigError(str(exc)) from exc
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigError(f"seed out of u64 range: {self.seed}")
         if not 1 <= self.endorsement_m <= self.n:
             raise ConfigError(f"endorsement_m={self.endorsement_m} outside 1..{self.n}")
 

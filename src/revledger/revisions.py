@@ -18,7 +18,8 @@ exactly one writer wins each slot.
 
 Validation trusts block structure (tx ids, record bounds, the revision
 gap), which ledger checks once: check_block when consensus accepts a
-pre-prepare, check_chain when a workspace loads a chain file. It reads
+pre-prepare, check_chain when a workspace loads a chain file. A new
+record's fields are checked once, by propose_revision. It reads
 blob presence, never blob bytes, so a damaged blob changes no replica's
 flags or heads; bytes are re-hashed where read (show) or audited (verify).
 """
@@ -69,20 +70,6 @@ class EndorsementPolicy:
     secrets: Mapping[int, bytes]
 
 
-def make_transaction(record: RevisionRecord, read_version: int) -> Transaction:
-    """Build a transaction, deriving tx_id from the canonical encoding.
-
-    Raises MalformedError when the record violates field bounds or the
-    revision number is not read_version + 1.
-    """
-    if record.revision_number != read_version + 1:
-        raise MalformedError(
-            f"revision_number {record.revision_number} != read_version {read_version} + 1"
-        )
-    tx_id = encoding.transaction_id(record, read_version)
-    return Transaction(tx_id=tx_id, record=record, read_version=read_version)
-
-
 def propose_revision(
     work_id: str,
     author_id: str,
@@ -93,14 +80,19 @@ def propose_revision(
 ) -> Transaction:
     """Propose the next revision of a work against the observed head.
 
-    Stores the payload (content addressing makes that idempotent) and
-    returns an unendorsed transaction with read_version = current head,
-    or 0 for a work not yet created.
+    Refuses, with MalformedError and before storing anything, ids that
+    break their bounds and a revision number or submit tick outside u64.
+    Otherwise stores the payload (content addressing makes that
+    idempotent) and returns an unendorsed transaction with read_version =
+    current head, or 0 for a work not yet created.
     """
     encoding.check_work_id(work_id)
     encoding.check_author_id(author_id)
-    content_hash = store.put(payload)
     read_version = heads[work_id][0] if work_id in heads else 0
+    for name, value in (("revision_number", read_version + 1), ("submit_tick", submit_tick)):
+        if not 0 <= value < 1 << 64:
+            raise MalformedError(f"{name} out of u64 range: {value}")
+    content_hash = store.put(payload)
     record = RevisionRecord(
         work_id=work_id,
         revision_number=read_version + 1,
@@ -108,7 +100,8 @@ def propose_revision(
         author_id=author_id,
         submit_tick=submit_tick,
     )
-    return make_transaction(record, read_version)
+    tx_id = encoding.transaction_id(record, read_version)
+    return Transaction(tx_id=tx_id, record=record, read_version=read_version)
 
 
 def endorsement_token(node_secret: bytes, tx_id: bytes) -> bytes:

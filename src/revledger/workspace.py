@@ -96,7 +96,7 @@ def _parse_checkpoint(data: bytes) -> _Checkpoint:
     try:
         heads = {work: (rev, from_hex(digest)) for work, (rev, digest) in obj["heads"].items()}
         decisions = [
-            [(bytes.fromhex(tx_id), _FLAGS[flag]) for tx_id, flag in pairs] for pairs in blocks
+            [(from_hex(tx_id), _FLAGS[flag]) for tx_id, flag in pairs] for pairs in blocks
         ]
         tip_hash = from_hex(obj["tip_hash"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -108,6 +108,37 @@ def test_verify_reports_a_checkpoint_that_disagrees_with_its_chain(
     )
 
 
+def test_a_checkpoint_with_a_short_tx_id_is_ignored(ws_dir, tmp_path, capsys):
+    """A checkpoint tx id of 62 hex digits makes the checkpoint malformed,
+    so it is ignored and node 0 is replayed: the next commit reaches every
+    replica."""
+    def cut_first_tx_id(obj):
+        obj["blocks"][0][0][0] = obj["blocks"][0][0][0][:62]
+
+    assert commit(ws_dir, tmp_path, "w", "a.txt", "first") == 0
+    edit_checkpoint(ws_dir, 0, cut_first_tx_id)
+    assert commit(ws_dir, tmp_path, "w", "b.txt", "second") == 0
+    chains = {(ws_dir / f"node-{i}" / "chain.jsonl").read_bytes() for i in range(4)}
+    assert len(chains) == 1 and len(chains.pop().splitlines()) == 3
+
+
+def test_a_head_with_no_revision_number_left_is_rejected(ws_dir, tmp_path, capsys):
+    """A head of 2**64 - 1, in checkpoints that every replica trusts, leaves
+    no u64 revision number for the next commit: it is rejected as malformed
+    and nothing is written."""
+    def last_revision(obj):
+        obj["heads"]["w"][0] = 2**64 - 1
+
+    assert commit(ws_dir, tmp_path, "w", "a.txt", "first") == 0
+    for node in range(4):
+        edit_checkpoint(ws_dir, node, last_revision)
+    before = all_bytes(ws_dir)
+    capsys.readouterr()
+    assert commit(ws_dir, tmp_path, "w", "b.txt", "second") == 1
+    assert capsys.readouterr().out.endswith("reason=InvalidMalformed\n")
+    assert all_bytes(ws_dir) == before
+
+
 def test_verify_ignores_a_checkpoint_made_for_other_chain_bytes(ws_dir, tmp_path, capsys):
     """No reader trusts a checkpoint whose digest fields do not match the
     chain file, so its contents are no defect."""

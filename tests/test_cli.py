@@ -439,6 +439,79 @@ def test_verify_reports_unencodable_text_as_unparseable(ws_dir, tmp_path, capsys
     assert "unparseable-record at height 1" in capsys.readouterr().err
 
 
+def edit_block(ws_dir, height, change):
+    """Rewrite one line of node 0's chain file through `change`."""
+    path = ws_dir / "node-0" / "chain.jsonl"
+    lines = path.read_text().splitlines()
+    block = json.loads(lines[height])
+    change(block)
+    lines[height] = json.dumps(block, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _spaces_for_last_hex_pair(block, field):
+    obj = block["header"] if field in block["header"] else block["transactions"][0]
+    obj[field] = obj[field][:-2] + "  "
+
+
+@pytest.mark.parametrize("field", ["prev_hash", "content_hash"])
+def test_a_digest_short_of_32_bytes_is_unparseable(ws_dir, tmp_path, capsys, field):
+    """bytes.fromhex skips whitespace, so a digest field ending in two
+    spaces parses to 31 bytes; it is an unparseable record at its height,
+    and no command crashes on it."""
+    commit(ws_dir, tmp_path, "w", "a.txt", "first")
+    edit_block(ws_dir, 1, lambda block: _spaces_for_last_hex_pair(block, field))
+    capsys.readouterr()
+    assert main(["verify", "--dir", str(ws_dir)]) == 1
+    assert capsys.readouterr().out == (
+        f"node 0: defect height=1 kind=unparseable-record {field}: "
+        "digest hex must be 64 hex digits\n"
+        "node 1: ok\nnode 2: ok\nnode 3: ok\n"
+        "verify: tampering detected\n"
+    )
+    assert main(["history", "--dir", str(ws_dir), "--work", "w"]) == 1
+    assert "unparseable-record at height 1" in capsys.readouterr().err
+    assert main([
+        "show", "--dir", str(ws_dir), "--work", "w",
+        "--revision", "1", "--out", str(tmp_path / "out.bin"),
+    ]) == 1
+    assert "unparseable-record at height 1" in capsys.readouterr().err
+    before = {p: p.read_bytes() for p in ws_dir.rglob("*") if p.is_file()}
+    assert commit(ws_dir, tmp_path, "w", "b.txt", "second") == 1
+    assert "unparseable-record at height 1" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in ws_dir.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("author_id", "", "author_id must be non-empty"),
+        ("revision_number", 0, "revision_number must be >= 1"),
+        ("work_id", "w\x00", "work_id must not contain NUL bytes"),
+        ("work_id", "w" * 257, "work_id exceeds 256 bytes"),
+    ],
+    ids=["empty-author", "revision-0", "nul-in-work", "long-work"],
+)
+def test_verify_reports_an_on_disk_record_out_of_bounds(
+    ws_dir, tmp_path, capsys, key, value, message
+):
+    """A parseable record that breaks a bound is record-malformed at its
+    height; the block after it, which still links to it, is not flagged."""
+    commit(ws_dir, tmp_path, "w", "a.txt", "first")
+    commit(ws_dir, tmp_path, "w", "b.txt", "second")
+    edit_block(ws_dir, 1, lambda b: b["transactions"][0].update({key: value}))
+    capsys.readouterr()
+    assert main(["verify", "--dir", str(ws_dir)]) == 1
+    assert capsys.readouterr().out == (
+        f"node 0: defect height=1 kind=record-malformed tx 0: {message}\n"
+        "node 1: ok\nnode 2: ok\nnode 3: ok\n"
+        "verify: tampering detected\n"
+    )
+    assert main(["history", "--dir", str(ws_dir), "--work", "w"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "record-malformed at height 1" in err
+
+
 def test_commit_rejects_a_work_id_that_cannot_be_encoded(ws_dir, tmp_path, capsys):
     """Undecodable argv bytes arrive as lone surrogates; commit rejects the
     id as malformed and writes nothing."""
@@ -742,6 +815,26 @@ def test_simulate_refuses_a_non_integer_partition_bound(tmp_path, capsys, bounds
     out, err = capsys.readouterr()
     assert (rc, out, err) == (1, "", f"error: scenario parse failed: {error}\n")
     assert not report.exists()
+
+
+REPORT_PAST_U64_TICKS = "a1d57619ac21d7db9a7ce6229476f0946ef9fb5f644fa823f7a15f2dcbbcf580"
+
+
+def test_simulate_rejects_a_submission_past_u64_ticks(tmp_path, capsys):
+    """A submit tick of 2**64 cannot be encoded: its receipt is Rejected,
+    and the report is the one pinned below, byte for byte."""
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({
+        "config": {"n": 4, "f": 1, "seed": 1, "max_ticks": 2**64 + 5},
+        "workload": [{"tick": 1, "node": 0, "work": "w"}, {"tick": 2**64, "node": 0, "work": "w"}],
+    }))
+    report = tmp_path / "r.json"
+    assert main(["simulate", "--scenario", str(scenario), "--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert [(r["status"], r["flag"]) for r in doc["receipts"]] == [
+        ("CommittedValid", "Valid"), ("Rejected", "InvalidMalformed")
+    ]
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_PAST_U64_TICKS
 
 
 def test_simulate_unknown_scenario(tmp_path, capsys):

@@ -264,3 +264,11 @@ def test_hex_rejects_uppercase_and_bad_length():
         from_hex("abcd")
     with pytest.raises(ValueError):
         to_hex(b"\x00" * 31)
+
+
+def test_from_hex_refuses_a_short_digest():
+    """bytes.fromhex skips whitespace, so 64 characters can hold fewer than
+    32 bytes; from_hex refuses them."""
+    for text in ("00" * 31 + "  ", " " + "00" * 31 + " ", "00" * 15 + "\t\n" + "00" * 16):
+        with pytest.raises(ValueError, match="64 hex digits"):
+            from_hex(text)

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from revledger import encoding
 from revledger.encoding import MalformedError
 from revledger.ledger import BlockHeader
-from revledger.revisions import RevisionRecord, endorse, make_transaction
+from revledger.revisions import RevisionRecord, Transaction, endorse
 
 
 def record(work="w", rev=1, content=b"\x11" * 32, author="ada", tick=0):
@@ -41,7 +41,7 @@ def test_encoding_is_deterministic():
 
 
 def test_endorsements_do_not_change_tx_id():
-    tx = make_transaction(record(), 0)
+    tx = Transaction(encoding.transaction_id(record(), 0), record(), 0)
     endorsed = endorse(tx, 1, b"secret-1")
     twice = endorse(endorsed, 2, b"secret-2")
     assert tx.tx_id == endorsed.tx_id == twice.tx_id
@@ -74,23 +74,18 @@ def test_multibyte_utf8_counts_bytes_not_chars():
 
 
 def test_revision_number_zero_rejected():
-    with pytest.raises(MalformedError):
-        encoding.encode_record(record(rev=0))
+    with pytest.raises(MalformedError, match="revision_number must be >= 1"):
+        encoding.check_record(record(rev=0))
 
 
-def test_u64_bounds():
-    with pytest.raises(MalformedError):
-        encoding.u64(-1)
-    with pytest.raises(MalformedError):
-        encoding.u64(1 << 64)
-    with pytest.raises(MalformedError):
-        encoding.u64(True)
-    assert encoding.u64((1 << 64) - 1) == b"\xff" * 8
-
-
-def test_digest32_length_enforced():
-    with pytest.raises(MalformedError):
-        encoding.encode_record(record(content=b"\x11" * 31))
+def test_check_record_reports_the_revision_then_the_work_then_the_author():
+    with pytest.raises(MalformedError, match="revision_number"):
+        encoding.check_record(record(rev=0, work="", author=""))
+    with pytest.raises(MalformedError, match="work_id must be non-empty"):
+        encoding.check_record(record(work="", author=""))
+    with pytest.raises(MalformedError, match="author_id must be non-empty"):
+        encoding.check_record(record(author=""))
+    encoding.check_record(record(work="x" * 256, author="a" * 128))
 
 
 _work = st.text(min_size=1, max_size=24).filter(lambda s: "\x00" not in s)

@@ -119,7 +119,8 @@ def test_check_block_reports_forged_tx_id(store):
     ]
 
 
-def test_check_block_reports_unencodable_header_instead_of_raising(store):
+def test_check_block_reports_an_overlong_proposer_as_a_changed_hash(store):
+    """The parse refuses such a header; one built in memory still encodes."""
     block = chain_of(1, store).tip
     long_name = replace(block, header=replace(block.header, proposer_id="p" * 300))
     assert [d.kind for d in check_block(long_name)] == ["block-hash-mismatch"]

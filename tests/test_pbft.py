@@ -68,6 +68,15 @@ def test_quorum_rejects_insufficient_n():
         GroupConfig(6, 2, 1)
 
 
+def test_group_config_seed_u64_bounds():
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ConfigError, match=f"seed out of u64 range: {seed}"):
+            GroupConfig(4, 1, seed)
+    with pytest.raises(ConfigError, match="seed must be an int"):
+        GroupConfig(4, 1, True)
+    assert GroupConfig(4, 1, (1 << 64) - 1).seed == (1 << 64) - 1
+
+
 @pytest.mark.parametrize("node_id", [-1, 4])
 def test_replica_refuses_a_node_id_outside_the_group(node_id):
     with pytest.raises(ConfigError, match=rf"node_id {node_id} outside 0\.\.3"):

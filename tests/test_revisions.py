@@ -15,7 +15,6 @@ from revledger.revisions import (
     endorse,
     endorsement_token,
     history,
-    make_transaction,
     propose_revision,
     validate_transaction,
 )
@@ -66,12 +65,6 @@ def test_successor_revision(store):
 def test_empty_work_id_is_malformed(store):
     with pytest.raises(MalformedError):
         propose_revision("", "ada", b"x", {}, store)
-
-
-def test_revision_must_be_read_version_plus_one():
-    record = RevisionRecord("w", 5, b"\x01" * 32, "ada", 0)
-    with pytest.raises(MalformedError):
-        make_transaction(record, 3)
 
 
 # -- endorsement ----------------------------------------------------------------
