@@ -17,7 +17,7 @@ The encoders only pack: they trust fields that were checked where they
 entered. A chain file's parse (ledger.block_from_line) guarantees every
 shape (u64 integers, 32-byte digests, UTF-8 text, the proposer bound),
 check_record the record bounds, and propose_revision a new record's ids
-and submit tick. check_block runs check_record before it derives a tx id.
+and integers. check_block runs check_record before it derives a tx id.
 """
 
 from __future__ import annotations

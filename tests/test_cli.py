@@ -821,7 +821,7 @@ REPORT_PAST_U64_TICKS = "a1d57619ac21d7db9a7ce6229476f0946ef9fb5f644fa823f7a15f2
 
 
 def test_simulate_rejects_a_submission_past_u64_ticks(tmp_path, capsys):
-    """A submit tick of 2**64 cannot be encoded: its receipt is Rejected,
+    """A submit tick of 2**64 is outside u64: its receipt is Rejected,
     and the report is the one pinned below, byte for byte."""
     scenario = tmp_path / "s.json"
     scenario.write_text(json.dumps({
