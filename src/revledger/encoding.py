@@ -72,7 +72,7 @@ def check_record(record) -> None:
     check_author_id(record.author_id)
 
 
-def _text(value: str) -> bytes:
+def _length_prefixed(value: str) -> bytes:
     raw = value.encode("utf-8")
     return len(raw).to_bytes(4, "big") + raw
 
@@ -82,10 +82,10 @@ def encode_record(record) -> bytes:
     return b"".join(
         (
             TAG_RECORD,
-            _text(record.work_id),
+            _length_prefixed(record.work_id),
             record.revision_number.to_bytes(8, "big"),
             record.content_hash,
-            _text(record.author_id),
+            _length_prefixed(record.author_id),
             record.submit_tick.to_bytes(8, "big"),
         )
     )
@@ -109,7 +109,7 @@ def encode_header(header) -> bytes:
             header.height.to_bytes(8, "big"),
             header.prev_hash,
             header.merkle_root,
-            _text(header.proposer_id),
+            _length_prefixed(header.proposer_id),
             header.view.to_bytes(8, "big"),
             header.tick.to_bytes(8, "big"),
             header.tx_count.to_bytes(8, "big"),
