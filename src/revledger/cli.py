@@ -296,10 +296,9 @@ def cmd_tamper(args) -> int:
                     chain_path, raw, start, len(lines[args.block]), args, what, "block record"
                 )
             try:
-                from_hex(args.blob)
+                blob_path = Path(ws.store(args.node).blob_path(from_hex(args.blob)))
             except ValueError as exc:
                 return _err(f"bad blob hash: {exc}")
-            blob_path = ws.node_dir(args.node) / "blobs" / args.blob[:2] / args.blob
             if not blob_path.exists():
                 return _err(f"node {args.node} has no blob {args.blob}")
             data = blob_path.read_bytes()

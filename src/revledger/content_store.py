@@ -54,7 +54,8 @@ class ContentStore:
         # stat itself on the paths that load a whole history.
         self._prefix = os.path.join(Path(root, "blobs"), "")
 
-    def _blob_path(self, digest: bytes) -> str:
+    def blob_path(self, digest: bytes) -> str:
+        """Where the blob keyed by `digest` lives: blobs/<2 hex>/<64 hex>."""
         hex_key = to_hex(digest)
         return f"{self._prefix}{hex_key[:2]}/{hex_key}"
 
@@ -63,7 +64,7 @@ class ContentStore:
         digest = sha256(data)
         if self.has(digest):
             return digest
-        path = self._blob_path(digest)
+        path = self.blob_path(digest)
         try:
             fan_out = os.path.dirname(path)
             os.makedirs(fan_out, exist_ok=True)
@@ -81,7 +82,7 @@ class ContentStore:
     def has(self, digest: bytes) -> bool:
         """True if a blob is stored under the digest. Only an absent blob or
         fan-out directory reads as False; any other failure to look raises."""
-        path = self._blob_path(digest)
+        path = self.blob_path(digest)
         try:
             os.stat(path)
         except (FileNotFoundError, NotADirectoryError):
@@ -92,7 +93,7 @@ class ContentStore:
 
     def get(self, digest: bytes) -> bytes:
         """Return the stored bytes, re-verified against the key on every read."""
-        path = self._blob_path(digest)
+        path = self.blob_path(digest)
         try:
             with open(path, "rb") as fh:
                 data = fh.read()

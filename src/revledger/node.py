@@ -6,16 +6,17 @@ consensus layer when it is the primary itself, and on every commit
 appends the block to its chain, runs MVCC validation, updates client
 receipts, and replicates payload blobs into its own content store.
 
-Validity is decided once per replica, when _apply_block applies a block
-committed in this run, and recorded in `bitmaps`, one flag list per
-non-genesis block; heads fold those decisions and every reader (history,
-show, the simulator's report) reads the record. A workspace hands a loaded
-replica the decisions its checkpoint recorded and writes the next checkpoint
-from `decisions()`; only a replica loaded without a trusted checkpoint
-replays its chain through _apply_block. apply_block trusts block structure:
-ledger.check_block checked it once, in the consensus gate before the
-pre-prepare was prepared, or in ledger.check_chain when the workspace loaded
-the chain. Validity reads blob presence, never blob bytes.
+Validity is decided once per replica, when _apply_block applies a block,
+and recorded in `decisions`, one (tx id, flag) list per block after genesis
+by height, whatever part of the chain the runtime holds; heads fold those
+decisions and every reader (history, show, the simulator's report) reads
+the record. A workspace hands a loaded replica the decisions its checkpoint
+recorded and writes the next checkpoint from them; only a replica loaded
+without a trusted checkpoint replays its chain through _apply_block.
+apply_block trusts block structure: ledger.check_block checked it once, in
+the consensus gate before the pre-prepare was prepared, or in
+ledger.check_chain when the workspace loaded the chain. Validity reads blob
+presence, never blob bytes.
 """
 
 from __future__ import annotations
@@ -126,27 +127,23 @@ class NodeRuntime:
         """`recorded`, when given, is (heads, one (tx id, flag) list per block
         after genesis) as this replica decided them earlier, and nothing is
         replayed. `chain` may then start at a later block than genesis, such
-        as the tip: `bitmaps` covers only the blocks after its first, and the
-        runtime keeps the recorded lists of the blocks up to it."""
+        as the tip."""
         self.node_id = node_id
         self.config = config
         self.store = store
         self.policy = make_policy(config)
         self.chain = chain if chain is not None else Chain()
         self.heads: revisions.HeadState = {}
-        self.bitmaps: list[list[ValidityFlag]] = []
+        self.decisions: list[list[tuple[bytes, ValidityFlag]]] = []
         self.committed_flags: dict[bytes, ValidityFlag] = {}  # tx id index for dedup
-        self._recorded_before_chain: list[list[tuple[bytes, ValidityFlag]]] = []
         if recorded is None:
             for block in self.chain.blocks[1:]:
                 self._apply_block(block)
         else:
-            heads, blocks = recorded
-            self.heads = dict(heads)
-            self._index(pair for pairs in blocks for pair in pairs)
-            base = self.chain.blocks[0].header.height
-            self._recorded_before_chain = blocks[:base]
-            self.bitmaps = [[flag for _, flag in pairs] for pairs in blocks[base:]]
+            self.heads = dict(recorded[0])
+            # A copy: byte-identical replicas share one checkpoint parse.
+            self.decisions = list(recorded[1])
+            self._index(pair for pairs in self.decisions for pair in pairs)
         self.replica = Replica(
             node_id,
             config,
@@ -163,8 +160,9 @@ class NodeRuntime:
     def _apply_block(self, block: Block) -> list[ValidityFlag]:
         """Decide the validity of a chained block's transactions and record it."""
         self.heads, flags = apply_block(self.heads, block, self.store)
-        self.bitmaps.append(flags)
-        self._index(zip((tx.tx_id for tx in block.transactions), flags))
+        pairs = list(zip((tx.tx_id for tx in block.transactions), flags))
+        self.decisions.append(pairs)
+        self._index(pairs)
         return flags
 
     def _index(self, decisions: Iterable[tuple[bytes, ValidityFlag]]) -> None:
@@ -173,15 +171,6 @@ class NodeRuntime:
         for tx_id, flag in decisions:
             if committed.get(tx_id) is not ValidityFlag.VALID:
                 committed[tx_id] = flag
-
-    def decisions(self) -> list[list[tuple[bytes, ValidityFlag]]]:
-        """One (tx id, flag) list per block after genesis: the recorded lists
-        up to the chain's first block, then each chained block's tx ids
-        paired with its flags in `bitmaps`."""
-        return self._recorded_before_chain + [
-            list(zip((tx.tx_id for tx in block.transactions), flags))
-            for block, flags in zip(self.chain.blocks[1:], self.bitmaps)
-        ]
 
     # -- client entry ----------------------------------------------------------
 
@@ -399,7 +388,7 @@ class NodeRuntime:
     # -- queries -----------------------------------------------------------------
 
     def history(self, work_id: str) -> list[revisions.HistoryEntry]:
-        return history(self.chain, self.bitmaps, work_id)
+        return history(self.chain, self.decisions, work_id)
 
     def show(self, work_id: str, revision_number: int) -> bytes:
         """Payload bytes of a committed revision, hash re-verified on read."""

@@ -9,8 +9,9 @@ Invalid transactions stay in their block, flagged, never deleted:
 blocks are immutable once ordered.
 
 Validity is decided once per replica, when the replica applies a block
-(NodeRuntime runs apply_block and records the flags in its `bitmaps`);
-history reads those recorded flags and never decides validity again.
+(NodeRuntime runs apply_block and records each block's (tx id, flag)
+pairs in its `decisions`, by height); history reads those recorded flags
+and never decides validity again.
 
 Revision numbers per work are 1, 2, 3, ... with no gaps: a transaction
 is only Valid when its read_version still equals the committed head, so
@@ -179,15 +180,16 @@ class HistoryEntry:
     block_tick: int
 
 
-def history(chain, bitmaps, work_id: str) -> list[HistoryEntry]:
+def history(chain, decisions, work_id: str) -> list[HistoryEntry]:
     """Valid revisions of a work in revision order, read from recorded flags.
 
-    `bitmaps` holds one flag list per non-genesis block of `chain`, as the
-    replica recorded them when it applied each block; nothing is
-    re-validated here, so history cannot disagree with the replica's heads
-    and receipts. Unknown works yield an empty list. The returned numbers
+    `decisions` holds one (tx id, flag) list per block after genesis, by
+    height, as the replica recorded them when it applied each block, and a
+    chain that starts past genesis is read at its blocks' heights. Nothing
+    is re-validated, so history cannot disagree with the heads and receipts. Unknown works yield an empty list. The returned numbers
     are 1..k, gap-free, because only head-extending transactions validate.
     """
+    base = chain.blocks[0].header.height
     return [
         HistoryEntry(
             revision_number=tx.record.revision_number,
@@ -196,7 +198,7 @@ def history(chain, bitmaps, work_id: str) -> list[HistoryEntry]:
             block_height=block.header.height,
             block_tick=block.header.tick,
         )
-        for block, flags in zip(chain.blocks[1:], bitmaps)
-        for tx, flag in zip(block.transactions, flags)
+        for block, pairs in zip(chain.blocks[1:], decisions[base:])
+        for tx, (_, flag) in zip(block.transactions, pairs)
         if flag is ValidityFlag.VALID and tx.record.work_id == work_id
     ]

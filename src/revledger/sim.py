@@ -461,7 +461,10 @@ class Simulation:
         rows: list[ReceiptRow] = []
         latencies: list[int] = []
         stalled = False
-        for sub, receipt in self.receipt_rows:  # no receipt: the node had crashed
+        # Submissions run in workload order, so those past the run's last tick
+        # are its tail; they and a crashed node's have no receipt: Lost.
+        unreached = [(sub, None) for sub in self.workload[len(self.receipt_rows) :]]
+        for sub, receipt in self.receipt_rows + unreached:
             status = receipt.status if receipt else None
             stalled = stalled or status in (None, ReceiptStatus.PENDING)
             if status is ReceiptStatus.COMMITTED_VALID:
@@ -485,8 +488,8 @@ class Simulation:
         live = [i for i in honest if i not in self.crashed] or honest or [0]
         reference = max((self.nodes[i] for i in live), key=lambda node: node.chain.height)
         # Flags of the blocks committed in this run, as the reference recorded them.
-        run_bitmaps = reference.bitmaps[len(reference.bitmaps) - len(reference.blocks_since_load):]
-        counts = Counter(flag.value for flags in run_bitmaps for flag in flags)
+        run = reference.decisions[len(reference.decisions) - len(reference.blocks_since_load):]
+        counts = Counter(flag.value for pairs in run for _, flag in pairs)
         validity_counts = dict(sorted(counts.items()))
         committed_valid = validity_counts.get(ValidityFlag.VALID.value, 0)
         throughput = committed_valid / ticks_elapsed if ticks_elapsed else 0.0

@@ -329,7 +329,7 @@ class Workspace:
         or wrote it."""
         node_id = node.node_id
         size, sha256 = self._chains[node_id]
-        tip, heads, decisions = node.chain.tip, node.heads, node.decisions()
+        tip, heads, decisions = node.chain.tip, node.heads, node.decisions
         # Honest replicas write identical checkpoints: encode each once.
         key = (size, sha256.digest(), tip.block_hash, heads, decisions)
         if self._last_written is None or self._last_written[0] != key:

@@ -273,9 +273,9 @@ def test_criterion_4_mvcc(tmp_path):
     flags = sorted(row.flag for row in report.receipts)
     assert flags == ["InvalidStaleRead", "Valid"]
     assert report.committed_heights[0] >= 1
-    reference_bitmaps = sim.nodes[0].bitmaps
+    reference_decisions = sim.nodes[0].decisions
     for node in sim.nodes[1:]:
-        assert node.bitmaps == reference_bitmaps, "honest bitmaps diverged"
+        assert node.decisions == reference_decisions, "honest decisions diverged"
 
     # (b) 1000 randomized submissions over 10 works, oracle replay must agree
     rnd = random.Random(1234)
@@ -310,10 +310,10 @@ def test_criterion_4_mvcc(tmp_path):
     oracle_heads, oracle_bitmaps = _oracle_replay(node0.chain, blob_lookup)
     production_heads = {w: rev for w, (rev, _) in node0.heads.items()}
     assert production_heads == oracle_heads, "oracle disagrees with production heads"
-    production_bitmaps = [[f.value for f in bm] for bm in node0.bitmaps]
+    production_bitmaps = [[f.value for _, f in pairs] for pairs in node0.decisions]
     assert production_bitmaps == oracle_bitmaps, "oracle disagrees with validity bitmaps"
     for node in sim.nodes[1:]:
-        assert node.bitmaps == node0.bitmaps
+        assert node.decisions == node0.decisions
 
     # gap-free numbering: Valid revisions of each work are exactly 1..k
     valid_revs = {}

@@ -160,6 +160,40 @@ def test_verify_ignores_a_checkpoint_made_for_other_chain_bytes(ws_dir, tmp_path
     assert [row.split()[0] for row in rows] == ["revision=1", "revision=2"]
 
 
+def _tip_hash_of_block_1(obj, ws_dir):
+    lines = (ws_dir / "node-0" / "chain.jsonl").read_text().splitlines()
+    obj["tip_hash"] = json.loads(lines[1])["block_hash"]
+
+
+def _one_block_too_many(obj, ws_dir):
+    obj["blocks"].append(obj["blocks"][-1])
+    obj["height"] += 1
+
+
+@pytest.mark.parametrize("forge", [_tip_hash_of_block_1, _one_block_too_many])
+def test_a_checkpoint_whose_tip_disagrees_with_the_chain_is_ignored(
+    ws_dir, tmp_path, capsys, forge
+):
+    """A checkpoint that names another tip than the chain file's last line
+    is not trusted, though its chain length and SHA-256 match: its flipped
+    flag reaches no reader."""
+    commit(ws_dir, tmp_path, "w", "a.txt", "first")
+    commit(ws_dir, tmp_path, "w", "b.txt", "second")
+
+    def change(obj):
+        _flag_to_stale(obj)
+        forge(obj, ws_dir)
+
+    edit_checkpoint(ws_dir, 0, change)
+    capsys.readouterr()
+    assert main(["history", "--dir", str(ws_dir), "--work", "w"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows] == ["revision=1", "revision=2"]
+    assert commit(ws_dir, tmp_path, "w", "c.txt", "third") == 0
+    assert "flag=Valid height=3" in capsys.readouterr().out
+    assert main(["verify", "--dir", str(ws_dir)]) == 0
+
+
 def test_commit_refuses_replicas_that_disagree_at_load(ws_dir, tmp_path, capsys):
     commit(ws_dir, tmp_path, "w", "a.txt", "first")
     commit(ws_dir, tmp_path, "w", "b.txt", "second")
@@ -300,6 +334,48 @@ def test_stalled_commit_lists_whole_chains_above_genesis(ws_dir, tmp_path, capsy
     for digests in doc["committed_digests"].values():
         assert digests[: len(hashes)] == hashes
     assert all(v["ok"] for v in doc["verify"].values())
+
+
+def test_stalled_commit_keeps_each_replicas_decisions_by_height(
+    ws_dir, tmp_path, capsys, monkeypatch
+):
+    """After a stalled commit swaps each replica's tip-only chain for its
+    whole persisted chain, its history and decisions are those of a fresh
+    load: the decisions are indexed by height, not by the chain held."""
+    from revledger import cli
+
+    runs = []
+
+    def keep(ws, submissions):
+        runs.append(run_consensus(ws, submissions))
+        return runs[-1]
+
+    run_consensus = cli._run_local_consensus
+    monkeypatch.setattr(cli, "_run_local_consensus", keep)
+    commit(ws_dir, tmp_path, "w", "a.txt", "first")
+    commit(ws_dir, tmp_path, "w", "b.txt", "second")
+    config = json.loads((ws_dir / "config.json").read_text())
+    (ws_dir / "config.json").write_text(json.dumps({**config, "timeout_ticks": 2, "max_batch": 1}))
+    argv = ["commit", "--dir", str(ws_dir), "--work", "w", "--author", "ada"]
+    for k in range(3):
+        (tmp_path / f"p{k}.txt").write_text(f"payload {k}")
+        argv += ["--file" if k == 0 else "--also-file", str(tmp_path / f"p{k}.txt")]
+    assert main(argv) == 1
+    assert "consensus stalled" in capsys.readouterr().err
+    sim, _ = runs[-1]
+    ws = Workspace.load(ws_dir)
+    heights = []
+    for i, node in enumerate(sim.nodes):
+        fresh = ws.load_node(i)
+        assert len(node.decisions) == node.chain.height == fresh.chain.height
+        assert node.decisions == fresh.decisions
+        assert node.history("w") == fresh.history("w")
+        heights.append(node.chain.height)
+    assert heights == [2, 3, 3, 3]
+    for node in ws.load_all_nodes():  # each holding only its tip
+        assert len(node.chain.blocks) == 1
+        assert len(node.decisions) == node.chain.height
+    assert [e.revision_number for e in sim.nodes[1].history("w")] == [1, 2, 3]
 
 
 def test_stall_after_some_replicas_committed_leaves_trusted_checkpoints(ws_dir, tmp_path, capsys):

@@ -633,6 +633,57 @@ def test_tamper_messages_are_pinned(ws_dir, tmp_path, capsys):
         assert (main(base + flags), *capsys.readouterr()) == (rc, out, err)
 
 
+MISSING_BLOB = "00" * 32
+
+
+@pytest.mark.parametrize(
+    "flags, err",
+    [
+        (["--block", "1", "--xor", "256"], "xor value must be in 1..255"),
+        (["--block", "1", "--xor", "-1"], "xor value must be in 1..255"),
+        (["--xor", "1"], "choose exactly one of --block or --blob"),
+        (["--block", "1", "--blob", MISSING_BLOB, "--xor", "1"],
+         "choose exactly one of --block or --blob"),
+        (["--node", "4", "--block", "1", "--xor", "1"], "node 4 outside 0..3"),
+        (["--node", "-1", "--block", "1", "--xor", "1"], "node -1 outside 0..3"),
+        (["--blob", "abc", "--xor", "1"], "bad blob hash: digest hex must be 64 chars, got 3"),
+        (["--blob", "A" * 64, "--xor", "1"],
+         "bad blob hash: digest hex must be lowercase"),
+        (["--blob", MISSING_BLOB, "--xor", "1"], f"node 0 has no blob {MISSING_BLOB}"),
+    ],
+    ids=["xor-256", "xor-negative", "neither", "both", "node-past-n", "node-negative",
+         "short-hash", "uppercase-hash", "absent-blob"],
+)
+def test_tamper_refusals_change_no_byte(ws_dir, tmp_path, capsys, flags, err):
+    commit(ws_dir, tmp_path, "w", "a.txt", "x")
+    before = {p: p.read_bytes() for p in ws_dir.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    argv = ["tamper", "--dir", str(ws_dir), "--node", "0", "--offset", "0"] + flags
+    assert (main(argv), *capsys.readouterr()) == (1, "", f"error: {err}\n")
+    assert {p: p.read_bytes() for p in ws_dir.rglob("*") if p.is_file()} == before
+
+
+def test_tamper_refuses_where_it_cannot_reach_the_replica(ws_dir, tmp_path, capsys):
+    """No workspace, a held lock, and a missing chain file: exit 1 with the
+    reason, and no byte changed."""
+    argv = ["--node", "2", "--block", "0", "--offset", "0", "--xor", "1"]
+    nowhere = tmp_path / "nowhere"
+    capsys.readouterr()
+    assert (main(["tamper", "--dir", str(nowhere)] + argv), *capsys.readouterr()) == (
+        1, "", f"error: {nowhere} is not a ledger workspace (no config.json)\n"
+    )
+    chain = ws_dir / "node-2" / "chain.jsonl"
+    chain.unlink()
+    before = {p: p.read_bytes() for p in ws_dir.rglob("*") if p.is_file()}
+    assert (main(["tamper", "--dir", str(ws_dir)] + argv), *capsys.readouterr()) == (
+        1, "", f"error: {chain} does not exist\n"
+    )
+    with Workspace.load(ws_dir).lock():
+        rc, out, err = main(["tamper", "--dir", str(ws_dir)] + argv), *capsys.readouterr()
+    assert (rc, out) == (1, "") and err.startswith("error: workspace is locked")
+    assert {p: p.read_bytes() for p in ws_dir.rglob("*") if p.is_file()} == before
+
+
 def test_tamper_offset_out_of_range(ws_dir, tmp_path, capsys):
     commit(ws_dir, tmp_path, "w", "a.txt", "x")
     rc = main([
@@ -668,6 +719,25 @@ def test_only_tamper_mutates_existing_bytes(ws_dir, tmp_path, capsys):
     after = workspace_snapshot(ws_dir)
     for path, data in before.items():
         assert after[path].startswith(data)  # strictly appended, never edited
+
+
+def test_an_empty_chain_file_has_no_genesis(ws_dir, tmp_path, capsys):
+    """verify reports node 0's empty chain file as missing its genesis, and
+    history refuses to read it."""
+    commit(ws_dir, tmp_path, "w", "a.txt", "x")
+    (ws_dir / "node-0" / "chain.jsonl").write_bytes(b"")
+    capsys.readouterr()
+    assert main(["verify", "--dir", str(ws_dir)]) == 1
+    assert capsys.readouterr().out == (
+        "node 0: defect height=0 kind=missing-genesis empty chain file\n"
+        "node 1: ok\nnode 2: ok\nnode 3: ok\n"
+        "verify: tampering detected\n"
+    )
+    assert main(["history", "--dir", str(ws_dir), "--work", "w"]) == 1
+    assert capsys.readouterr() == ("", (
+        "error: node-0 chain is damaged (missing-genesis at height 0); "
+        "run the verify command for details\n"
+    ))
 
 
 def test_lock_excludes_concurrent_invocations(ws_dir, tmp_path, capsys):

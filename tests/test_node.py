@@ -107,6 +107,24 @@ def test_primary_accepts_forward_and_dedups():
     assert len(primary.mempool) == 1
 
 
+def test_primary_drops_a_forward_that_fails_the_policy():
+    """A forward endorsed by fewer nodes than the policy requires, or with a
+    forged token, never enters the primary's mempool."""
+    from dataclasses import replace
+
+    primary = make_node(node_id=0, m=2)
+    backup = make_node(node_id=1, m=2)
+    backup.submit("w1", "ada", b"x", now=1)
+    (fwd,) = [o.payload for o in backup.tick_duties(now=1) if isinstance(o.payload, TxForward)]
+    short = replace(fwd.tx, endorsements=fwd.tx.endorsements[:1])
+    forged = replace(fwd.tx, endorsements=((1, b"\x00" * 32), fwd.tx.endorsements[1]))
+    for tx in (short, forged):
+        primary.on_message(1, replace(fwd, tx=tx), now=2)
+        assert primary.mempool == {}
+    primary.on_message(1, fwd, now=3)
+    assert list(primary.mempool) == [fwd.tx.tx_id]
+
+
 def test_commit_round_trip_updates_receipts_and_heads():
     """Drive four nodes by hand-shuttling broadcasts; the submitting
     node's receipt must resolve with the validity flag."""
@@ -146,7 +164,7 @@ def test_commit_at_wrong_height_is_fatal():
     bogus = build_block(5, b"\x00" * 32, [tx], "node-0", 0, 1)
     with pytest.raises(ValueError, match="append at height 5, tip is 0"):
         node._apply_commit(CommitEvent(block=bogus, blobs={}), now=1)
-    assert node.chain.height == 0 and node.bitmaps == []
+    assert node.chain.height == 0 and node.decisions == []
 
 
 def test_show_and_history_round_trip():
@@ -190,7 +208,7 @@ def test_history_reads_the_flags_recorded_at_commit():
     tx = propose_revision("w", "ada", b"payload", {}, MemoryStore(), submit_tick=1)
     block = build_block(1, node.chain.tip.block_hash, [tx], "node-0", 0, 1)
     node._apply_commit(CommitEvent(block=block, blobs={}), now=1)
-    assert node.bitmaps == [[ValidityFlag.MISSING_CONTENT]]
+    assert node.decisions == [[(tx.tx_id, ValidityFlag.MISSING_CONTENT)]]
     assert node.heads == {}
 
     receipt = node.submit("w", "ada", b"payload", now=1)
@@ -199,12 +217,12 @@ def test_history_reads_the_flags_recorded_at_commit():
     assert node.history("w") == []
     with pytest.raises(NotFoundError):
         node.show("w", 1)
-    assert node.bitmaps == [[ValidityFlag.MISSING_CONTENT]]
+    assert node.decisions == [[(tx.tx_id, ValidityFlag.MISSING_CONTENT)]]
     assert node.heads == {}
 
     chain = Chain(list(node.chain.blocks))
     loaded = NodeRuntime(node.node_id, node.config, node.store, chain=chain)
-    assert len(loaded.bitmaps) == loaded.chain.height == 1
+    assert len(loaded.decisions) == loaded.chain.height == 1
 
 
 def test_unendorsed_block_refused_at_pre_prepare():

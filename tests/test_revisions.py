@@ -161,12 +161,13 @@ def test_apply_block_is_pure(store):
 
 
 def flags_of(chain, store):
-    """Per-block flags as a replica records them: apply_block folded from genesis."""
-    heads, bitmaps = {}, []
+    """Per-block (tx id, flag) pairs as a replica records them: apply_block
+    folded from genesis."""
+    heads, decisions = {}, []
     for block in chain.blocks[1:]:
         heads, flags = apply_block(heads, block, store)
-        bitmaps.append(flags)
-    return bitmaps
+        decisions.append(list(zip((tx.tx_id for tx in block.transactions), flags)))
+    return decisions
 
 
 def test_history_collects_valid_revisions_in_order(store):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from revledger.cli import _report_text
@@ -15,6 +17,7 @@ from revledger.sim import (
     EventQueue,
     MetricsError,
     Partition,
+    ReceiptRow,
     ScenarioError,
     Silent,
     SimConfig,
@@ -473,6 +476,23 @@ def test_submission_to_crashed_node_is_lost_and_flagged():
     assert report.receipts[0].status == "Lost"
 
 
+def test_a_submission_past_max_ticks_is_reported_lost():
+    """The run never reaches a submission scheduled after max_ticks: it is a
+    Lost row with no receipt, and the run counts as stalled."""
+    config = SimConfig(n=4, f=1, seed=1, max_ticks=50)
+    wl = [
+        Submission(tick=1, node=0, work_id="w", author_id="ada", payload=b"x"),
+        Submission(tick=200, node=1, work_id="w", author_id="ben", payload=b"y"),
+    ]
+    report = Simulation(config, wl).run()
+    assert report.receipts[0].status == "CommittedValid"
+    assert report.receipts[1] == ReceiptRow(
+        node=1, work_id="w", author_id="ben", submit_tick=200,
+        tx_id=None, status="Lost", flag=None, commit_tick=None,
+    )
+    assert report.stalled
+
+
 def test_drop_prob_one_stalls():
     config = SimConfig(n=4, f=1, seed=3, drop_prob=1.0, timeout_ticks=10, max_ticks=120)
     report = Simulation(config, workload_distinct(2)).run()
@@ -565,3 +585,38 @@ def test_parse_scenario_rejects_bad_shape():
         parse_scenario('{"config": {"n": 4, "f": 1, "seed": 1}}')
     with pytest.raises(ScenarioError):
         parse_scenario('{"config": {"n": 3, "f": 1, "seed": 1}, "workload": []}')
+
+
+@pytest.mark.parametrize(
+    "entry, behavior",
+    [
+        ({"behavior": "delay_all", "extra": 3}, DelayAll(extra=3)),
+        ({"behavior": "silent"}, Silent()),
+        ({"behavior": "corrupt_digest"}, CorruptDigest()),
+    ],
+)
+def test_parse_scenario_reads_each_behavior(entry, behavior):
+    doc = {"config": {"n": 4, "f": 1, "seed": 1, "byzantine": [{"node": 2, **entry}]},
+           "workload": []}
+    config, _ = parse_scenario(json.dumps(doc))
+    assert config.byzantine == ((2, behavior),)
+
+
+CONFIG = {"n": 4, "f": 1, "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"config": [], "workload": []}, "'config' must be an object"),
+        ({"config": CONFIG, "workload": {}}, "'workload' must be a list"),
+        ({"config": CONFIG, "workload": [{"tick": 1, "node": 0}]}, "bad workload entry 0: 'work'"),
+        ({"config": {**CONFIG, "byzantine": [{"node": 1, "behavior": "delay_all", "extra": 0}]},
+          "workload": []}, "delay_all behavior needs positive 'extra'"),
+    ],
+    ids=["config-not-object", "workload-not-list", "entry-without-work", "delay-all-zero"],
+)
+def test_parse_scenario_refuses_a_misshapen_document(doc, message):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(json.dumps(doc))
+    assert str(err.value) == message
