@@ -186,10 +186,12 @@ def history(chain, decisions, work_id: str) -> list[HistoryEntry]:
     `decisions` holds one (tx id, flag) list per block after genesis, by
     height, as the replica recorded them when it applied each block, and a
     chain that starts past genesis is read at its blocks' heights. Nothing
-    is re-validated, so history cannot disagree with the heads and receipts. Unknown works yield an empty list. The returned numbers
-    are 1..k, gap-free, because only head-extending transactions validate.
+    is re-validated, so history cannot disagree with the heads and receipts.
+    Unknown works yield an empty list. The returned numbers are 1..k,
+    gap-free, because only head-extending transactions validate.
     """
     base = chain.blocks[0].header.height
+    # The work is compared first: other works' flags are then never read.
     return [
         HistoryEntry(
             revision_number=tx.record.revision_number,
@@ -199,6 +201,6 @@ def history(chain, decisions, work_id: str) -> list[HistoryEntry]:
             block_tick=block.header.tick,
         )
         for block, pairs in zip(chain.blocks[1:], decisions[base:])
-        for tx, (_, flag) in zip(block.transactions, pairs)
-        if flag is ValidityFlag.VALID and tx.record.work_id == work_id
+        for tx, pair in zip(block.transactions, pairs)
+        if tx.record.work_id == work_id and pair[1] is ValidityFlag.VALID
     ]

@@ -345,12 +345,12 @@ def test_stalled_commit_keeps_each_replicas_decisions_by_height(
     from revledger import cli
 
     runs = []
+    run_consensus = cli._run_local_consensus
 
     def keep(ws, submissions):
         runs.append(run_consensus(ws, submissions))
         return runs[-1]
 
-    run_consensus = cli._run_local_consensus
     monkeypatch.setattr(cli, "_run_local_consensus", keep)
     commit(ws_dir, tmp_path, "w", "a.txt", "first")
     commit(ws_dir, tmp_path, "w", "b.txt", "second")
