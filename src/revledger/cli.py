@@ -29,6 +29,7 @@ from .node import make_policy
 from .pbft import ConfigError, GroupConfig
 from .revisions import check_endorsement_policy
 from .sim import (
+    MAX_TICKS,
     ScenarioError,
     SimConfig,
     SimReport,
@@ -77,7 +78,7 @@ def cmd_init(args) -> int:
 
 def _run_local_consensus(ws: Workspace, submissions: list[Submission]):
     cfg = ws.config
-    sim_config = SimConfig(**asdict(cfg), max_ticks=50 * cfg.timeout_ticks)
+    sim_config = SimConfig(**asdict(cfg), max_ticks=min(50 * cfg.timeout_ticks, MAX_TICKS))
     sim = Simulation(sim_config, submissions, nodes=ws.load_all_nodes())
     return sim, sim.run()
 

@@ -168,17 +168,18 @@ def check_genesis(block: Block) -> list[Defect]:
     return defects
 
 
-def check_block(block: Block) -> list[Defect]:
-    """Structural defects of one non-genesis block, in a fixed order.
+def check_block(block: Block, height: int) -> list[Defect]:
+    """Structural defects of one non-genesis block at `height`, in a fixed order.
 
     Covers what a block's own fields must satisfy: at least one
     transaction, the block hash, the Merkle root, tx_count, and per
     transaction its record bounds (check_record), its tx id and the
     revision gap. It trusts the field shapes block_from_line checks, reads
     no store and no chain position. Consensus runs it on each pre-prepare,
-    check_chain on each block of a chain; apply_block trusts what passed.
+    check_chain on each block of a chain, at its line position (a forged
+    header height is check_chain's height-mismatch); apply_block trusts
+    what passed.
     """
-    height = block.header.height
     defects: list[Defect] = []
     if not block.transactions:
         defects.append(Defect(height, "empty-block"))
@@ -220,7 +221,7 @@ def check_chain(chain: Chain) -> list[Defect]:
         prev_hash = prev.block_hash if prev_clean else encoding.header_hash(prev.header)
         if block.header.prev_hash != prev_hash:
             defects.append(Defect(i, "link-mismatch"))
-        block_defects = check_block(block)
+        block_defects = check_block(block, i)
         defects.extend(block_defects)
         prev_clean = not block_defects
     return defects
@@ -251,7 +252,6 @@ def verify_chain(
     read: set[str] = set()
     defects: list[Defect] = list(structural)
     for i, block in enumerate(chain.blocks[1:], start=1):
-        height = block.header.height
         for j, tx in enumerate(block.transactions):
             key = to_hex(tx.record.content_hash)
             try:
@@ -268,7 +268,7 @@ def verify_chain(
             except StoreError:
                 damaged.add(key)
                 kind = "content-hash-mismatch"
-            defects.append(Defect(height, kind, f"tx {j}: {key}"))
+            defects.append(Defect(i, kind, f"tx {j}: {key}"))
         if endorsement_checker is not None:
             for j, tx in enumerate(block.transactions):
                 if not endorsement_checker(tx):
@@ -368,7 +368,7 @@ def block_from_line(line: str) -> Block:
     The one check of every field's shape: u64 integers, 64 lowercase hex
     digits for each digest, UTF-8 encodable text and the proposer bound, so
     the encoders can hash any block it returns. Record bounds are left to
-    check_block, which reports them at the block's height."""
+    check_block, which reports them at the block's line."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:

@@ -73,6 +73,14 @@ class PbftMessage:
     view_changes: tuple["PbftMessage", ...] | None = None
 
 
+def check_int_fields(record, error: type[Exception], what: str = "") -> None:
+    """Refuse, with `error`, a dataclass field declared int that holds no int
+    or a bool: the one type check of every record built from outside input."""
+    for spec in fields(record):
+        if spec.type == "int" and type(getattr(record, spec.name)) is not int:
+            raise error(f"{what}{spec.name} must be an int")
+
+
 @dataclass(frozen=True)
 class GroupConfig:
     """The replica group's parameters: the keys of a workspace's config.json."""
@@ -86,10 +94,8 @@ class GroupConfig:
 
     def __post_init__(self):
         """Refuse, with ConfigError, a config no workspace could run or a
-        field declared int (a subclass's too) that holds no int or a bool."""
-        for spec in fields(self):
-            if spec.type == "int" and type(getattr(self, spec.name)) is not int:
-                raise ConfigError(f"{spec.name} must be an int")
+        field (a subclass's too) that check_int_fields refuses."""
+        check_int_fields(self, ConfigError)
         try:
             quorum_size(self.n, self.f)
         except ConfigError as exc:
@@ -140,7 +146,7 @@ def block_structurally_valid(block: Block, seq: int) -> bool:
     The header's view is not compared to the message view, because a
     block prepared in one view is re-proposed verbatim in later views.
     """
-    return block.header.height == seq and not check_block(block)
+    return block.header.height == seq and not check_block(block, seq)
 
 
 _NORMAL_KINDS = (MessageKind.PRE_PREPARE, MessageKind.PREPARE, MessageKind.COMMIT)

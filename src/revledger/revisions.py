@@ -82,17 +82,16 @@ def propose_revision(
     """Propose the next revision of a work against the observed head.
 
     Refuses, with MalformedError and before storing anything, ids that
-    break their bounds and a revision number or submit tick outside u64.
-    Otherwise stores the payload (content addressing makes that
+    break their bounds and a revision number outside u64 (SimConfig bounds
+    the tick). Otherwise stores the payload (content addressing makes that
     idempotent) and returns an unendorsed transaction with read_version =
     current head, or 0 for a work not yet created.
     """
     encoding.check_work_id(work_id)
     encoding.check_author_id(author_id)
     read_version = heads[work_id][0] if work_id in heads else 0
-    for name, value in (("revision_number", read_version + 1), ("submit_tick", submit_tick)):
-        if not 0 <= value < 1 << 64:
-            raise MalformedError(f"{name} out of u64 range: {value}")
+    if read_version + 1 >= 1 << 64:
+        raise MalformedError(f"revision_number out of u64 range: {read_version + 1}")
     content_hash = store.put(payload)
     record = RevisionRecord(
         work_id=work_id,
@@ -184,13 +183,16 @@ def history(chain, decisions, work_id: str) -> list[HistoryEntry]:
     """Valid revisions of a work in revision order, read from recorded flags.
 
     `decisions` holds one (tx id, flag) list per block after genesis, by
-    height, as the replica recorded them when it applied each block, and a
-    chain that starts past genesis is read at its blocks' heights. Nothing
+    height, as the replica recorded them when it applied each block. Nothing
     is re-validated, so history cannot disagree with the heads and receipts.
     Unknown works yield an empty list. The returned numbers are 1..k,
     gap-free, because only head-extending transactions validate.
+
+    Raises ValueError for a chain that does not start at genesis, such as
+    a replica's tip: its earlier revisions are not there to list.
     """
-    base = chain.blocks[0].header.height
+    if chain.blocks[0].header.height != 0:
+        raise ValueError("history needs the whole chain, from genesis on")
     # The work is compared first: other works' flags are then never read.
     return [
         HistoryEntry(
@@ -200,7 +202,7 @@ def history(chain, decisions, work_id: str) -> list[HistoryEntry]:
             block_height=block.header.height,
             block_tick=block.header.tick,
         )
-        for block, pairs in zip(chain.blocks[1:], decisions[base:])
+        for block, pairs in zip(chain.blocks[1:], decisions)
         for tx, pair in zip(block.transactions, pairs)
         if tx.record.work_id == work_id and pair[1] is ValidityFlag.VALID
     ]

@@ -17,6 +17,12 @@ its duties when an event reached it, or at the tick `NodeRuntime.next_due`
 gave after its last duties (see there for what makes a node due). At a
 tick it skips, its duties would change nothing and send nothing, and
 draws are made only for sent messages, so no draw moves.
+
+Each scenario field is checked once, where its record is built: every
+record's int fields by pbft.check_int_fields, each behavior's bound by the
+behavior, and by SimConfig what needs the group: node ids in 0..n-1, known
+behaviors, and max_ticks within u64, which bounds every tick the run
+reaches. The loop and apply_behavior trust what passed.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .content_store import MemoryStore
 from .digests import to_hex
 from .ledger import Block, build_block
 from .node import NodeRuntime, Outbound, ReceiptStatus
-from .pbft import ConfigError, GroupConfig, MessageKind, PbftMessage
+from .pbft import ConfigError, GroupConfig, MessageKind, PbftMessage, check_int_fields
 from .revisions import ValidityFlag
 from .rng import SplitMix64, derive_stream_seed
 
@@ -45,6 +51,11 @@ class SimError(ValueError):
 @dataclass(frozen=True)
 class Crash:
     at_tick: int
+
+    def __post_init__(self):
+        check_int_fields(self, SimError, "crash ")
+        if self.at_tick < 0:
+            raise SimError("crash behavior needs non-negative 'at_tick'")
 
 
 @dataclass(frozen=True)
@@ -61,6 +72,11 @@ class EquivocatePrePrepare:
 class DelayAll:
     extra: int
 
+    def __post_init__(self):
+        check_int_fields(self, SimError, "delay_all ")
+        if self.extra < 1:
+            raise SimError("delay_all behavior needs positive 'extra'")
+
 
 @dataclass(frozen=True)
 class CorruptDigest:
@@ -68,6 +84,10 @@ class CorruptDigest:
 
 
 ByzantineBehavior = Crash | Silent | EquivocatePrePrepare | DelayAll | CorruptDigest
+
+_BEHAVIORS = {"crash": Crash, "silent": Silent, "equivocate_pre_prepare": EquivocatePrePrepare,
+              "delay_all": DelayAll, "corrupt_digest": CorruptDigest}  # by scenario name
+MAX_TICKS = (1 << 64) - 1  # a block header's tick is a u64
 
 # Behaviors that merely suppress or slow a node. Nodes under them never lie,
 # so they still count as honest for the safety invariant.
@@ -84,9 +104,7 @@ class Partition:
     group: frozenset[int]
 
     def __post_init__(self):
-        for name in ("start", "end"):
-            if type(getattr(self, name)) is not int:
-                raise SimError(f"partition {name} must be an int")
+        check_int_fields(self, SimError, "partition ")
 
     def blocks(self, src: int, dst: int, now: int) -> bool:
         if not (self.start <= now < self.end):
@@ -111,16 +129,20 @@ class SimConfig(GroupConfig):
             raise SimError("delay_min must be >= 1")
         if self.delay_max < self.delay_min:
             raise SimError("delay_max must be >= delay_min")
-        if not 0.0 <= self.drop_prob <= 1.0:
-            raise SimError("drop_prob must be in [0, 1]")
+        if type(self.drop_prob) not in (int, float) or not 0.0 <= self.drop_prob <= 1.0:
+            raise SimError("drop_prob must be a number in [0, 1]")
         if self.max_ticks < 1:
             raise SimError("max_ticks must be >= 1")
+        if self.max_ticks > MAX_TICKS:
+            raise SimError(f"max_ticks out of u64 range: {self.max_ticks}")
         seen = [nid for nid, _ in self.byzantine]
+        for nid in seen + [nid for part in self.partitions for nid in part.group]:
+            if type(nid) is not int or not 0 <= nid < self.n:
+                raise SimError(f"node id {nid!r} outside 0..{self.n - 1}")
         if len(seen) != len(set(seen)):
             raise SimError("duplicate byzantine node entries")
-        for nid in seen:
-            if not 0 <= nid < self.n:
-                raise SimError(f"byzantine node {nid} outside 0..{self.n - 1}")
+        if not all(isinstance(b, ByzantineBehavior) for _, b in self.byzantine):
+            raise SimError("unknown byzantine behavior")
 
     def is_fault_free(self) -> bool:
         return not self.byzantine and not self.partitions and self.drop_prob == 0.0
@@ -138,9 +160,7 @@ class Submission:
 def check_workload(workload: list[Submission], config: SimConfig) -> None:
     last = 0
     for sub in workload:
-        for name in ("tick", "node"):
-            if type(getattr(sub, name)) is not int:
-                raise SimError(f"workload {name} must be an int")
+        check_int_fields(sub, SimError, "workload ")
         if sub.tick < last:
             raise SimError("workload submit ticks must be non-decreasing")
         last = sub.tick
@@ -232,34 +252,28 @@ def apply_behavior(
     Returns (sends, extra_delay). Honest nodes pass through unchanged, and
     so does a node under Crash: the simulation runs no crashed node.
     """
-    if behavior is None or isinstance(behavior, Crash):
+    if behavior is None:
         return [(dst, payload) for dst in receivers], 0
     if isinstance(behavior, Silent):
         return [], 0
-    if isinstance(behavior, DelayAll):
-        return [(dst, payload) for dst in receivers], behavior.extra
-    if isinstance(behavior, CorruptDigest):
-        if isinstance(payload, PbftMessage):
-            payload = replace(payload, digest=_flip_digest(payload.digest))
-        return [(dst, payload) for dst in receivers], 0
-    if isinstance(behavior, EquivocatePrePrepare):
-        if (
-            isinstance(payload, PbftMessage)
-            and payload.kind is MessageKind.PRE_PREPARE
-            and payload.block is not None
-            and len(receivers) > 1
-        ):
-            variant_block = _equivocation_variant(payload.block)
-            variant = replace(
-                payload, digest=variant_block.block_hash, block=variant_block
-            )
-            ordered = sorted(receivers)
-            half = len(ordered) // 2
-            sends: list[tuple[int, object]] = [(dst, payload) for dst in ordered[:half]]
-            sends += [(dst, variant) for dst in ordered[half:]]
-            return sends, 0
-        return [(dst, payload) for dst in receivers], 0
-    raise SimError(f"unknown behavior {behavior!r}")
+    if isinstance(behavior, CorruptDigest) and isinstance(payload, PbftMessage):
+        payload = replace(payload, digest=_flip_digest(payload.digest))
+    if (
+        isinstance(behavior, EquivocatePrePrepare)
+        and isinstance(payload, PbftMessage)
+        and payload.kind is MessageKind.PRE_PREPARE
+        and payload.block is not None
+        and len(receivers) > 1
+    ):
+        variant_block = _equivocation_variant(payload.block)
+        variant = replace(payload, digest=variant_block.block_hash, block=variant_block)
+        ordered = sorted(receivers)
+        half = len(ordered) // 2
+        sends: list[tuple[int, object]] = [(dst, payload) for dst in ordered[:half]]
+        sends += [(dst, variant) for dst in ordered[half:]]
+        return sends, 0
+    extra = behavior.extra if isinstance(behavior, DelayAll) else 0
+    return [(dst, payload) for dst in receivers], extra
 
 
 # -- report -----------------------------------------------------------------------
@@ -443,6 +457,8 @@ class Simulation:
         ]
 
     def _safety_ok(self, honest: list[int]) -> bool:
+        """Honest replicas agree on the block, and on its decisions, at
+        every height two of them hold, and on the heads at equal heights."""
         # Blocks are matched by header height: a replica loaded from a
         # workspace checkpoint holds its chain only from its old tip on.
         seen: dict[int, bytes] = {}
@@ -450,6 +466,16 @@ class Simulation:
             for block in self.nodes[i].chain.blocks:
                 if seen.setdefault(block.header.height, block.block_hash) != block.block_hash:
                     return False
+        # Two records that differ at a shared height cannot both match the
+        # longest there, so each is compared with the longest's prefix.
+        nodes = [self.nodes[i] for i in honest]
+        longest = max((node.decisions for node in nodes), key=len, default=[])
+        heads: dict[int, dict] = {}
+        for node in nodes:
+            if node.decisions != longest[: len(node.decisions)]:
+                return False
+            if heads.setdefault(node.chain.height, node.heads) != node.heads:
+                return False
         return True
 
     def report(self, ticks_elapsed: int) -> SimReport:
@@ -535,26 +561,10 @@ class ScenarioError(ValueError):
 
 def _parse_behavior(obj: dict) -> tuple[int, ByzantineBehavior]:
     name = obj.get("behavior")
-    node = obj.get("node")
-    if not isinstance(node, int):
-        raise ScenarioError("byzantine entry needs an integer 'node'")
-    if name == "crash":
-        at = obj.get("at_tick")
-        if not isinstance(at, int) or at < 0:
-            raise ScenarioError("crash behavior needs non-negative 'at_tick'")
-        return node, Crash(at_tick=at)
-    if name == "delay_all":
-        extra = obj.get("extra")
-        if not isinstance(extra, int) or extra < 1:
-            raise ScenarioError("delay_all behavior needs positive 'extra'")
-        return node, DelayAll(extra=extra)
-    if name == "silent":
-        return node, Silent()
-    if name == "equivocate_pre_prepare":
-        return node, EquivocatePrePrepare()
-    if name == "corrupt_digest":
-        return node, CorruptDigest()
-    raise ScenarioError(f"unknown behavior {name!r}")
+    kind = _BEHAVIORS.get(name)
+    if kind is None:
+        raise ScenarioError(f"unknown behavior {name!r}")
+    return obj.get("node"), kind(**{spec.name: obj.get(spec.name) for spec in fields(kind)})
 
 
 def generate_payload(seed: int, tag: int, size: int) -> bytes:
@@ -585,7 +595,7 @@ def parse_scenario(text: str) -> tuple[SimConfig, list[Submission]]:
         keys = {f.name for f in fields(SimConfig)} - {"partitions", "byzantine"}
         given = {k: v for k, v in c.items() if k in keys}  # unknown keys are ignored
         config = SimConfig(**given, partitions=partitions, byzantine=byzantine)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ScenarioError(f"bad config: {exc}") from exc
     except (ConfigError, SimError) as exc:
         raise ScenarioError(str(exc)) from exc
@@ -597,6 +607,8 @@ def parse_scenario(text: str) -> tuple[SimConfig, list[Submission]]:
             spec = w.get("payload", {})
             size = spec.get("size", 64)
             tag = spec.get("tag", idx)
+            if type(size) is not int or type(tag) is not int or size < 0:
+                raise ScenarioError("workload payload needs an int 'tag' and an int 'size' >= 0")
             workload.append(
                 Submission(
                     tick=w["tick"],

@@ -49,6 +49,19 @@ def ws_dir(tmp_path):
     return d
 
 
+def test_history_and_show_refuse_a_replica_holding_only_its_tip(ws_dir, tmp_path):
+    """A runtime loaded with only its tip holds no earlier revision: history
+    and show refuse it instead of answering that the work has none."""
+    commit(ws_dir, tmp_path, "w", "a.txt", "first")
+    commit(ws_dir, tmp_path, "w", "b.txt", "second")
+    ws = Workspace.load(ws_dir)
+    tip_only = ws.load_all_nodes()[0]
+    for query in (lambda: tip_only.history("w"), lambda: tip_only.show("w", 1)):
+        with pytest.raises(ValueError, match="history needs the whole chain"):
+            query()
+    assert [e.revision_number for e in ws.load_node(0).history("w")] == [1, 2]
+
+
 def test_deleted_blob_changes_no_replicas_history_or_heads(ws_dir, tmp_path, capsys):
     """Heads and history come from the recorded flags, not from which blobs
     a replica still holds: a deleted blob on node 0 is reported by show and

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -6,7 +7,8 @@ import pytest
 
 from revledger.cli import main, verify_workspace
 from revledger.node import NodeRuntime
-from revledger.sim import SimConfig, Simulation, Submission
+from revledger.pbft import ConfigError
+from revledger.sim import Crash, DelayAll, Partition, SimConfig, SimError, Simulation, Submission
 from revledger.workspace import LOCK_NAME, Workspace
 
 
@@ -887,24 +889,138 @@ def test_simulate_refuses_a_non_integer_partition_bound(tmp_path, capsys, bounds
     assert not report.exists()
 
 
-REPORT_PAST_U64_TICKS = "a1d57619ac21d7db9a7ce6229476f0946ef9fb5f644fa823f7a15f2dcbbcf580"
+def simulate_refuses(tmp_path, capsys, doc) -> str:
+    """Run `simulate` on the scenario `doc`, check that it exits 1 with one
+    error line, no traceback and no report, and return that line's message."""
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    report = tmp_path / "r.json"
+    rc = main(["simulate", "--scenario", str(scenario), "--report", str(report)])
+    out, err = capsys.readouterr()
+    assert (rc, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith("error: scenario parse failed: ")
+    assert not report.exists()
+    return err[len("error: scenario parse failed: ") : -1]
 
 
 def test_simulate_rejects_a_submission_past_u64_ticks(tmp_path, capsys):
-    """A submit tick of 2**64 is outside u64: its receipt is Rejected,
-    and the report is the one pinned below, byte for byte."""
-    scenario = tmp_path / "s.json"
-    scenario.write_text(json.dumps({
+    """No tick past u64 can be reached: a max_ticks beyond it is refused,
+    so no submission or block is ever made there."""
+    doc = {
         "config": {"n": 4, "f": 1, "seed": 1, "max_ticks": 2**64 + 5},
         "workload": [{"tick": 1, "node": 0, "work": "w"}, {"tick": 2**64, "node": 0, "work": "w"}],
+    }
+    assert simulate_refuses(tmp_path, capsys, doc) == f"max_ticks out of u64 range: {2**64 + 5}"
+
+
+def test_simulate_runs_to_the_last_u64_tick(tmp_path, capsys):
+    """A submission at the last u64 tick forwards past it: the run ends
+    there with the submission pending, and no tick overflows a header."""
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({
+        "config": {"n": 4, "f": 1, "seed": 1, "max_ticks": 2**64 - 1},
+        "workload": [{"tick": 2**64 - 1, "node": 1, "work": "w"}],
     }))
     report = tmp_path / "r.json"
     assert main(["simulate", "--scenario", str(scenario), "--report", str(report)]) == 0
     doc = json.loads(report.read_text())
-    assert [(r["status"], r["flag"]) for r in doc["receipts"]] == [
-        ("CommittedValid", "Valid"), ("Rejected", "InvalidMalformed")
-    ]
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_PAST_U64_TICKS
+    assert (doc["ticks_elapsed"], doc["stalled"]) == (2**64 - 1, True)
+    assert [r["status"] for r in doc["receipts"]] == ["Pending"]
+
+
+# Each int field of every record a scenario builds, with the scenario that
+# holds `value` there; SimConfig's field names are its config keys.
+def _scenario_with(record, name, value):
+    config = {"n": 4, "f": 1, "seed": 1}
+    entry = {"tick": 1, "node": 0, "work": "w"}
+    if record is SimConfig:
+        config[name] = value
+    elif record is Partition:
+        config["partitions"] = [{"start": 1, "end": 9, "group": [0], name: value}]
+    elif record is Submission:
+        entry[name] = value
+    else:
+        behavior = {Crash: "crash", DelayAll: "delay_all"}[record]
+        config["byzantine"] = [{"node": 1, "behavior": behavior, "at_tick": 5, "extra": 2,
+                                name: value}]
+    return {"config": config, "workload": [entry]}
+
+
+PREFIX = {SimConfig: "", Partition: "partition ", Crash: "crash ", DelayAll: "delay_all ",
+          Submission: "workload "}
+FIELD_REFUSALS = [
+    (record, spec.name, value, f"{PREFIX[record]}{spec.name} must be an int")
+    for record in PREFIX
+    for spec in dataclasses.fields(record)
+    if spec.type == "int"
+    for value in (True, "1", 1.5)
+] + [(SimConfig, "drop_prob", True, "drop_prob must be a number in [0, 1]")]
+
+
+@pytest.mark.parametrize(
+    "record, name, value, error",
+    FIELD_REFUSALS,
+    ids=[f"{r.__name__}.{name}={value!r}" for r, name, value, _ in FIELD_REFUSALS],
+)
+def test_simulate_refuses_a_mistyped_field_of_any_record(tmp_path, capsys, record, name, value,
+                                                          error):
+    assert simulate_refuses(tmp_path, capsys, _scenario_with(record, name, value)) == error
+
+
+def _config(**fields):
+    return SimConfig(n=4, f=1, seed=1, **fields)
+
+
+# Inputs the simulator once ran as if they held no fault, or died on: the
+# scenario change, the same value built directly, and the refusal.
+MISREAD_INPUTS = [
+    ("partition-group-strings", {"partitions": [{"start": 1, "end": 9, "group": ["0", "1"]}]},
+     lambda: _config(partitions=(Partition(1, 9, frozenset({"0", "1"})),)), "outside 0..3"),
+    ("partition-group-9", {"partitions": [{"start": 1, "end": 9, "group": [9]}]},
+     lambda: _config(partitions=(Partition(1, 9, frozenset({9})),)), "node id 9 outside 0..3"),
+    ("byzantine-node-true", {"byzantine": [{"node": True, "behavior": "crash", "at_tick": 1}]},
+     lambda: _config(byzantine=((True, Crash(at_tick=1)),)), "node id True outside 0..3"),
+    ("at-tick-true", {"byzantine": [{"node": 1, "behavior": "crash", "at_tick": True}]},
+     lambda: Crash(at_tick=True), "crash at_tick must be an int"),
+    ("extra-true", {"byzantine": [{"node": 1, "behavior": "delay_all", "extra": True}]},
+     lambda: DelayAll(extra=True), "delay_all extra must be an int"),
+    ("drop-prob-true", {"drop_prob": True},
+     lambda: _config(drop_prob=True), "drop_prob must be a number in [0, 1]"),
+    ("max-ticks-past-u64", {"max_ticks": 2**64 + 84},
+     lambda: _config(max_ticks=2**64 + 84), f"max_ticks out of u64 range: {2**64 + 84}"),
+]
+
+
+@pytest.mark.parametrize(
+    "change, build, error",
+    [row[1:] for row in MISREAD_INPUTS],
+    ids=[row[0] for row in MISREAD_INPUTS],
+)
+def test_simulate_refuses_an_input_it_once_misread(tmp_path, capsys, change, build, error):
+    doc = {
+        "config": {"n": 4, "f": 1, "seed": 1, **change},
+        "workload": [{"tick": 1, "node": 1, "work": "w"}, {"tick": 2**64 - 1, "node": 1, "work": "w"}],
+    }
+    assert error in simulate_refuses(tmp_path, capsys, doc)
+    with pytest.raises((ConfigError, SimError)) as exc:
+        build()
+    assert error in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "payload, error",
+    [
+        ({"size": -5}, "workload payload needs an int 'tag' and an int 'size' >= 0"),
+        ({"size": True}, "workload payload needs an int 'tag' and an int 'size' >= 0"),
+        ({"size": 2.5}, "workload payload needs an int 'tag' and an int 'size' >= 0"),
+        ({"tag": "1"}, "workload payload needs an int 'tag' and an int 'size' >= 0"),
+    ],
+    ids=["size=-5", "size=true", "size=2.5", "tag=str"],
+)
+def test_simulate_refuses_a_bad_payload_spec(tmp_path, capsys, payload, error):
+    doc = {"config": {"n": 4, "f": 1, "seed": 1},
+           "workload": [{"tick": 1, "node": 0, "work": "w", "payload": payload}]}
+    assert simulate_refuses(tmp_path, capsys, doc) == error
 
 
 def test_simulate_unknown_scenario(tmp_path, capsys):

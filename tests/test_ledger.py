@@ -110,9 +110,9 @@ def test_check_block_reports_forged_tx_id(store):
     tx = propose_revision("w", "ada", b"x", {}, store)
     forged = replace(tx, tx_id=b"\x00" * 32)
     block = build_block(1, genesis_block().block_hash, [forged], "node-0", 0, 1)
-    assert check_block(block) == [Defect(1, "tx-id-mismatch", "tx 0")]
+    assert check_block(block, 1) == [Defect(1, "tx-id-mismatch", "tx 0")]
     recounted = replace(block, header=replace(block.header, tx_count=2))
-    assert check_block(recounted) == [
+    assert check_block(recounted, 1) == [
         Defect(1, "block-hash-mismatch"),
         Defect(1, "tx-count-mismatch", "header says 2"),
         Defect(1, "tx-id-mismatch", "tx 0"),
@@ -123,12 +123,12 @@ def test_check_block_reports_an_overlong_proposer_as_a_changed_hash(store):
     """The parse refuses such a header; one built in memory still encodes."""
     block = chain_of(1, store).tip
     long_name = replace(block, header=replace(block.header, proposer_id="p" * 300))
-    assert [d.kind for d in check_block(long_name)] == ["block-hash-mismatch"]
+    assert [d.kind for d in check_block(long_name, 1)] == ["block-hash-mismatch"]
 
 
 def test_check_block_reports_revision_gap(store):
     block = build_block(1, genesis_block().block_hash, [gap_transaction(store)], "node-0", 0, 1)
-    assert check_block(block) == [Defect(1, "record-malformed", "tx 0: revision gap")]
+    assert check_block(block, 1) == [Defect(1, "record-malformed", "tx 0: revision gap")]
 
 
 def rehashed(block, **header_fields):
@@ -175,7 +175,9 @@ def long_author_block(store):
     ],
 )
 def test_block_checks_report_each_defect_kind_at_its_height(store, check, damaged, expected):
-    assert check(damaged(store)) == expected
+    block = damaged(store)
+    height = () if check is check_genesis else (block.header.height,)
+    assert check(block, *height) == expected
 
 
 # -- verify -----------------------------------------------------------------------

@@ -431,6 +431,42 @@ def test_safety_matches_blocks_by_header_height_on_chains_based_past_genesis():
     assert not sim.run().safety_ok
 
 
+class HidingStore(MemoryStore):
+    """A store that reports one digest absent however often it is put."""
+
+    def __init__(self, hidden: bytes):
+        super().__init__()
+        self.hidden = hidden
+
+    def has(self, digest: bytes) -> bool:
+        return digest != self.hidden and super().has(digest)
+
+
+def test_safety_needs_honest_replicas_to_agree_on_decisions_and_heads():
+    """Equal blocks are not enough: a replica whose store hides a payload at
+    apply time flags its transaction otherwise, and replicas at one height
+    with different heads disagree as well."""
+    config = SimConfig(n=4, f=1, seed=1)
+    wl = [Submission(tick=1, node=0, work_id="w", author_id="ada", payload=b"hidden")]
+    sim = Simulation(config, wl)
+    assert sim.run().safety_ok
+
+    hidden = MemoryStore().put(b"hidden")
+    stores = [MemoryStore(), MemoryStore(), MemoryStore(), HidingStore(hidden)]
+    sim = Simulation(config, wl, nodes=[NodeRuntime(i, config, stores[i]) for i in range(4)])
+    report = sim.run()
+    assert report.committed_digests[3] == report.committed_digests[0]
+    assert sim.nodes[3].decisions != sim.nodes[0].decisions
+    assert not report.safety_ok
+    sim.nodes[3].heads = dict(sim.nodes[0].heads)  # the decisions alone differ
+    assert not sim.report(report.ticks_elapsed).safety_ok
+
+    sim = Simulation(config, wl)
+    report = sim.run()
+    sim.nodes[2].heads = {}
+    assert report.safety_ok and not sim.report(report.ticks_elapsed).safety_ok
+
+
 def test_long_idle_gap_is_jumped_not_stepped(monkeypatch):
     calls = 0
     duties = NodeRuntime.tick_duties

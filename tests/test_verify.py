@@ -130,6 +130,44 @@ def test_verify_output_for_a_damaged_blob(ws_dir, capsys, nodes, damage, lines):
     assert capsys.readouterr().out.splitlines() == verify_lines({i: lines for i in nodes})
 
 
+SECOND = hashlib.sha256(b"second").hexdigest()
+
+
+def test_verify_reports_a_forged_header_height_at_the_blocks_line(ws_dir, capsys):
+    """Block 2's header claims height 5 and its blob is gone: every defect
+    of that block is reported at line 2, where the chain holds it."""
+    path = ws_dir / "node-1" / "chain.jsonl"
+    lines = path.read_bytes().split(b"\n")
+    assert b'"height":2,' in lines[2]
+    lines[2] = lines[2].replace(b'"height":2,', b'"height":5,')
+    path.write_bytes(b"\n".join(lines))
+    blob_path(ws_dir, 1, SECOND).unlink()
+    capsys.readouterr()
+    assert main(["verify", "--dir", str(ws_dir)]) == 1
+    assert capsys.readouterr().out.splitlines() == node_1_lines(
+        "defect height=2 kind=height-mismatch header says 5",
+        "defect height=2 kind=block-hash-mismatch",
+        f"defect height=2 kind=content-missing tx 0: {SECOND}",
+    )
+
+
+def test_tampering_a_height_digit_is_reported_at_the_tampered_line(ws_dir, tmp_path, capsys):
+    """The earliest defect is the tampered block's, not the untouched block
+    at the height its header now claims."""
+    (tmp_path / "c.txt").write_text("third")
+    assert main(["commit", "--dir", str(ws_dir), "--work", "w", "--file",
+                 str(tmp_path / "c.txt"), "--author", "ada"]) == 0
+    line = (ws_dir / "node-2" / "chain.jsonl").read_bytes().split(b"\n")[3]
+    offset = line.index(b'"height":3,') + len(b'"height":')
+    assert main(["tamper", "--dir", str(ws_dir), "--node", "2", "--block", "3",
+                 "--offset", str(offset), "--xor", str(ord("3") ^ ord("1"))]) == 0
+    results = cli.verify_workspace(Workspace.load(ws_dir))
+    assert [(d.height, d.kind) for d in results[2]["defects"]] == [
+        (3, "height-mismatch"), (3, "block-hash-mismatch")
+    ]
+    assert all(results[i]["ok"] for i in (0, 1, 3))
+
+
 def test_verify_output_for_a_different_flip_on_each_replica(ws_dir, capsys):
     for node in range(4):
         flip_byte(blob_path(ws_dir, node, FIRST), node)
