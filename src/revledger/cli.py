@@ -330,7 +330,10 @@ def _load_scenario_text(spec: str) -> str | None:
 
 def _report_text(sim: Simulation, report: SimReport) -> str:
     """The run's report as JSON, with a `verify` section holding each
-    replica's full chain check and blob audit, taken after the run."""
+    replica's verify after the run: its own check_chain (genesis, heights,
+    links, and each block's structural verdict, computed once per block
+    object and shared by the replicas holding it), content and endorsement
+    checks and blob audit."""
     verify = {}
     for i, node in enumerate(sim.nodes):
         chain_report, audit = node.verify(lambda tx: check_endorsement_policy(tx, node.policy))

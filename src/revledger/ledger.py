@@ -4,7 +4,11 @@ Each block header commits to the previous block's hash and to the
 Merkle root of its transaction ids, so editing any historical byte
 invalidates everything after it. check_chain, run on every loaded chain,
 trusts no stored digest: every hash (tx ids, Merkle root, block hash,
-linkage) is recomputed from raw fields. verify_chain adds the blob store's
+linkage) is recomputed from raw fields, and the only result it keeps is a
+block's own check_block verdict, on that block object (Block.verdict). A
+block cannot change after it is built, so replicas holding the same object
+share that verdict; a parsed, damaged or equivocated block is a new object
+with a verdict of its own. verify_chain adds the blob store's
 audit, run by its caller as the one read of each blob, the presence of
 referenced content, and the endorsement checks.
 
@@ -43,9 +47,20 @@ class BlockHeader:
 
 @dataclass(frozen=True)
 class Block:
+    """Nothing changes a block's header, transactions or hash once it is
+    built: a damaged, equivocated or re-parsed block is a new object. So
+    check_block computes `verdict` once per object, and every replica
+    holding the object reads it."""
+
     header: BlockHeader
     transactions: tuple[Transaction, ...]
     block_hash: bytes
+    # check_block's (kind, detail) pairs, without a height; None until its
+    # first call on this object. A declared field, not a cached_property:
+    # writing the instance __dict__ would slow every later attribute read.
+    verdict: tuple[tuple[str, str], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 def genesis_block() -> Block:
@@ -175,33 +190,38 @@ def check_block(block: Block, height: int) -> list[Defect]:
     transaction, the block hash, the Merkle root, tx_count, and per
     transaction its record bounds (check_record), its tx id and the
     revision gap. It trusts the field shapes block_from_line checks, reads
-    no store and no chain position. Consensus runs it on each pre-prepare,
-    check_chain on each block of a chain, at its line position (a forged
-    header height is check_chain's height-mismatch); apply_block trusts
-    what passed.
+    no store and no chain position. The first call on a block object keeps
+    the verdict on it (Block.verdict), and every later call on that object,
+    by any replica, reads it; each call reports it at `height`. Consensus
+    runs it on each
+    pre-prepare, check_chain on each block of a chain, at its line position
+    (a forged header height is check_chain's height-mismatch); apply_block
+    trusts what passed.
     """
-    defects: list[Defect] = []
-    if not block.transactions:
-        defects.append(Defect(height, "empty-block"))
-    if encoding.header_hash(block.header) != block.block_hash:
-        defects.append(Defect(height, "block-hash-mismatch"))
-    if merkle_root([tx.tx_id for tx in block.transactions]) != block.header.merkle_root:
-        defects.append(Defect(height, "merkle-root-mismatch"))
-    if block.header.tx_count != len(block.transactions):
-        defects.append(
-            Defect(height, "tx-count-mismatch", f"header says {block.header.tx_count}")
-        )
-    for i, tx in enumerate(block.transactions):
-        try:
-            encoding.check_record(tx.record)
-        except encoding.MalformedError as exc:
-            defects.append(Defect(height, "record-malformed", f"tx {i}: {exc}"))
-            continue
-        if encoding.transaction_id(tx.record, tx.read_version) != tx.tx_id:
-            defects.append(Defect(height, "tx-id-mismatch", f"tx {i}"))
-        if tx.record.revision_number != tx.read_version + 1:
-            defects.append(Defect(height, "record-malformed", f"tx {i}: revision gap"))
-    return defects
+    verdict = block.verdict
+    if verdict is None:
+        defects: list[tuple[str, str]] = []
+        if not block.transactions:
+            defects.append(("empty-block", ""))
+        if encoding.header_hash(block.header) != block.block_hash:
+            defects.append(("block-hash-mismatch", ""))
+        if merkle_root([tx.tx_id for tx in block.transactions]) != block.header.merkle_root:
+            defects.append(("merkle-root-mismatch", ""))
+        if block.header.tx_count != len(block.transactions):
+            defects.append(("tx-count-mismatch", f"header says {block.header.tx_count}"))
+        for i, tx in enumerate(block.transactions):
+            try:
+                encoding.check_record(tx.record)
+            except encoding.MalformedError as exc:
+                defects.append(("record-malformed", f"tx {i}: {exc}"))
+                continue
+            if encoding.transaction_id(tx.record, tx.read_version) != tx.tx_id:
+                defects.append(("tx-id-mismatch", f"tx {i}"))
+            if tx.record.revision_number != tx.read_version + 1:
+                defects.append(("record-malformed", f"tx {i}: revision gap"))
+        verdict = tuple(defects)
+        object.__setattr__(block, "verdict", verdict)  # the one write; Block is frozen
+    return [Defect(height, kind, detail) for kind, detail in verdict]
 
 
 def check_chain(chain: Chain) -> list[Defect]:
@@ -253,22 +273,24 @@ def verify_chain(
     defects: list[Defect] = list(structural)
     for i, block in enumerate(chain.blocks[1:], start=1):
         for j, tx in enumerate(block.transactions):
-            key = to_hex(tx.record.content_hash)
+            content_hash = tx.record.content_hash
             try:
-                if not store.has(tx.record.content_hash):
+                if not store.has(content_hash):
                     kind = "content-missing"
-                elif key in damaged:
+                elif not damaged:  # the common case: no hex key is needed
+                    continue
+                elif (key := to_hex(content_hash)) in damaged:
                     kind = "content-hash-mismatch"
-                elif damaged and (key[:2] in damaged or "blobs" in damaged) and key not in read:
+                elif (key[:2] in damaged or "blobs" in damaged) and key not in read:
                     read.add(key)
-                    store.get(tx.record.content_hash)  # unlisted: the audit never read it
+                    store.get(content_hash)  # unlisted: the audit never read it
                     continue
                 else:
                     continue
             except StoreError:
-                damaged.add(key)
+                damaged.add(to_hex(content_hash))
                 kind = "content-hash-mismatch"
-            defects.append(Defect(i, kind, f"tx {j}: {key}"))
+            defects.append(Defect(i, kind, f"tx {j}: {to_hex(content_hash)}"))
         if endorsement_checker is not None:
             for j, tx in enumerate(block.transactions):
                 if not endorsement_checker(tx):

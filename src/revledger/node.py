@@ -16,7 +16,10 @@ without a trusted checkpoint replays its chain through _apply_block.
 apply_block trusts block structure: ledger.check_block checked it once, in
 the consensus gate before the pre-prepare was prepared, or in
 ledger.check_chain when the workspace loaded the chain. Validity reads blob
-presence, never blob bytes.
+presence, never blob bytes. In one simulation a replica appends the block
+object it was sent, shared with the others that were sent it, so the
+check_block verdict kept on that object is computed once, in the first
+gate that checks it, and every later gate and verify reads it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .encoding import MalformedError
 from .ledger import Block, Chain, VerifyReport, build_block, check_chain, verify_chain
 from .pbft import CommitEvent, GroupConfig, PbftMessage, Replica, primary_of
 from .revisions import (
+    VALID,
     EndorsementPolicy,
     Transaction,
     ValidityFlag,
@@ -169,7 +173,7 @@ class NodeRuntime:
         """Note committed (tx id, flag) decisions; a Valid one sticks."""
         committed = self.committed_flags
         for tx_id, flag in decisions:
-            if committed.get(tx_id) is not ValidityFlag.VALID:
+            if committed.get(tx_id) is not VALID:
                 committed[tx_id] = flag
 
     # -- client entry ----------------------------------------------------------

@@ -105,6 +105,8 @@ class Partition:
 
     def __post_init__(self):
         check_int_fields(self, SimError, "partition ")
+        if self.start >= self.end:
+            raise SimError(f"partition start {self.start} must be below its end {self.end}")
 
     def blocks(self, src: int, dst: int, now: int) -> bool:
         if not (self.start <= now < self.end):
@@ -139,6 +141,9 @@ class SimConfig(GroupConfig):
         for nid in seen + [nid for part in self.partitions for nid in part.group]:
             if type(nid) is not int or not 0 <= nid < self.n:
                 raise SimError(f"node id {nid!r} outside 0..{self.n - 1}")
+        for part in self.partitions:  # a group of none or of every node cuts nothing
+            if not 0 < len(part.group) < self.n:
+                raise SimError(f"partition group must hold 1..{self.n - 1} of the {self.n} nodes")
         if len(seen) != len(set(seen)):
             raise SimError("duplicate byzantine node entries")
         if not all(isinstance(b, ByzantineBehavior) for _, b in self.byzantine):
@@ -559,12 +564,26 @@ class ScenarioError(ValueError):
         self.column = column
 
 
+def _refuse_unknown_keys(obj, known, what: str) -> None:
+    """Refuse a key that no field reads: a misspelled fault would run as none."""
+    unknown = sorted(set(obj) - set(known)) if isinstance(obj, dict) else []
+    if unknown:
+        raise ScenarioError(f"unknown {what} key {unknown[0]!r}")
+
+
+def _parse_partition(obj: dict) -> Partition:
+    _refuse_unknown_keys(obj, ("start", "end", "group"), "partition")
+    return Partition(start=obj["start"], end=obj["end"], group=frozenset(obj["group"]))
+
+
 def _parse_behavior(obj: dict) -> tuple[int, ByzantineBehavior]:
     name = obj.get("behavior")
     kind = _BEHAVIORS.get(name)
     if kind is None:
         raise ScenarioError(f"unknown behavior {name!r}")
-    return obj.get("node"), kind(**{spec.name: obj.get(spec.name) for spec in fields(kind)})
+    keys = [spec.name for spec in fields(kind)]
+    _refuse_unknown_keys(obj, ["node", "behavior", *keys], "byzantine")
+    return obj.get("node"), kind(**{key: obj.get(key) for key in keys})
 
 
 def generate_payload(seed: int, tag: int, size: int) -> bytes:
@@ -587,14 +606,10 @@ def parse_scenario(text: str) -> tuple[SimConfig, list[Submission]]:
     if not isinstance(c, dict):
         raise ScenarioError("'config' must be an object")
     try:
-        partitions = tuple(
-            Partition(start=p["start"], end=p["end"], group=frozenset(p["group"]))
-            for p in c.get("partitions", [])
-        )
+        _refuse_unknown_keys(c, [spec.name for spec in fields(SimConfig)], "config")
+        partitions = tuple(_parse_partition(p) for p in c.get("partitions", []))
         byzantine = tuple(_parse_behavior(b) for b in c.get("byzantine", []))
-        keys = {f.name for f in fields(SimConfig)} - {"partitions", "byzantine"}
-        given = {k: v for k, v in c.items() if k in keys}  # unknown keys are ignored
-        config = SimConfig(**given, partitions=partitions, byzantine=byzantine)
+        config = SimConfig(**{**c, "partitions": partitions, "byzantine": byzantine})
     except (KeyError, TypeError, AttributeError) as exc:
         raise ScenarioError(f"bad config: {exc}") from exc
     except (ConfigError, SimError) as exc:
@@ -604,7 +619,9 @@ def parse_scenario(text: str) -> tuple[SimConfig, list[Submission]]:
         raise ScenarioError("'workload' must be a list")
     for idx, w in enumerate(doc["workload"]):
         try:
+            _refuse_unknown_keys(w, ("tick", "node", "work", "author", "payload"), "workload")
             spec = w.get("payload", {})
+            _refuse_unknown_keys(spec, ("size", "tag"), "payload")
             size = spec.get("size", 64)
             tag = spec.get("tag", idx)
             if type(size) is not int or type(tag) is not int or size < 0:

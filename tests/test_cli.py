@@ -940,9 +940,9 @@ def _scenario_with(record, name, value):
     elif record is Submission:
         entry[name] = value
     else:
-        behavior = {Crash: "crash", DelayAll: "delay_all"}[record]
-        config["byzantine"] = [{"node": 1, "behavior": behavior, "at_tick": 5, "extra": 2,
-                                name: value}]
+        behavior = {Crash: {"behavior": "crash", "at_tick": 5},
+                    DelayAll: {"behavior": "delay_all", "extra": 2}}[record]
+        config["byzantine"] = [{"node": 1, **behavior, name: value}]
     return {"config": config, "workload": [entry]}
 
 
@@ -988,6 +988,16 @@ MISREAD_INPUTS = [
      lambda: _config(drop_prob=True), "drop_prob must be a number in [0, 1]"),
     ("max-ticks-past-u64", {"max_ticks": 2**64 + 84},
      lambda: _config(max_ticks=2**64 + 84), f"max_ticks out of u64 range: {2**64 + 84}"),
+    ("partition-ends-before-start", {"partitions": [{"start": 200, "end": 0, "group": [0, 1]}]},
+     lambda: Partition(200, 0, frozenset({0, 1})), "partition start 200 must be below its end 0"),
+    ("partition-of-no-ticks", {"partitions": [{"start": 5, "end": 5, "group": [0, 1]}]},
+     lambda: Partition(5, 5, frozenset({0, 1})), "partition start 5 must be below its end 5"),
+    ("partition-group-empty", {"partitions": [{"start": 1, "end": 9, "group": []}]},
+     lambda: _config(partitions=(Partition(1, 9, frozenset()),)),
+     "partition group must hold 1..3 of the 4 nodes"),
+    ("partition-group-all", {"partitions": [{"start": 1, "end": 9, "group": [0, 1, 2, 3]}]},
+     lambda: _config(partitions=(Partition(1, 9, frozenset(range(4))),)),
+     "partition group must hold 1..3 of the 4 nodes"),
 ]
 
 
@@ -1005,6 +1015,31 @@ def test_simulate_refuses_an_input_it_once_misread(tmp_path, capsys, change, bui
     with pytest.raises((ConfigError, SimError)) as exc:
         build()
     assert error in str(exc.value)
+
+
+UNKNOWN_KEYS = [
+    ("config", {"config": {"drop_porb": 0.9}}, "unknown config key 'drop_porb'"),
+    ("partition", {"config": {"partitions": [{"start": 1, "end": 9, "group": [0], "ends": 20}]}},
+     "unknown partition key 'ends'"),
+    ("byzantine", {"config": {"byzantine": [{"node": 1, "behavior": "crash", "at_tik": 5}]}},
+     "unknown byzantine key 'at_tik'"),
+    ("byzantine-other-behavior",
+     {"config": {"byzantine": [{"node": 1, "behavior": "silent", "at_tick": 5}]}},
+     "unknown byzantine key 'at_tick'"),
+    ("workload", {"workload": {"auhtor": "ben"}}, "unknown workload key 'auhtor'"),
+    ("payload", {"workload": {"payload": {"szie": 9}}}, "unknown payload key 'szie'"),
+]
+
+
+@pytest.mark.parametrize(
+    "change, error", [row[1:] for row in UNKNOWN_KEYS], ids=[row[0] for row in UNKNOWN_KEYS]
+)
+def test_simulate_refuses_an_unknown_key(tmp_path, capsys, change, error):
+    """A misspelled key would otherwise run as if absent: `drop_porb` as a
+    fault-free scenario."""
+    doc = {"config": {"n": 4, "f": 1, "seed": 1, **change.get("config", {})},
+           "workload": [{"tick": 1, "node": 0, "work": "w", **change.get("workload", {})}]}
+    assert simulate_refuses(tmp_path, capsys, doc) == error
 
 
 @pytest.mark.parametrize(

@@ -180,6 +180,18 @@ def test_block_checks_report_each_defect_kind_at_its_height(store, check, damage
     assert check(block, *height) == expected
 
 
+
+def test_one_block_checked_at_two_heights_reports_each_defect_at_that_height(store):
+    """The verdict is kept on the block without a height: each check_block
+    call reports every defect at the height it was asked about."""
+    block = chain_of(2, store).tip
+    damaged = replace(block, block_hash=b"\x00" * 32, header=replace(block.header, tx_count=5))
+    kinds = [("block-hash-mismatch", ""), ("tx-count-mismatch", "header says 5")]
+    assert check_block(damaged, 3) == [Defect(3, kind, detail) for kind, detail in kinds]
+    assert check_block(damaged, 7) == [Defect(7, kind, detail) for kind, detail in kinds]
+    assert check_block(damaged, 3) == [Defect(3, kind, detail) for kind, detail in kinds]
+    assert check_block(block, 3) == []
+
 # -- verify -----------------------------------------------------------------------
 
 

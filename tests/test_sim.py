@@ -1,10 +1,14 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from revledger.cli import _report_text
+import revledger.ledger
+import revledger.node
+import revledger.sim
+from revledger.cli import _report_text, bundled_scenarios
 from revledger.content_store import MemoryStore
-from revledger.ledger import Chain, build_block
+from revledger.ledger import Chain, Defect, block_from_line, block_to_line, build_block, check_block
 from revledger.node import NodeRuntime
 from revledger.pbft import ConfigError, MessageKind, PbftMessage
 from revledger.revisions import check_endorsement_policy, propose_revision
@@ -387,6 +391,108 @@ def test_equivocating_primary_cannot_split_honest_nodes():
     honest_digests = [report.committed_digests[i] for i in (1, 2, 3)]
     assert honest_digests[0] == honest_digests[1] == honest_digests[2]
 
+
+def _flip(digest: bytes) -> bytes:
+    return digest[:-1] + bytes([digest[-1] ^ 0x01])
+
+
+def _counting(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_each_block_is_checked_once_for_every_replica_holding_it(monkeypatch):
+    """n=13: consensus and verify of all 13 replicas compute one Merkle root
+    per distinct block for its check, besides the one its primary builds."""
+    counts = {}
+    _counting(monkeypatch, revledger.ledger, "merkle_root", counts)
+    _counting(monkeypatch, revledger.node, "build_block", counts)
+    config = SimConfig(n=13, f=4, seed=11, max_batch=4)
+    sim = Simulation(config, workload_distinct(40, nodes=tuple(range(13))))
+    report = sim.run()
+    assert not report.stalled and report.safety_ok
+    for node in sim.nodes:
+        assert node.verify()[0].ok
+    distinct = {id(block) for node in sim.nodes for block in node.chain.blocks[1:]}
+    assert len(distinct) == sim.nodes[0].chain.height == counts["build_block"] >= 10
+    assert counts["merkle_root"] == counts["build_block"] + len(distinct)
+
+
+SWAPS = {
+    "block-hash": (
+        lambda b: replace(b, block_hash=_flip(b.block_hash)),
+        [Defect(2, "block-hash-mismatch")],
+    ),
+    "merkle-root": (
+        lambda b: replace(b, header=replace(b.header, merkle_root=_flip(b.header.merkle_root))),
+        [Defect(2, "block-hash-mismatch"), Defect(2, "merkle-root-mismatch"),
+         Defect(3, "link-mismatch")],
+    ),
+    "tx-id": (
+        lambda b: replace(b, transactions=(
+            replace(b.transactions[0], tx_id=_flip(b.transactions[0].tx_id)),
+            *b.transactions[1:],
+        )),
+        [Defect(2, "merkle-root-mismatch"), Defect(2, "tx-id-mismatch", "tx 0")],
+    ),
+}
+
+
+@pytest.mark.parametrize("order", ["swapped-replica-first", "other-replicas-first"])
+@pytest.mark.parametrize("swap", list(SWAPS))
+def test_a_swapped_block_is_reported_only_by_the_replica_holding_it(swap, order):
+    """The replicas share each block object; replica 2 holds a damaged copy
+    at height 2. Only its verify reports the damage, at that height, whether
+    or not the others checked the original first."""
+    sim = Simulation(SimConfig(n=4, f=1, seed=3, max_batch=2), workload_distinct(8))
+    sim.run()
+    # Fresh objects, shared by all four replicas, that no check has read yet.
+    blocks = [block_from_line(block_to_line(b)) for b in sim.nodes[0].chain.blocks]
+    assert len(blocks) > 3
+    damage, expected = SWAPS[swap]
+    damaged = damage(blocks[2])
+    for i, node in enumerate(sim.nodes):
+        node.chain = Chain(blocks[:2] + [damaged] + blocks[3:] if i == 2 else blocks)
+    others = [sim.nodes[i] for i in (0, 1, 3)]
+    if order == "other-replicas-first":
+        assert all(node.verify()[0].ok for node in others)
+    assert sim.nodes[2].verify()[0].defects == expected
+    assert all(node.verify()[0].ok for node in others)
+
+
+def test_an_equivocation_variant_is_checked_on_its_own(monkeypatch):
+    """Each variant the equivocating primary sends is a new block of the
+    original's height and transactions; made defective here, it is refused
+    on its own verdict while the original passes on its own."""
+    variants = []
+    make_variant = revledger.sim._equivocation_variant
+
+    def defective_variant(block):
+        variant = make_variant(block)
+        header = replace(variant.header, merkle_root=_flip(variant.header.merkle_root))
+        variants.append((block, replace(variant, header=header)))
+        return variants[-1][1]
+
+    monkeypatch.setattr(revledger.sim, "_equivocation_variant", defective_variant)
+    config, workload = parse_scenario(bundled_scenarios()["equivocate"])
+    sim = Simulation(config, workload)
+    report = sim.run()
+    assert report.safety_ok and not report.stalled
+    assert variants
+    committed = {id(block) for node in sim.nodes for block in node.chain.blocks}
+    for original, variant in variants:
+        assert id(variant) not in committed
+        height = original.header.height
+        assert variant.verdict is not None  # checked at a receiver's gate
+        assert check_block(variant, height) == [
+            Defect(height, "block-hash-mismatch"), Defect(height, "merkle-root-mismatch")
+        ]
+        assert check_block(original, height) == []
 
 def test_safety_compares_honest_chains_height_by_height():
     """A shorter honest chain that is a prefix of another is safe; two
