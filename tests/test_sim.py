@@ -28,6 +28,7 @@ from revledger.sim import (
     SimError,
     Simulation,
     Submission,
+    _flip_digest,
     apply_behavior,
     deliver,
     generate_payload,
@@ -392,10 +393,6 @@ def test_equivocating_primary_cannot_split_honest_nodes():
     assert honest_digests[0] == honest_digests[1] == honest_digests[2]
 
 
-def _flip(digest: bytes) -> bytes:
-    return digest[:-1] + bytes([digest[-1] ^ 0x01])
-
-
 def _counting(monkeypatch, module, name, counts):
     original = getattr(module, name)
 
@@ -425,17 +422,19 @@ def test_each_block_is_checked_once_for_every_replica_holding_it(monkeypatch):
 
 SWAPS = {
     "block-hash": (
-        lambda b: replace(b, block_hash=_flip(b.block_hash)),
+        lambda b: replace(b, block_hash=_flip_digest(b.block_hash)),
         [Defect(2, "block-hash-mismatch")],
     ),
     "merkle-root": (
-        lambda b: replace(b, header=replace(b.header, merkle_root=_flip(b.header.merkle_root))),
+        lambda b: replace(
+            b, header=replace(b.header, merkle_root=_flip_digest(b.header.merkle_root))
+        ),
         [Defect(2, "block-hash-mismatch"), Defect(2, "merkle-root-mismatch"),
          Defect(3, "link-mismatch")],
     ),
     "tx-id": (
         lambda b: replace(b, transactions=(
-            replace(b.transactions[0], tx_id=_flip(b.transactions[0].tx_id)),
+            replace(b.transactions[0], tx_id=_flip_digest(b.transactions[0].tx_id)),
             *b.transactions[1:],
         )),
         [Defect(2, "merkle-root-mismatch"), Defect(2, "tx-id-mismatch", "tx 0")],
@@ -453,7 +452,7 @@ def test_a_swapped_block_is_reported_only_by_the_replica_holding_it(swap, order)
     sim.run()
     # Fresh objects, shared by all four replicas, that no check has read yet.
     blocks = [block_from_line(block_to_line(b)) for b in sim.nodes[0].chain.blocks]
-    assert len(blocks) > 3
+    assert len(blocks) > 3 and all(getattr(b, "verdict", None) is None for b in blocks)
     damage, expected = SWAPS[swap]
     damaged = damage(blocks[2])
     for i, node in enumerate(sim.nodes):
@@ -474,7 +473,7 @@ def test_an_equivocation_variant_is_checked_on_its_own(monkeypatch):
 
     def defective_variant(block):
         variant = make_variant(block)
-        header = replace(variant.header, merkle_root=_flip(variant.header.merkle_root))
+        header = replace(variant.header, merkle_root=_flip_digest(variant.header.merkle_root))
         variants.append((block, replace(variant, header=header)))
         return variants[-1][1]
 
