@@ -252,7 +252,7 @@ def verify_chain(
     store,
     structural: Iterable[Defect],
     audit: list[AuditDefect],
-    endorsement_checker: Callable[[Transaction], bool] | None = None,
+    endorsement_checker: Callable[[Transaction], bool],
 ) -> VerifyReport:
     """The content and endorsement checks against the store, given its
     `audit()` (the only read of blob bytes, which a replica group can run
@@ -263,9 +263,8 @@ def verify_chain(
     found damaged, or whose lookup fails, is content-hash-mismatch. A blob
     in a directory the audit could not list went unread there, so it is read
     and hashed here, once.
-    `endorsement_checker`, when given, re-verifies each transaction's
-    endorsements (possible only where the endorsement secrets are known,
-    e.g. inside a workspace).
+    `endorsement_checker` re-verifies each transaction's endorsements
+    against the replica group's policy.
     """
     # Only a blob at its own fan-out path is read, so a stray copy is no content defect.
     damaged = {a.key for a in audit if a.kind in ("key-mismatch", "unreadable")}
@@ -291,10 +290,9 @@ def verify_chain(
                 damaged.add(to_hex(content_hash))
                 kind = "content-hash-mismatch"
             defects.append(Defect(i, kind, f"tx {j}: {to_hex(content_hash)}"))
-        if endorsement_checker is not None:
-            for j, tx in enumerate(block.transactions):
-                if not endorsement_checker(tx):
-                    defects.append(Defect(i, "endorsement-invalid", f"tx {j}"))
+        for j, tx in enumerate(block.transactions):
+            if not endorsement_checker(tx):
+                defects.append(Defect(i, "endorsement-invalid", f"tx {j}"))
 
     defects.sort(key=lambda d: d.height)
     return VerifyReport(defects=defects, audit=audit)

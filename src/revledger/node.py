@@ -339,22 +339,18 @@ class NodeRuntime:
     def _maybe_propose(self, now: int) -> list[Outbound]:
         if not self._can_propose():
             return []
-        proposal = self.form_batch(now)
-        if proposal is None:
-            return []
-        block, blobs = proposal
+        block, blobs = self.form_batch(now)
         return self._drain(self.replica.on_propose(block, blobs), now)
 
-    def form_batch(self, now: int) -> tuple[Block, dict[bytes, bytes]] | None:
-        """Select up to max_batch transactions in arrival order. Each meets
-        the policy: submit endorsed it, or _accept_forward checked it.
+    def form_batch(self, now: int) -> tuple[Block, dict[bytes, bytes]]:
+        """A block of up to max_batch transactions in arrival order, and their
+        payloads, from the non-empty mempool that _can_propose requires. Each
+        meets the policy: submit endorsed it, or _accept_forward checked it.
 
         Entries stay in the mempool until commit so an abandoned proposal
         (view change mid-flight) loses nothing.
         """
         chosen = self._mempool_in_order()[: self.config.max_batch]
-        if not chosen:
-            return None
         block = build_block(
             height=self.chain.height + 1,
             prev_hash=self.chain.tip.block_hash,
@@ -401,7 +397,7 @@ class NodeRuntime:
                 return self.store.get(entry.content_hash)
         raise NotFoundError(f"no valid revision {revision_number} of {work_id!r}")
 
-    def verify(self, endorsement_checker=None) -> tuple[VerifyReport, list]:
+    def verify(self, endorsement_checker) -> tuple[VerifyReport, list]:
         """verify_chain over this replica: its store's audit, then its chain."""
         structural = check_chain(self.chain)
         report = verify_chain(

@@ -19,7 +19,8 @@ a different digest than the proofs dictate.
 
 Committed blocks live in each replica's chain, which therefore serves as
 the stable checkpoint of PBFT's low-water mark. A replica keeps all it
-holds about one sequence number in one record, and when a block commits
+holds about one sequence number in one record, whose accepted PrePrepares
+are the one holder of the block and its payloads, and when a block commits
 it deletes every record at or below last_committed_seq. Messages at or
 below that mark are dropped on arrival and proofs below it are ignored,
 so no record is made again for a committed sequence, and replica memory
@@ -154,7 +155,8 @@ _NORMAL_KINDS = (MessageKind.PRE_PREPARE, MessageKind.PREPARE, MessageKind.COMMI
 
 @dataclass(slots=True)
 class _Instance:
-    """All a replica holds about one uncommitted sequence number."""
+    """All a replica holds about one uncommitted sequence number. Views only
+    rise, so `accepted` holds its PrePrepares oldest first."""
 
     accepted: dict[int, PbftMessage] = field(default_factory=dict)  # view -> PrePrepare
     # (view, kind, sender) of each sender's first Prepare or Commit
@@ -164,16 +166,18 @@ class _Instance:
     # (view, sender) -> first digest seen; flagged once a conflicting one was reported
     digests: dict[tuple[int, int], bytes] = field(default_factory=dict)
     flagged: set[tuple[int, int]] = field(default_factory=set)
-    sent_commit: set[int] = field(default_factory=set)  # views this replica sent Commit in
-    blocks: dict[bytes, Block] = field(default_factory=dict)  # digest -> block
-    blobs: dict[bytes, dict[bytes, bytes]] = field(default_factory=dict)  # digest -> payloads
-    prepared: tuple[int, bytes] | None = None  # (view, digest) of the highest prepared view
+    prepared: tuple[int, bytes] | None = None  # (view, digest) of the last view Commit went in
     commit_ready: bytes | None = None  # digest with a commit quorum, awaiting release
 
     def matching(self, view: int, kind: MessageKind, digest: bytes) -> int:
         """Logged messages of one view and kind that carry digest: a count
         raised as each sender's first message is logged, not a log scan."""
         return self.counts.get((view, kind, digest), 0)
+
+    def proposal(self, digest: bytes) -> PbftMessage | None:
+        """The newest accepted PrePrepare carrying digest: endorsements lie
+        outside the block hash, so two of one digest may differ there."""
+        return next((pp for pp in reversed(self.accepted.values()) if pp.digest == digest), None)
 
 
 class Replica:
@@ -201,7 +205,7 @@ class Replica:
         self.last_committed_seq = last_committed_seq
         self.tip_hash = tip_hash
         self.in_view_change = False
-        self.pending_view = 0
+        self.pending_view = 0  # current_view outside a view change
         self.timer_deadline: int | None = None
         self.evidence: list[Evidence] = []
         # application-level acceptance check for proposed blocks (the
@@ -210,8 +214,8 @@ class Replica:
 
         self._quorum = quorum_size(config.n, config.f)
         self._instances: dict[int, _Instance] = {}
+        # view above current_view -> sender -> its first ViewChange for that view
         self._view_change_log: dict[int, dict[int, PbftMessage]] = {}
-        self._new_view_sent: set[int] = set()
         self._must_repropose: dict[int, bytes] = {}
         self._future: dict[int, list[PbftMessage]] = {}
 
@@ -232,7 +236,7 @@ class Replica:
                 digest=block.block_hash,
                 sender=me,
                 block=block,
-                blobs=dict(blobs),
+                blobs=blobs,
             )
         ]
 
@@ -247,8 +251,7 @@ class Replica:
 
     def on_timeout(self, now: int) -> list[PbftMessage]:
         """Timer expiry: move (or escalate) to the next view."""
-        target = (self.pending_view if self.in_view_change else self.current_view) + 1
-        return [self._start_view_change(target, now)]
+        return [self._start_view_change(self.pending_view + 1, now)]
 
     def has_open_work(self) -> bool:
         """Uncommitted instances still able to commit, or a view change.
@@ -385,9 +388,6 @@ class Replica:
                 )
             return
         inst.accepted[msg.view] = msg
-        inst.blocks[msg.digest] = msg.block
-        if msg.blobs:
-            inst.blobs[msg.digest] = dict(msg.blobs)
         out.append(
             PbftMessage(
                 kind=MessageKind.PREPARE,
@@ -399,14 +399,13 @@ class Replica:
         )
 
     def _try_prepare(self, inst: _Instance, view: int, seq: int, out: list[PbftMessage]) -> None:
+        # Only the current view gets here, so prepared names no later view.
         pp = inst.accepted.get(view)
-        if pp is None or view in inst.sent_commit:
+        if pp is None or (inst.prepared is not None and inst.prepared[0] == view):
             return
         if inst.matching(view, MessageKind.PREPARE, pp.digest) < self._quorum:
             return
-        if inst.prepared is None or inst.prepared[0] <= view:
-            inst.prepared = (view, pp.digest)
-        inst.sent_commit.add(view)
+        inst.prepared = (view, pp.digest)
         out.append(
             PbftMessage(
                 kind=MessageKind.COMMIT,
@@ -431,13 +430,14 @@ class Replica:
             if ready is None or ready.commit_ready is None:
                 break
             d, ready.commit_ready = ready.commit_ready, None
-            block = ready.blocks[d]
+            pp = ready.proposal(d)
+            block = pp.block
             if block.header.prev_hash != self.tip_hash:
                 self.evidence.append(
                     Evidence("link-mismatch-at-commit", view, nxt, self.node_id)
                 )
                 break
-            committed.append(CommitEvent(block=block, blobs=ready.blobs.get(d, {})))
+            committed.append(CommitEvent(block=block, blobs=pp.blobs or {}))
             self.last_committed_seq = nxt
             self.tip_hash = block.block_hash
             released = True
@@ -506,31 +506,24 @@ class Replica:
         # Join rule: f+1 distinct nodes asking for views above ours is proof
         # that at least one honest node timed out, so time out with them.
         me = self.node_id
-        senders_above: set[int] = set()
-        views_above: list[int] = []
-        for view, entries in self._view_change_log.items():
-            if view > self.current_view:
-                senders_above.update(s for s in entries if s != me)
-                views_above.append(view)
+        senders_above = {s for entries in self._view_change_log.values() for s in entries}
+        senders_above.discard(me)
         if len(senders_above) >= self.config.f + 1:
-            target = min(views_above)
+            target = min(self._view_change_log)
             if not (self.in_view_change and self.pending_view >= target):
                 out.append(self._start_view_change(target, now))
 
         # New-primary rule: with a quorum of ViewChanges for a view this node
-        # leads, announce NewView and re-issue prepared instances.
+        # leads, announce NewView and re-issue prepared instances. Entering
+        # the view drops every later ViewChange for it, so NewView goes once.
         nv = msg.view
-        if primary_of(nv, self.config.n) != me or nv in self._new_view_sent:
+        if primary_of(nv, self.config.n) != me or len(log) < self._quorum:
             return
-        entries = self._view_change_log.get(nv, {})
-        if len(entries) < self._quorum or nv <= self.current_view:
-            return
-        chosen = [entries[s] for s in list(entries)[: self._quorum]]
+        chosen = [log[s] for s in list(log)[: self._quorum]]
         repro = self._reproposals(chosen, self.last_committed_seq)
         if repro is None:
             self.evidence.append(Evidence("invalid-proof-set", nv, 0, me))
             return
-        self._new_view_sent.add(nv)
         self._must_repropose = dict(repro)
         self._enter_view(nv, queue)
         out.append(
@@ -546,8 +539,8 @@ class Replica:
         for seq in sorted(repro):
             digest = repro[seq]
             inst = self._instances.get(seq)
-            block = inst.blocks.get(digest) if inst is not None else None
-            if block is None:
+            pp = inst.proposal(digest) if inst is not None else None
+            if pp is None:
                 # Without the block bytes this primary cannot re-propose;
                 # replicas holding it will force another view change.
                 self.evidence.append(Evidence("reproposal-block-unknown", nv, seq, me))
@@ -559,8 +552,8 @@ class Replica:
                     seq=seq,
                     digest=digest,
                     sender=me,
-                    block=block,
-                    blobs=inst.blobs.get(digest, {}),
+                    block=pp.block,
+                    blobs=pp.blobs or {},
                 )
             )
 

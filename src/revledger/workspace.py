@@ -289,23 +289,23 @@ class Workspace:
 
     def load_all_nodes(self) -> list[NodeRuntime]:
         """Every replica, each holding only its tip where its checkpoint is
-        trusted. Replicas at one height must agree on their tip and heads:
-        those outside the largest agreeing group are named and refused."""
+        trusted. Replicas at one height must agree on their tip, heads and
+        recorded decisions: those outside the largest agreeing group are
+        named and refused."""
         nodes = [self.load_node(i, tip_only=True) for i in range(self.config.n)]
-        groups: dict[tuple, list[int]] = {}
-        for i, node in enumerate(nodes):
-            key = (node.chain.height, node.chain.tip.block_hash, tuple(sorted(node.heads.items())))
-            groups.setdefault(key, []).append(i)
+        keys = [(n.chain.height, n.chain.tip.block_hash, n.heads, n.decisions) for n in nodes]
         largest: dict[int, list[int]] = {}  # height -> first largest group
-        for (height, *_), members in groups.items():
-            if len(members) > len(largest.get(height, [])):
-                largest[height] = members
+        for key in keys:
+            members = [i for i, other in enumerate(keys) if other == key]
+            if len(members) > len(largest.get(key[0], [])):
+                largest[key[0]] = members
         agreeing = {i for members in largest.values() for i in members}
         outliers = [f"node-{i}" for i in range(len(nodes)) if i not in agreeing]
         if outliers:
             raise WorkspaceError(
-                f"replicas disagree at load: the tip or heads of {', '.join(outliers)} differ "
-                "from the other replicas' at the same height; run the verify command for details"
+                "replicas disagree at load: the tip, heads or validity record of "
+                f"{', '.join(outliers)} differ from the other replicas' at the same height; "
+                "run the verify command for details"
             )
         return nodes
 
@@ -316,8 +316,6 @@ class Workspace:
             return
         node_id = node.node_id
         appended = append_chain_file(self.chain_path(node_id), node.blocks_since_load)
-        if node_id not in self._chains:  # not loaded here: leave the checkpoint stale
-            return
         size, sha256 = self._chains[node_id]
         sha256.update(appended)
         self._chains[node_id] = (size + len(appended), sha256)

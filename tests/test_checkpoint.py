@@ -221,6 +221,37 @@ def test_commit_refuses_replicas_that_disagree_at_load(ws_dir, tmp_path, capsys)
     assert all_bytes(ws_dir) == before
 
 
+def test_commit_refuses_a_replica_whose_checkpoint_forges_a_tx_id(ws_dir, tmp_path, capsys):
+    """Node 0's checkpoint names, in place of its one committed tx id, the id
+    the next commit will have; its chain, tip and heads still agree with the
+    others'. Commit would take that transaction for committed and write
+    nothing: it refuses node 0 instead, and verify names the forged record."""
+    commit(ws_dir, tmp_path, "w", "a.txt", "first")
+    twin = tmp_path / "twin"
+    shutil.copytree(ws_dir, twin)
+    commit(twin, tmp_path, "w", "b.txt", "second")
+    next_tx_id = json.loads(checkpoint_path(twin, 0).read_text())["blocks"][1][0][0]
+
+    def forge(obj):
+        obj["blocks"][0][0][0] = next_tx_id
+
+    edit_checkpoint(ws_dir, 0, forge)
+    capsys.readouterr()
+    before = all_bytes(ws_dir)
+    assert commit(ws_dir, tmp_path, "w", "b.txt", "second") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: replicas disagree at load") and "node-0" in err
+    assert not any(f"node-{i}" in err for i in (1, 2, 3))
+    assert all_bytes(ws_dir) == before
+    assert main(["verify", "--dir", str(ws_dir)]) == 1
+    assert capsys.readouterr().out == (
+        "node 0: defect height=1 kind=record-mismatch tx ids differ from the block's\n"
+        "node 1: ok\nnode 2: ok\nnode 3: ok\n"
+        "verify: tampering detected\n"
+    )
+
+
 def _run_commands(ws_dir, tmp_path, capsys):
     """Output of history, show and then a commit, with the checkpoints the
     commit leaves."""
@@ -235,11 +266,23 @@ def _run_commands(ws_dir, tmp_path, capsys):
     return outputs, [checkpoint_path(ws_dir, i).read_bytes() for i in range(4)]
 
 
-@pytest.mark.parametrize("case", ["missing", "one-commit-behind"])
+def _negative_head(obj):
+    obj["heads"]["w"][0] = -1
+
+
+def _one_block_list_short(obj):
+    obj["blocks"].pop()
+
+
+_MISSHAPEN = {"negative-count": _negative_head, "one-block-list-short": _one_block_list_short}
+
+
+@pytest.mark.parametrize("case", ["missing", "one-commit-behind", "not-an-object", *_MISSHAPEN])
 def test_commands_recover_without_a_current_checkpoint(tmp_path, capsys, case):
-    """Without a checkpoint, or with one a commit behind, commit, history
-    and show print what they print with a current one, and the commit
-    leaves the same checkpoint. No reader and no refused commit writes one."""
+    """Without a checkpoint, with one a commit behind, or with one that is
+    not shaped as written, commit, history and show print what they print
+    with a current one, and the commit leaves the same checkpoint. No reader
+    and no refused commit writes one."""
     runs = []
     for name in ("current", case):
         ws_dir = tmp_path / name
@@ -252,6 +295,10 @@ def test_commands_recover_without_a_current_checkpoint(tmp_path, capsys, case):
                 checkpoint_path(ws_dir, i).unlink()
             elif name == "one-commit-behind":
                 checkpoint_path(ws_dir, i).write_bytes(old[i])
+            elif name == "not-an-object":
+                checkpoint_path(ws_dir, i).write_text("[]\n")
+            elif name in _MISSHAPEN:
+                edit_checkpoint(ws_dir, i, _MISSHAPEN[name])
         capsys.readouterr()
         if name != "current":
             before = all_bytes(ws_dir)

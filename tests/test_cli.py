@@ -234,6 +234,20 @@ def test_also_file_double_submit_conflicts(ws_dir, tmp_path, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 1
 
 
+def test_also_file_naming_the_same_file_commits_it_once(ws_dir, tmp_path, capsys):
+    """The same file twice in one commit is one transaction: both of its
+    rows report that transaction's commit, and one revision lands."""
+    path = tmp_path / "a.txt"
+    rc = commit(ws_dir, tmp_path, "w", "a.txt", "draft", extra=["--also-file", str(path)])
+    rows = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert len(rows) == 2 and rows[0] == rows[1]
+    assert rows[0].startswith("committed tx=")
+    assert rows[0].endswith(f" work=w flag=Valid height=1 file={path}")
+    main(["history", "--dir", str(ws_dir), "--work", "w"])
+    assert len(capsys.readouterr().out.strip().splitlines()) == 1
+
+
 def test_replicas_converge_to_identical_chain_files(ws_dir, tmp_path):
     commit(ws_dir, tmp_path, "novel-1", "a.txt", "first")
     commit(ws_dir, tmp_path, "comic-1", "b.txt", "second")

@@ -22,7 +22,14 @@ from revledger.ledger import (
     verify_chain,
     write_chain_file,
 )
-from revledger.revisions import RevisionRecord, Transaction, propose_revision
+from revledger.revisions import (
+    EndorsementPolicy,
+    RevisionRecord,
+    Transaction,
+    check_endorsement_policy,
+    endorse,
+    propose_revision,
+)
 
 
 @pytest.fixture
@@ -30,13 +37,22 @@ def store():
     return MemoryStore()
 
 
+POLICY = EndorsementPolicy(required=1, secrets={0: b"node-0 secret"})
+
+
+def meets_policy(tx):
+    return check_endorsement_policy(tx, POLICY)
+
+
 def chain_of(n_blocks, store, works=("w",)):
-    """Honestly built chain with one tx per block, round-robin over works."""
+    """Honestly built chain with one tx per block, round-robin over works,
+    each endorsed by node 0 so it meets POLICY."""
     chain = Chain()
     heads = {}
     for i in range(n_blocks):
         work = works[i % len(works)]
         tx = propose_revision(work, "ada", f"content {i}".encode(), heads, store, submit_tick=i)
+        tx = endorse(tx, 0, POLICY.secrets[0])
         heads[work] = (tx.record.revision_number, tx.record.content_hash)
         block = build_block(i + 1, chain.tip.block_hash, [tx], "node-0", view=0, tick=i + 1)
         chain.append(block)
@@ -197,14 +213,14 @@ def test_one_block_checked_at_two_heights_reports_each_defect_at_that_height(sto
 
 def test_honest_chain_verifies(store):
     chain = chain_of(10, store, works=("w1", "w2", "w3"))
-    report = verify_chain(chain, store, check_chain(chain), store.audit())
+    report = verify_chain(chain, store, check_chain(chain), store.audit(), meets_policy)
     assert report.ok, report.defects
 
 
 def test_missing_blob_reported(store):
     chain = chain_of(3, store)
     empty = MemoryStore()
-    report = verify_chain(chain, empty, check_chain(chain), empty.audit())
+    report = verify_chain(chain, empty, check_chain(chain), empty.audit(), meets_policy)
     assert not report.ok
     assert {d.kind for d in report.defects} == {"content-missing"}
 
@@ -213,7 +229,7 @@ def test_corrupt_blob_reported_at_its_block(store):
     chain = chain_of(4, store, works=("a", "b", "c", "d"))
     victim = chain.blocks[3].transactions[0].record.content_hash
     store._blobs[victim] = b"replaced content"
-    report = verify_chain(chain, store, check_chain(chain), store.audit())
+    report = verify_chain(chain, store, check_chain(chain), store.audit(), meets_policy)
     kinds = {(d.height, d.kind) for d in report.defects}
     assert (3, "content-hash-mismatch") in kinds
     assert min(d.height for d in report.defects) == 3
@@ -224,7 +240,7 @@ def test_verify_reports_earliest_height_first(store):
     for victim_height in (2, 4):
         victim = chain.blocks[victim_height].transactions[0].record.content_hash
         store._blobs[victim] = b"junk"
-    report = verify_chain(chain, store, check_chain(chain), store.audit())
+    report = verify_chain(chain, store, check_chain(chain), store.audit(), meets_policy)
     assert report.defects[0].height == 2
 
 

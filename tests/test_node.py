@@ -3,7 +3,7 @@ import pytest
 from revledger.content_store import MemoryStore
 from revledger.node import NodeRuntime, ReceiptStatus, TxForward
 from revledger.pbft import GroupConfig, MessageKind
-from revledger.revisions import ValidityFlag
+from revledger.revisions import ValidityFlag, check_endorsement_policy
 
 
 def make_node(node_id=0, n=4, m=1, max_batch=100):
@@ -64,11 +64,6 @@ def test_form_batch_caps_at_max_batch():
     block, _ = node.form_batch(now=2)
     assert len(block.transactions) == 3
     assert len(node.mempool) == 7  # selection does not drain
-
-
-def test_empty_mempool_yields_no_batch():
-    node = make_node()
-    assert node.form_batch(now=1) is None
 
 
 def test_primary_duty_proposes_and_self_prepares():
@@ -183,7 +178,7 @@ def test_show_and_history_round_trip():
     entries = nodes[2].history("w1")
     assert [e.revision_number for e in entries] == [1]
     assert nodes[2].show("w1", 1) == b"chapter"
-    report, audit = nodes[2].verify()
+    report, audit = nodes[2].verify(lambda tx: check_endorsement_policy(tx, nodes[2].policy))
     assert report.ok and audit == []
 
 

@@ -43,6 +43,11 @@ def report_text(config, workload):
     return _report_text(sim, sim.run())
 
 
+def verify_node(node):
+    """The node's verify with its own endorsement policy, as the report runs it."""
+    return node.verify(lambda tx: check_endorsement_policy(tx, node.policy))
+
+
 def workload_distinct(count, nodes=(0, 1, 2, 3), start=1):
     return [
         Submission(
@@ -175,6 +180,10 @@ def test_sim_config_validation():
         SimConfig(n=4, f=1, seed=1, drop_prob=1.5)
     with pytest.raises(ConfigError, match="max_batch must be positive"):
         SimConfig(n=4, f=1, seed=1, max_batch=0)
+    with pytest.raises(SimError, match="duplicate byzantine node entries"):
+        SimConfig(n=4, f=1, seed=1, byzantine=((1, Crash(at_tick=5)), (1, Crash(at_tick=9))))
+    with pytest.raises(SimError, match="unknown byzantine behavior"):
+        SimConfig(n=4, f=1, seed=1, byzantine=((1, "crash"),))
 
 
 def test_workload_tick_monotonicity_enforced():
@@ -291,7 +300,7 @@ def test_fault_free_run_commits_everything():
     assert len(set(report.committed_heights.values())) == 1
     assert len(sim.nodes) == config.n
     for node in sim.nodes:
-        chain_report, audit = node.verify(lambda tx: check_endorsement_policy(tx, node.policy))
+        chain_report, audit = verify_node(node)
         assert chain_report.ok
         assert audit == []
 
@@ -313,9 +322,10 @@ def test_crashed_primary_recovers_via_view_change():
     assert report.throughput == 6 / report.ticks_elapsed
 
 
-# Containers of a replica's per-sequence record (`Replica._instances`); its
-# blocks are checked at their own heights instead.
-_INSTANCE_MAPS = ("accepted", "log", "counts", "digests", "flagged", "sent_commit", "blobs")
+# Containers of a replica's per-sequence record (`Replica._instances`); the
+# blocks of its accepted PrePrepares, which hold their payloads, are also
+# checked at their own heights.
+_INSTANCE_MAPS = ("accepted", "log", "counts", "digests", "flagged")
 # A primary proposes a one-transaction block only once its previous block
 # has committed, so a replica sees at most a few sequences past its own
 # last committed one.
@@ -329,7 +339,9 @@ def _held_seqs(replica) -> dict[str, list[int]]:
     for name in _INSTANCE_MAPS:
         held[name] = [seq for seq, inst in replica._instances.items() for _ in getattr(inst, name)]
     held["blocks"] = [
-        b.header.height for inst in replica._instances.values() for b in inst.blocks.values()
+        pp.block.header.height
+        for inst in replica._instances.values()
+        for pp in inst.accepted.values()
     ]
     return held
 
@@ -414,7 +426,7 @@ def test_each_block_is_checked_once_for_every_replica_holding_it(monkeypatch):
     report = sim.run()
     assert not report.stalled and report.safety_ok
     for node in sim.nodes:
-        assert node.verify()[0].ok
+        assert verify_node(node)[0].ok
     distinct = {id(block) for node in sim.nodes for block in node.chain.blocks[1:]}
     assert len(distinct) == sim.nodes[0].chain.height == counts["build_block"] >= 10
     assert counts["merkle_root"] == counts["build_block"] + len(distinct)
@@ -437,7 +449,9 @@ SWAPS = {
             replace(b.transactions[0], tx_id=_flip_digest(b.transactions[0].tx_id)),
             *b.transactions[1:],
         )),
-        [Defect(2, "merkle-root-mismatch"), Defect(2, "tx-id-mismatch", "tx 0")],
+        # the endorsement tokens were made for the original tx id
+        [Defect(2, "merkle-root-mismatch"), Defect(2, "tx-id-mismatch", "tx 0"),
+         Defect(2, "endorsement-invalid", "tx 0")],
     ),
 }
 
@@ -459,9 +473,9 @@ def test_a_swapped_block_is_reported_only_by_the_replica_holding_it(swap, order)
         node.chain = Chain(blocks[:2] + [damaged] + blocks[3:] if i == 2 else blocks)
     others = [sim.nodes[i] for i in (0, 1, 3)]
     if order == "other-replicas-first":
-        assert all(node.verify()[0].ok for node in others)
-    assert sim.nodes[2].verify()[0].defects == expected
-    assert all(node.verify()[0].ok for node in others)
+        assert all(verify_node(node)[0].ok for node in others)
+    assert verify_node(sim.nodes[2])[0].defects == expected
+    assert all(verify_node(node)[0].ok for node in others)
 
 
 def test_an_equivocation_variant_is_checked_on_its_own(monkeypatch):
