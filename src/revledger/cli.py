@@ -27,7 +27,7 @@ from .digests import from_hex, to_hex
 from .ledger import check_chain, parse_chain, verify_chain, write_chain_file
 from .node import make_policy
 from .pbft import ConfigError, GroupConfig
-from .revisions import check_endorsement_policy
+from .revisions import check_endorsement_policy, show
 from .sim import (
     MAX_TICKS,
     ScenarioError,
@@ -102,9 +102,14 @@ def cmd_commit(args) -> int:
     payloads = []
     for path in [args.file] + (args.also_file or []):
         try:
-            payloads.append((path, Path(path).read_bytes()))
+            data = Path(path).read_bytes()
         except OSError as exc:
             return _err(f"cannot read {path}: {exc}")
+        # Equal bytes of one work and author make the same transaction.
+        earlier = next((name for name, other in payloads if other == data), None)
+        if earlier is not None:
+            return _err(f"{path} holds the same bytes as {earlier}; nothing was committed")
+        payloads.append((path, data))
     submissions = [
         Submission(tick=0, node=0, work_id=args.work, author_id=args.author, payload=data)
         for _, data in payloads
@@ -152,8 +157,7 @@ def cmd_history(args) -> int:
     try:
         ws = Workspace.load(args.dir)
         with ws.lock():
-            node = ws.load_node(0)
-            entries = node.history(args.work)
+            entries = ws.read_history(0, args.work)
     except WorkspaceError as exc:
         return _err(str(exc))
     for e in entries:
@@ -168,8 +172,7 @@ def cmd_show(args) -> int:
     try:
         ws = Workspace.load(args.dir)
         with ws.lock():
-            node = ws.load_node(0)
-            data = node.show(args.work, args.revision)
+            data = show(ws.read_history(0, args.work), args.work, args.revision, ws.store(0))
     except (WorkspaceError, NotFoundError, StoreError) as exc:
         return _err(str(exc))
     try:

@@ -29,7 +29,6 @@ from enum import Enum
 from typing import Iterable
 
 from . import revisions
-from .content_store import NotFoundError
 from .digests import sha256
 from .encoding import MalformedError
 from .ledger import Block, Chain, VerifyReport, build_block, check_chain, verify_chain
@@ -44,6 +43,7 @@ from .revisions import (
     endorse,
     history,
     propose_revision,
+    show,
 )
 
 
@@ -388,14 +388,17 @@ class NodeRuntime:
     # -- queries -----------------------------------------------------------------
 
     def history(self, work_id: str) -> list[revisions.HistoryEntry]:
-        return history(self.chain, self.decisions, work_id)
+        """The work's valid revisions; raises ValueError for a chain that
+        does not start at genesis, such as a replica's tip: its earlier
+        revisions are not there to list."""
+        blocks = self.chain.blocks
+        if blocks[0].header.height != 0:
+            raise ValueError("history needs the whole chain, from genesis on")
+        return history(zip(blocks[1:], self.decisions), work_id)
 
     def show(self, work_id: str, revision_number: int) -> bytes:
         """Payload bytes of a committed revision, hash re-verified on read."""
-        for entry in self.history(work_id):
-            if entry.revision_number == revision_number:
-                return self.store.get(entry.content_hash)
-        raise NotFoundError(f"no valid revision {revision_number} of {work_id!r}")
+        return show(self.history(work_id), work_id, revision_number, self.store)
 
     def verify(self, endorsement_checker) -> tuple[VerifyReport, list]:
         """verify_chain over this replica: its store's audit, then its chain."""

@@ -32,6 +32,7 @@ from enum import Enum
 from typing import Mapping
 
 from . import encoding
+from .content_store import NotFoundError
 from .digests import sha256
 from .encoding import MalformedError
 
@@ -184,20 +185,17 @@ class HistoryEntry:
     block_tick: int
 
 
-def history(chain, decisions, work_id: str) -> list[HistoryEntry]:
+def history(decided, work_id: str) -> list[HistoryEntry]:
     """Valid revisions of a work in revision order, read from recorded flags.
 
-    `decisions` holds one (tx id, flag) list per block after genesis, by
-    height, as the replica recorded them when it applied each block. Nothing
-    is re-validated, so history cannot disagree with the heads and receipts.
+    `decided` yields (block, decision list) pairs in height order, the list
+    holding the block's (tx id, flag) pairs as the replica recorded them
+    when it applied the block. A block that does not hold the work may be
+    left out, so a caller can pass only the blocks it read. Nothing is
+    re-validated, so history cannot disagree with the heads and receipts.
     Unknown works yield an empty list. The returned numbers are 1..k,
     gap-free, because only head-extending transactions validate.
-
-    Raises ValueError for a chain that does not start at genesis, such as
-    a replica's tip: its earlier revisions are not there to list.
     """
-    if chain.blocks[0].header.height != 0:
-        raise ValueError("history needs the whole chain, from genesis on")
     # The work is compared first: other works' flags are then never read.
     return [
         HistoryEntry(
@@ -207,7 +205,17 @@ def history(chain, decisions, work_id: str) -> list[HistoryEntry]:
             block_height=block.header.height,
             block_tick=block.header.tick,
         )
-        for block, pairs in zip(chain.blocks[1:], decisions)
+        for block, pairs in decided
         for tx, pair in zip(block.transactions, pairs)
         if tx.record.work_id == work_id and pair[1] is VALID
     ]
+
+
+def show(entries: list[HistoryEntry], work_id: str, revision_number: int, store) -> bytes:
+    """Payload bytes of revision `revision_number` among a work's history
+    `entries`, re-hashed on read by store.get; NotFoundError where the
+    work has no such valid revision."""
+    for entry in entries:
+        if entry.revision_number == revision_number:
+            return store.get(entry.content_hash)
+    raise NotFoundError(f"no valid revision {revision_number} of {work_id!r}")

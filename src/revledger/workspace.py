@@ -16,9 +16,11 @@ made for, the tip's height and hash, the heads, and each block's
 decisions; the workspace keeps only each loaded chain file's length and
 running SHA-256. `init` writes the checkpoint, and so does a commit that
 appended blocks, after the chain file, as a whole new file. It is trusted
-only while the chain file's bytes still hash to it; any other checkpoint, or
-none, is ignored, and the node is rebuilt by a full check and replay of its
-chain, which stays the only recovery path.
+only while the chain file's bytes still hash to it. A trusted checkpoint
+lets load_node parse only the tip, and read_history only the lines that can
+hold the work asked for. Any other checkpoint, or none, is ignored, and the
+node is rebuilt by a full check and replay of its chain, which stays the
+only recovery path.
 
 Concurrent invocations on one workspace are excluded by a lock file; a
 second invocation fails fast instead of corrupting state.
@@ -33,6 +35,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NoReturn
 
 from .content_store import ContentStore
 from .digests import from_hex, to_hex
@@ -43,6 +46,7 @@ from .ledger import (
     Defect,
     append_chain_file,
     block_from_line,
+    check_block,
     check_chain,
     parse_chain,
     read_chain_file,
@@ -50,7 +54,7 @@ from .ledger import (
 )
 from .node import NodeRuntime
 from .pbft import ConfigError, GroupConfig
-from .revisions import HeadState, ValidityFlag, apply_block
+from .revisions import HeadState, HistoryEntry, ValidityFlag, apply_block, history
 
 CONFIG_NAME = "config.json"
 LOCK_NAME = ".lock"
@@ -63,6 +67,14 @@ _CHECKPOINT_KEYS = {"blocks", "chain_bytes", "chain_sha256", "heads", "height", 
 
 class WorkspaceError(Exception):
     pass
+
+
+def _refuse(node_id: int, defect: Defect) -> NoReturn:
+    """Refuse a damaged replica loudly, naming its first defect."""
+    raise WorkspaceError(
+        f"node-{node_id} chain is damaged ({defect.kind} at height {defect.height}); "
+        "run the verify command for details"
+    )
 
 
 @dataclass(frozen=True)
@@ -213,11 +225,7 @@ class Workspace:
         if chain is not None and not defects:
             defects = check_chain(chain)
         if chain is None or defects:
-            first = defects[0] if defects else Defect(0, "unknown")
-            raise WorkspaceError(
-                f"node-{node_id} chain is damaged ({first.kind} at height {first.height}); "
-                "run the verify command for details"
-            )
+            _refuse(node_id, defects[0] if defects else Defect(0, "unknown"))
         return chain
 
     def read_checkpoint_bytes(self, node_id: int) -> bytes | None:
@@ -259,40 +267,95 @@ class Workspace:
         self._last_trusted = (raw, data, (checkpoint, tip, sha256.copy()))
         return checkpoint, tip, sha256
 
-    def load_node(self, node_id: int, tip_only: bool = False) -> NodeRuntime:
+    def _read_trusted(self, node_id: int) -> tuple[bytes, list[Defect], tuple | None]:
+        """The node's chain file bytes (empty where unreadable), their
+        missing-replica defects, and _trusted_checkpoint's result for them."""
+        raw, missing = self.read_chain_bytes(node_id)
+        raw = raw or b""
+        return raw, missing, self._trusted_checkpoint(raw, self.read_checkpoint_bytes(node_id))
+
+    def _replayed_node(self, node_id: int, raw: bytes, missing: list[Defect]) -> NodeRuntime:
+        """A runtime holding the whole chain parsed from `raw`, refused as
+        `_checked_chain` refuses it, that replays every block, deciding
+        validity from which blobs the store holds (none is read)."""
+        parsed = (None, missing) if missing else parse_chain(raw)
+        chain = self._checked_chain(node_id, *parsed)
+        self._chains[node_id] = (len(raw), hashlib.sha256(raw))
+        return NodeRuntime(node_id, self.config, self.store(node_id), chain=chain)
+
+    def load_node(self, node_id: int) -> NodeRuntime:
         """Rebuild a node runtime from its persisted chain and checkpoint.
 
         With a trusted checkpoint the runtime takes its heads and flags from
-        it, and with `tip_only` its chain is the tip alone, parsed from the
-        chain file's last line: no other block is read. Otherwise the whole
-        chain is parsed from the bytes read for the trust check and goes
-        through `_checked_chain`; without a trusted checkpoint the runtime
-        then replays it, deciding validity from which blobs the store holds
-        (none is read).
+        it, and its chain is the tip alone, parsed from the chain file's last
+        line: no other block is read. Otherwise the runtime holds and
+        replays the whole chain (`_replayed_node`), parsed from the bytes
+        read for the trust check.
         """
-        raw, missing = self.read_chain_bytes(node_id)
-        raw = raw or b""
-        trusted = self._trusted_checkpoint(raw, self.read_checkpoint_bytes(node_id))
+        raw, missing, trusted = self._read_trusted(node_id)
         if trusted is None:
-            recorded, sha256 = None, hashlib.sha256(raw)
-        else:
-            checkpoint, tip, sha256 = trusted
-            recorded = (checkpoint.heads, checkpoint.decisions)
-        if trusted is not None and tip_only:
-            chain = Chain([tip])
-        else:
-            parsed = (None, missing) if missing else parse_chain(raw)
-            chain = self._checked_chain(node_id, *parsed)
+            return self._replayed_node(node_id, raw, missing)
+        checkpoint, tip, sha256 = trusted
         self._chains[node_id] = (len(raw), sha256)
-        store = self.store(node_id)
-        return NodeRuntime(node_id, self.config, store, chain=chain, recorded=recorded)
+        recorded = (checkpoint.heads, checkpoint.decisions)
+        return NodeRuntime(
+            node_id, self.config, self.store(node_id), chain=Chain([tip]), recorded=recorded
+        )
+
+    def read_history(self, node_id: int, work_id: str) -> list[HistoryEntry]:
+        """The work's valid revisions on one replica, as a runtime holding
+        its whole chain lists them.
+
+        With a trusted checkpoint the flags come from it, and only the chain
+        lines that can hold the work are parsed: those holding the work id
+        as a JSON string written without escapes, which is its literal UTF-8
+        text in quotes, and those holding a backslash, because any other
+        spelling of the work id needs one. Each line read must parse, carry
+        its line position as its header height, pass check_block there and
+        hold the tx ids the checkpoint recorded for that height; otherwise
+        the replica is refused as `_checked_chain` refuses it. This trusts
+        the unread lines as a commit's tip-only load does: a replica writes
+        a checkpoint only for chain bytes it has checked. Without a trusted
+        checkpoint the whole chain is checked and replayed, as load_node
+        does.
+        """
+        raw, missing, trusted = self._read_trusted(node_id)
+        if trusted is None:
+            return self._replayed_node(node_id, raw, missing).history(work_id)
+        decisions = trusted[0].decisions
+        lines = raw.split(b"\n")
+        if lines[-1] == b"":
+            lines.pop()
+        if len(lines) != len(decisions) + 1:
+            _refuse(node_id, Defect(len(lines) - 1, "height-mismatch"))
+        # A surrogate (from a command line argument) has no literal UTF-8
+        # spelling in a parsed line, so its needle matches none.
+        needle = b'"' + work_id.encode("utf-8", "surrogatepass") + b'"'
+        decided = []
+        for height, line in enumerate(lines[1:], start=1):
+            if needle not in line and b"\\" not in line:
+                continue
+            try:
+                block = block_from_line(line.decode("utf-8"))
+            except (UnicodeDecodeError, ChainParseError):
+                _refuse(node_id, Defect(height, "unparseable-record"))
+            if block.header.height != height:
+                _refuse(node_id, Defect(height, "height-mismatch"))
+            defects = check_block(block, height)
+            if defects:
+                _refuse(node_id, defects[0])
+            pairs = decisions[height - 1]
+            if [tx.tx_id for tx in block.transactions] != [tx_id for tx_id, _ in pairs]:
+                _refuse(node_id, Defect(height, "record-mismatch"))
+            decided.append((block, pairs))
+        return history(decided, work_id)
 
     def load_all_nodes(self) -> list[NodeRuntime]:
         """Every replica, each holding only its tip where its checkpoint is
         trusted. Replicas at one height must agree on their tip, heads and
         recorded decisions: those outside the largest agreeing group are
         named and refused."""
-        nodes = [self.load_node(i, tip_only=True) for i in range(self.config.n)]
+        nodes = [self.load_node(i) for i in range(self.config.n)]
         keys = [(n.chain.height, n.chain.tip.block_hash, n.heads, n.decisions) for n in nodes]
         largest: dict[int, list[int]] = {}  # height -> first largest group
         for key in keys:

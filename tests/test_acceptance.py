@@ -106,9 +106,8 @@ def test_criterion_1_tamper_evidence(tmp_path, capsys):
     assert n_blocks == 11  # genesis + 10 blocks of 3 revisions
 
     # map height -> blob hashes introduced there (unique payloads, so 1:1)
-    node0 = ws.load_node(0)
     blob_at_height = {}
-    for block in node0.chain.blocks[1:]:
+    for block in ws.read_chain(0).blocks[1:]:
         for tx in block.transactions:
             blob_at_height.setdefault(block.header.height, []).append(
                 to_hex(tx.record.content_hash)

@@ -1,6 +1,7 @@
 """Each replica's checkpoint: commit trusts it while the chain file's bytes
-hash to it and then reads only the tip; every other reader, and the
-recovery path, behave as without it."""
+hash to it and then reads only the tip, and history and show read only the
+lines that can hold the work; verify and the recovery path behave as
+without it."""
 
 import hashlib
 import json
@@ -12,6 +13,7 @@ import pytest
 
 from revledger import ledger, revisions, workspace
 from revledger.cli import main
+from revledger.node import NodeRuntime
 from revledger.workspace import Workspace
 
 
@@ -59,7 +61,7 @@ def test_history_and_show_refuse_a_replica_holding_only_its_tip(ws_dir, tmp_path
     for query in (lambda: tip_only.history("w"), lambda: tip_only.show("w", 1)):
         with pytest.raises(ValueError, match="history needs the whole chain"):
             query()
-    assert [e.revision_number for e in ws.load_node(0).history("w")] == [1, 2]
+    assert [e.revision_number for e in ws.read_history(0, "w")] == [1, 2]
 
 
 def test_deleted_blob_changes_no_replicas_history_or_heads(ws_dir, tmp_path, capsys):
@@ -377,6 +379,95 @@ def test_query_reads_node_0_chain_file_once(ws_dir, tmp_path, capsys, command):
     assert opened.count(chain) == 1
 
 
+def _query(ws_dir, tmp_path, capsys, work, revision=None):
+    """(exit code, stdout, stderr) of history, or of show when `revision` is given."""
+    argv = ["history", "--dir", str(ws_dir), "--work", work]
+    if revision is not None:
+        argv[0] = "show"
+        argv += ["--revision", str(revision), "--out", str(tmp_path / "out.bin")]
+    return main(argv), *capsys.readouterr()
+
+
+def test_history_and_show_parse_only_the_lines_holding_the_work(
+    ws_dir, tmp_path, capsys, monkeypatch
+):
+    for k in range(12):
+        assert commit(ws_dir, tmp_path, f"w{k % 3}", "p.txt", f"revision {k}") == 0
+    capsys.readouterr()
+    want = _query(ws_dir, tmp_path, capsys, "w1")
+    parsed = _count_calls(monkeypatch, ledger, "block_from_line")
+    checked = _count_calls(monkeypatch, ledger, "check_chain")
+    for revision in (None, 4):
+        got = _query(ws_dir, tmp_path, capsys, "w1", revision)
+        assert got[0] == 0
+        # Blocks 2, 5, 8 and 11 hold w1; the tip is parsed for the trust check.
+        assert len(parsed) == 4 + 1
+        assert len(checked) == 0
+        parsed.clear()
+    assert got[1] == f"wrote {len('revision 10')} bytes to {tmp_path / 'out.bin'}\n"
+    monkeypatch.undo()
+    checkpoint_path(ws_dir, 0).unlink()
+    assert _query(ws_dir, tmp_path, capsys, "w1") == want
+
+
+_SPELLINGS = {
+    # work id, its canonical JSON in a chain line, the spelling written instead
+    "unicode-escape": ("w", b'"work_id":"w"', b'"work_id":"\\u0077"'),
+    "space-after-colon": ("w", b'"work_id":"w"', b'"work_id": "w"'),
+    "raw-utf8": ("été", b'"work_id":"\\u00e9t\\u00e9"', '"work_id":"été"'.encode()),
+    "quote-in-id": ('say "hi"', b'"work_id":"say \\"hi\\""', b'"work_id": "say \\"hi\\""'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPELLINGS))
+def test_history_lists_every_revision_whatever_the_work_ids_spelling(
+    ws_dir, tmp_path, capsys, case
+):
+    """Node 0's chain spells the work id otherwise than the writer does, and
+    a commit writes a checkpoint for those bytes: history read through that
+    trusted checkpoint lists every revision a replay of the whole chain
+    lists."""
+    work, canonical, spelling = _SPELLINGS[case]
+    for k in range(6):
+        assert commit(ws_dir, tmp_path, work if k % 2 else "other", "p.txt", f"rev {k}") == 0
+    chain_path = ws_dir / "node-0" / "chain.jsonl"
+    raw = chain_path.read_bytes()
+    assert raw.count(canonical) == 3
+    chain_path.write_bytes(raw.replace(canonical, spelling))
+    checkpoint_path(ws_dir, 0).unlink()
+    assert commit(ws_dir, tmp_path, "other", "p.txt", "rev 6") == 0
+    capsys.readouterr()
+    ws = Workspace.load(ws_dir)
+    raw = chain_path.read_bytes()
+    assert raw.count(spelling) == 3
+    assert ws._trusted_checkpoint(raw, ws.read_checkpoint_bytes(0)) is not None
+    replayed = NodeRuntime(0, ws.config, ws.store(0), chain=ws.read_chain(0)).history(work)
+    assert [e.revision_number for e in replayed] == [1, 2, 3]
+    assert ws.read_history(0, work) == replayed
+    assert ws.read_history(1, work) == replayed
+
+
+def test_a_flipped_byte_in_any_chain_line_refuses_history_and_show(ws_dir, tmp_path, capsys):
+    """The flip breaks the checkpoint's hash, so the whole chain is checked
+    and the damaged line refuses node 0, wherever it is and whichever work
+    is asked for."""
+    for k in range(4):
+        assert commit(ws_dir, tmp_path, f"w{k % 2}", "p.txt", f"revision {k}") == 0
+    lines = (ws_dir / "node-0" / "chain.jsonl").read_bytes().split(b"\n")[:-1]
+    for height, line in enumerate(lines):
+        damaged = tmp_path / f"damaged-{height}"
+        shutil.copytree(ws_dir, damaged)
+        offset = line.index(b'"block_hash":"') + len(b'"block_hash":"')
+        assert main(["tamper", "--dir", str(damaged), "--node", "0", "--block", str(height),
+                     "--offset", str(offset), "--xor", "1"]) == 0
+        capsys.readouterr()
+        for revision in (None, 1):
+            rc, out, err = _query(damaged, tmp_path, capsys, "w0", revision)
+            assert (rc, out) == (1, "")
+            assert err.startswith("error: node-0 chain is damaged (")
+            assert f" at height {height}); run the verify command" in err
+
+
 def test_stalled_commit_lists_whole_chains_above_genesis(ws_dir, tmp_path, capsys):
     """A stalled commit's report lists each replica's whole chain, though
     consensus ran on replicas that held only their tips."""
@@ -429,7 +520,7 @@ def test_stalled_commit_keeps_each_replicas_decisions_by_height(
         fresh = ws.load_node(i)
         assert len(node.decisions) == node.chain.height == fresh.chain.height
         assert node.decisions == fresh.decisions
-        assert node.history("w") == fresh.history("w")
+        assert node.history("w") == ws.read_history(i, "w")
         heights.append(node.chain.height)
     assert heights == [2, 3, 3, 3]
     for node in ws.load_all_nodes():  # each holding only its tip

@@ -234,18 +234,23 @@ def test_also_file_double_submit_conflicts(ws_dir, tmp_path, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 1
 
 
-def test_also_file_naming_the_same_file_commits_it_once(ws_dir, tmp_path, capsys):
-    """The same file twice in one commit is one transaction: both of its
-    rows report that transaction's commit, and one revision lands."""
-    path = tmp_path / "a.txt"
-    rc = commit(ws_dir, tmp_path, "w", "a.txt", "draft", extra=["--also-file", str(path)])
-    rows = capsys.readouterr().out.splitlines()
-    assert rc == 0
-    assert len(rows) == 2 and rows[0] == rows[1]
-    assert rows[0].startswith("committed tx=")
-    assert rows[0].endswith(f" work=w flag=Valid height=1 file={path}")
-    main(["history", "--dir", str(ws_dir), "--work", "w"])
-    assert len(capsys.readouterr().out.strip().splitlines()) == 1
+@pytest.mark.parametrize("same_path", [True, False], ids=["same-file", "equal-bytes"])
+def test_also_file_repeating_an_earlier_files_bytes_is_refused(
+    ws_dir, tmp_path, capsys, same_path
+):
+    """A file whose bytes equal an earlier file's of the same commit would be
+    the same transaction: the commit is refused, naming both paths, before
+    the workspace lock is taken, and nothing is written."""
+    (tmp_path / "b.txt").write_text("draft")
+    repeat = tmp_path / ("a.txt" if same_path else "b.txt")
+    (ws_dir / LOCK_NAME).write_text("held")  # a lock taken first would refuse otherwise
+    before = {p: p.read_bytes() for p in ws_dir.rglob("*") if p.is_file()}
+    rc = commit(ws_dir, tmp_path, "w", "a.txt", "draft", extra=["--also-file", str(repeat)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {repeat} holds the same bytes as {tmp_path / 'a.txt'}; nothing was committed\n"
+    )
+    assert {p: p.read_bytes() for p in ws_dir.rglob("*") if p.is_file()} == before
 
 
 def test_replicas_converge_to_identical_chain_files(ws_dir, tmp_path):

@@ -160,14 +160,14 @@ def test_apply_block_is_pure(store):
 # -- history -------------------------------------------------------------------------
 
 
-def flags_of(chain, store):
-    """Per-block (tx id, flag) pairs as a replica records them: apply_block
-    folded from genesis."""
-    heads, decisions = {}, []
+def decided(chain, store):
+    """Each block after genesis with its (tx id, flag) pairs as a replica
+    records them: apply_block folded from genesis."""
+    heads, pairs = {}, []
     for block in chain.blocks[1:]:
         heads, flags = apply_block(heads, block, store)
-        decisions.append(list(zip((tx.tx_id for tx in block.transactions), flags)))
-    return decisions
+        pairs.append((block, list(zip((tx.tx_id for tx in block.transactions), flags))))
+    return pairs
 
 
 def test_history_collects_valid_revisions_in_order(store):
@@ -178,21 +178,21 @@ def test_history_collects_valid_revisions_in_order(store):
         blocks.append([tx])
         heads[tx.record.work_id] = (tx.record.revision_number, tx.record.content_hash)
     chain = make_chain(blocks, store)
-    entries = history(chain, flags_of(chain, store), "w")
+    entries = history(decided(chain, store), "w")
     assert [e.revision_number for e in entries] == [1, 2, 3, 4, 5]
     assert {e.author_id for e in entries} == {"ada"}
 
 
 def test_history_unknown_work_is_empty(store):
     chain = make_chain([], store)
-    assert history(chain, flags_of(chain, store), "nope") == []
+    assert history(decided(chain, store), "nope") == []
 
 
 def test_history_excludes_stale_transactions(store):
     tx1 = propose_revision("w", "ada", b"one", {}, store)
     tx2 = propose_revision("w", "ben", b"two", {}, store)  # same read_version
     chain = make_chain([[tx1, tx2]], store)
-    entries = history(chain, flags_of(chain, store), "w")
+    entries = history(decided(chain, store), "w")
     assert len(entries) == 1
     assert entries[0].content_hash == tx1.record.content_hash
 
@@ -221,5 +221,5 @@ def test_gap_free_numbering_over_random_interleaving(store):
         blocks.append(txs)
     chain = make_chain(blocks, store)
     for w in ("w0", "w1", "w2", "w3"):
-        numbers = [e.revision_number for e in history(chain, flags_of(chain, store), w)]
+        numbers = [e.revision_number for e in history(decided(chain, store), w)]
         assert numbers == list(range(1, len(numbers) + 1))
