@@ -6,7 +6,11 @@ deliberately tamper with one replica (to demo detection), and run
 simulation scenarios.
 
 Exit codes are strict: 0 exactly when the command's success condition
-held, otherwise nonzero with a one-line `error:` (or `warning:`) reason.
+held, and nonzero otherwise. A command that cannot do its work says why
+in one `error:` (or `warning:`) line: a handler names the refusals it
+checks for, and `main` is the one boundary that turns any other
+workspace, config, store or OS error into that line. `verify` prints
+`Workspace.verify`'s reports.
 Tampering is the only code path that ever rewrites an existing block or
 blob byte; every other command only appends blocks and blobs. Each node's
 checkpoint is derived state, never a block or blob byte: init writes it,
@@ -22,10 +26,9 @@ from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
-from .content_store import NotFoundError, StoreError, audit_stores
+from .content_store import StoreError
 from .digests import from_hex, to_hex
-from .ledger import check_chain, parse_chain, verify_chain, write_chain_file
-from .node import make_policy
+from .ledger import write_chain_file
 from .pbft import ConfigError, GroupConfig
 from .revisions import check_endorsement_policy, show
 from .sim import (
@@ -54,18 +57,15 @@ def _warn(msg: str) -> int:
 
 
 def cmd_init(args) -> int:
-    try:
-        config = GroupConfig(
-            n=args.nodes,
-            f=args.faulty,
-            seed=args.seed,
-            timeout_ticks=args.timeout_ticks,
-            max_batch=args.max_batch,
-            endorsement_m=args.endorsements,
-        )
-        Workspace.init(args.dir, config)
-    except (ConfigError, WorkspaceError) as exc:
-        return _err(str(exc))
+    config = GroupConfig(
+        n=args.nodes,
+        f=args.faulty,
+        seed=args.seed,
+        timeout_ticks=args.timeout_ticks,
+        max_batch=args.max_batch,
+        endorsement_m=args.endorsements,
+    )
+    Workspace.init(args.dir, config)
     print(
         f"initialized workspace {args.dir}: nodes={args.nodes} faulty={args.faulty} "
         f"seed={args.seed}"
@@ -95,10 +95,7 @@ def _tx_height(chain, tx_id_hex: str | None) -> int | None:
 
 
 def cmd_commit(args) -> int:
-    try:
-        ws = Workspace.load(args.dir)
-    except WorkspaceError as exc:
-        return _err(str(exc))
+    ws = Workspace.load(args.dir)
     payloads = []
     for path in [args.file] + (args.also_file or []):
         try:
@@ -114,25 +111,18 @@ def cmd_commit(args) -> int:
         Submission(tick=0, node=0, work_id=args.work, author_id=args.author, payload=data)
         for _, data in payloads
     ]
-    try:
-        with ws.lock():
-            sim, report = _run_local_consensus(ws, submissions)
-            for node in sim.nodes:
-                ws.persist_new_blocks(node)
-            stalled_text = None
-            if report.stalled:
-                # The stalled report lists and audits whole chains, where a
-                # replica loaded from its checkpoint held only its old tip on:
-                # each reads its persisted chain, under the lock.
-                for i, node in enumerate(sim.nodes):
-                    node.chain = ws.read_chain(i)
-                report = sim.report(report.ticks_elapsed)
-                stalled_text = _report_text(sim, report)
-    except WorkspaceError as exc:
-        return _err(str(exc))
-    if stalled_text is not None:
-        print(stalled_text, end="")
-        return _err("consensus stalled; workspace left as committed so far")
+    with ws.lock():
+        sim, report = _run_local_consensus(ws, submissions)
+        for node in sim.nodes:
+            ws.persist_new_blocks(node)
+        if report.stalled:
+            # The stalled report lists and audits whole chains, where a
+            # replica loaded from its checkpoint held only its old tip on:
+            # each reads its persisted chain, under the lock.
+            for i, node in enumerate(sim.nodes):
+                node.chain = ws.read_chain(i)
+            print(_report_text(sim, sim.report(report.ticks_elapsed)), end="")
+            return _err("consensus stalled; workspace left as committed so far")
     all_valid = True
     chain = sim.nodes[0].chain
     for (path, _), row in zip(payloads, report.receipts):
@@ -154,12 +144,9 @@ def cmd_commit(args) -> int:
 
 
 def cmd_history(args) -> int:
-    try:
-        ws = Workspace.load(args.dir)
-        with ws.lock():
-            entries = ws.read_history(0, args.work)
-    except WorkspaceError as exc:
-        return _err(str(exc))
+    ws = Workspace.load(args.dir)
+    with ws.lock():
+        entries = ws.read_history(0, args.work)
     for e in entries:
         print(
             f"revision={e.revision_number} hash={to_hex(e.content_hash)} "
@@ -169,12 +156,9 @@ def cmd_history(args) -> int:
 
 
 def cmd_show(args) -> int:
-    try:
-        ws = Workspace.load(args.dir)
-        with ws.lock():
-            data = show(ws.read_history(0, args.work), args.work, args.revision, ws.store(0))
-    except (WorkspaceError, NotFoundError, StoreError) as exc:
-        return _err(str(exc))
+    ws = Workspace.load(args.dir)
+    with ws.lock():
+        data = show(ws.read_history(0, args.work), args.work, args.revision, ws.store(0))
     try:
         Path(args.out).write_bytes(data)
     except OSError as exc:
@@ -186,67 +170,19 @@ def cmd_show(args) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
-def verify_workspace(ws: Workspace) -> dict[int, dict]:
-    """Per-node integrity results: chain defects, a trusted checkpoint's
-    disagreement with its chain, and the store audit. Replicas whose chain
-    files hold equal bytes share one parse and check_chain, and those whose
-    checkpoint files are equal too share one checkpoint comparison; the
-    stores are audited together, so a key's copies that agree are hashed
-    once. The presence and endorsement checks are per replica."""
-    policy = make_policy(ws.config)
-
-    def checker(tx) -> bool:
-        return check_endorsement_policy(tx, policy)
-
-    structural: dict[bytes, tuple] = {}
-    chains: dict[int, tuple] = {}
-    results: dict[int, dict] = {}
-    for i in range(ws.config.n):
-        raw, missing = ws.read_chain_bytes(i)
-        if raw is not None and raw not in structural:
-            chain, defects = parse_chain(raw)
-            structural[raw] = chain, defects + (check_chain(chain) if chain else [])
-        chain, defects = structural.get(raw, (None, missing))
-        if chain is None:
-            results[i] = {"ok": False, "defects": defects, "audit": []}
-        else:
-            chains[i] = raw, chain, defects
-    stores = [ws.store(i) for i in chains]
-    compared: dict[tuple, list] = {}
-    for (i, (raw, chain, defects)), store, audit in zip(
-        chains.items(), stores, audit_stores(stores)
-    ):
-        report = verify_chain(chain, store, defects, audit, checker)
-        pair = raw, ws.read_checkpoint_bytes(i)
-        if pair not in compared:
-            compared[pair] = ws.checkpoint_defects(*pair, chain)
-        defects = report.defects + compared[pair]
-        defects.sort(key=lambda d: d.height)
-        results[i] = {
-            "ok": not defects and not report.audit,
-            "defects": defects,
-            "audit": report.audit,
-        }
-    return dict(sorted(results.items()))
-
-
 def cmd_verify(args) -> int:
-    try:
-        ws = Workspace.load(args.dir)
-        with ws.lock():
-            results = verify_workspace(ws)
-    except WorkspaceError as exc:
-        return _err(str(exc))
-    all_ok = True
-    for i, res in sorted(results.items()):
-        if res["ok"]:
+    ws = Workspace.load(args.dir)
+    with ws.lock():
+        reports = ws.verify()
+    for i, report in enumerate(reports):
+        if report.ok:
             print(f"node {i}: ok")
             continue
-        all_ok = False
-        for d in res["defects"]:
+        for d in report.defects:
             print(f"node {i}: defect height={d.height} kind={d.kind} {d.detail}".rstrip())
-        for a in res["audit"]:
+        for a in report.audit:
             print(f"node {i}: blob-defect key={a.key} kind={a.kind}")
+    all_ok = all(report.ok for report in reports)
     print("verify: ok" if all_ok else "verify: tampering detected")
     return 0 if all_ok else 1
 
@@ -274,42 +210,34 @@ def cmd_tamper(args) -> int:
         return _err("xor value must be in 1..255")
     if (args.block is None) == (args.blob is None):
         return _err("choose exactly one of --block or --blob")
-    try:
-        ws = Workspace.load(args.dir)
-    except WorkspaceError as exc:
-        return _err(str(exc))
+    ws = Workspace.load(args.dir)
     if not 0 <= args.node < ws.config.n:
         return _err(f"node {args.node} outside 0..{ws.config.n - 1}")
-    try:
-        with ws.lock():
-            if args.block is not None:
-                chain_path = ws.chain_path(args.node)
-                if not chain_path.exists():
-                    return _err(f"{chain_path} does not exist")
-                raw = chain_path.read_bytes()
-                lines = raw.split(b"\n")
-                if lines and lines[-1] == b"":
-                    lines = lines[:-1]
-                if not 0 <= args.block < len(lines):
-                    return _err(
-                        f"block {args.block} out of range (chain has {len(lines)} blocks)"
-                    )
-                start = sum(len(line) + 1 for line in lines[: args.block])
-                what = f"node={args.node} block={args.block}"
-                return _flip_byte(
-                    chain_path, raw, start, len(lines[args.block]), args, what, "block record"
-                )
-            try:
-                blob_path = Path(ws.store(args.node).blob_path(from_hex(args.blob)))
-            except ValueError as exc:
-                return _err(f"bad blob hash: {exc}")
-            if not blob_path.exists():
-                return _err(f"node {args.node} has no blob {args.blob}")
-            data = blob_path.read_bytes()
-            what = f"node={args.node} blob={args.blob[:12]}"
-            return _flip_byte(blob_path, data, 0, len(data), args, what, what)
-    except WorkspaceError as exc:
-        return _err(str(exc))
+    with ws.lock():
+        if args.block is not None:
+            chain_path = ws.chain_path(args.node)
+            if not chain_path.exists():
+                return _err(f"{chain_path} does not exist")
+            raw = chain_path.read_bytes()
+            lines = raw.split(b"\n")
+            if lines and lines[-1] == b"":
+                lines = lines[:-1]
+            if not 0 <= args.block < len(lines):
+                return _err(f"block {args.block} out of range (chain has {len(lines)} blocks)")
+            start = sum(len(line) + 1 for line in lines[: args.block])
+            what = f"node={args.node} block={args.block}"
+            return _flip_byte(
+                chain_path, raw, start, len(lines[args.block]), args, what, "block record"
+            )
+        try:
+            blob_path = Path(ws.store(args.node).blob_path(from_hex(args.blob)))
+        except ValueError as exc:
+            return _err(f"bad blob hash: {exc}")
+        if not blob_path.exists():
+            return _err(f"node {args.node} has no blob {args.blob}")
+        data = blob_path.read_bytes()
+        what = f"node={args.node} blob={args.blob[:12]}"
+        return _flip_byte(blob_path, data, 0, len(data), args, what, what)
 
 
 # -- simulate ----------------------------------------------------------------------
@@ -327,7 +255,10 @@ def bundled_scenarios() -> dict[str, str]:
 def _load_scenario_text(spec: str) -> str | None:
     path = Path(spec)
     if path.exists():
-        return path.read_text(encoding="utf-8")
+        try:
+            return path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"scenario file is not UTF-8: {exc}") from exc
     return bundled_scenarios().get(spec)
 
 
@@ -349,11 +280,13 @@ def _report_text(sim: Simulation, report: SimReport) -> str:
 
 
 def cmd_simulate(args) -> int:
-    text = _load_scenario_text(args.scenario)
-    if text is None:
-        names = ", ".join(sorted(bundled_scenarios()))
-        return _err(f"no scenario file or bundled scenario {args.scenario!r} (bundled: {names})")
     try:
+        text = _load_scenario_text(args.scenario)
+        if text is None:
+            names = ", ".join(sorted(bundled_scenarios()))
+            return _err(
+                f"no scenario file or bundled scenario {args.scenario!r} (bundled: {names})"
+            )
         config, workload = parse_scenario(text)
     except ScenarioError as exc:
         where = (
@@ -448,7 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (WorkspaceError, ConfigError, StoreError, OSError) as exc:
+        return _err(str(exc))
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .digests import from_hex, sha256, to_hex
 
@@ -43,6 +44,11 @@ class AuditDefect:
     key: str  # hex key as stored (or raw filename when malformed)
     kind: str  # key-mismatch | unreadable | malformed-key
     detail: str = ""
+
+
+class StoreAudit(NamedTuple):
+    defects: list[AuditDefect]
+    whole: set[bytes]  # keys whose copy was read and hashed to the key
 
 
 class ContentStore:
@@ -105,9 +111,10 @@ class ContentStore:
             raise IntegrityError(f"blob {to_hex(digest)} does not match its key")
         return data
 
-    def audit(self) -> list[AuditDefect]:
-        """Rehash each blob once, in `blobs/*/*` name order. Empty result
-        means every blob matches its key.
+    def audit(self) -> StoreAudit:
+        """Rehash each blob once, in `blobs/*/*` name order: the defects
+        found (none means every blob matches its key) and the keys whose
+        blob was read whole.
 
         Dot-prefixed names are skipped: they are in-flight publications
         from concurrent puts, not blobs.
@@ -115,7 +122,7 @@ class ContentStore:
         return audit_stores([self])[0]
 
 
-def audit_stores(stores: list[ContentStore]) -> list[list[AuditDefect]]:
+def audit_stores(stores: list[ContentStore]) -> list[StoreAudit]:
     """Each store's `audit()`, from one pass over the stores key by key.
 
     Every store's copy of a key is read once. A copy whose bytes equal an
@@ -124,7 +131,8 @@ def audit_stores(stores: list[ContentStore]) -> list[list[AuditDefect]]:
     one accepted copy is held at a time. Each store's defects come in its
     own `blobs/*/*` name order, as its walk is a subsequence of the joint one.
     """
-    found: list[list[AuditDefect]] = [[] for _ in stores]
+    audits = [StoreAudit([], set()) for _ in stores]
+    found = [audit.defects for audit in audits]
     listed = [_names(store._prefix, "blobs", defects) for store, defects in zip(stores, found)]
     for fan_out in sorted(set().union(*listed)):
         names = [
@@ -153,14 +161,13 @@ def audit_stores(stores: list[ContentStore]) -> list[list[AuditDefect]]:
                 except OSError as exc:
                     found[k].append(AuditDefect(name, "unreadable", str(exc)))
                     continue
-                if data == accepted:
-                    continue
-                if sha256(data) == digest:
-                    accepted = data
-                else:
+                if data != accepted and sha256(data) != digest:
                     detail = "content does not hash to key"
                     found[k].append(AuditDefect(name, "key-mismatch", detail))
-    return found
+                    continue
+                accepted = data
+                audits[k].whole.add(digest)
+    return audits
 
 
 def _names(directory: str, key: str, defects: list[AuditDefect]) -> set[str]:
@@ -198,9 +205,11 @@ class MemoryStore:
             raise IntegrityError(f"blob {to_hex(digest)} does not match its key")
         return data
 
-    def audit(self) -> list[AuditDefect]:
-        defects = []
+    def audit(self) -> StoreAudit:
+        audit = StoreAudit([], set())
         for digest in sorted(self._blobs):
-            if sha256(self._blobs[digest]) != digest:
-                defects.append(AuditDefect(to_hex(digest), "key-mismatch"))
-        return defects
+            if sha256(self._blobs[digest]) == digest:
+                audit.whole.add(digest)
+            else:
+                audit.defects.append(AuditDefect(to_hex(digest), "key-mismatch"))
+        return audit

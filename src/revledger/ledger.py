@@ -10,7 +10,8 @@ block cannot change after it is built, so replicas holding the same object
 share that verdict; a parsed, damaged or equivocated block is a new object
 with a verdict of its own. verify_chain adds the blob store's
 audit, run by its caller as the one read of each blob, the presence of
-referenced content, and the endorsement checks.
+referenced content the audit did not read whole, and the endorsement
+checks.
 
 Chain file format: one block per line, compact JSON with sorted keys,
 hashes as lowercase hex. Payload bytes are never embedded (they live in
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import encoding
-from .content_store import AuditDefect, StoreError
+from .content_store import AuditDefect, StoreAudit, StoreError
 from .digests import ZERO_DIGEST, from_hex, to_hex
 from .merkle import merkle_root
 from .revisions import RevisionRecord, Transaction
@@ -251,7 +252,7 @@ def verify_chain(
     chain: Chain,
     store,
     structural: Iterable[Defect],
-    audit: list[AuditDefect],
+    audit: StoreAudit,
     endorsement_checker: Callable[[Transaction], bool],
 ) -> VerifyReport:
     """The content and endorsement checks against the store, given its
@@ -259,43 +260,43 @@ def verify_chain(
     together), merged with `structural`, the chain's parse and check_chain
     defects (shareable by replicas of one chain), by height.
 
-    Referenced content that is absent is content-missing; content the audit
-    found damaged, or whose lookup fails, is content-hash-mismatch. A blob
-    in a directory the audit could not list went unread there, so it is read
-    and hashed here, once.
+    Referenced content the audit read whole is present and intact, so only
+    the rest is looked up: content that is absent is content-missing;
+    content the audit found damaged, or whose lookup fails, is
+    content-hash-mismatch. A present blob the audit did not read whole is
+    one it could not list, so it is read and hashed here, once.
     `endorsement_checker` re-verifies each transaction's endorsements
     against the replica group's policy.
     """
     # Only a blob at its own fan-out path is read, so a stray copy is no content defect.
-    damaged = {a.key for a in audit if a.kind in ("key-mismatch", "unreadable")}
-    read: set[str] = set()
+    damaged = {a.key for a in audit.defects if a.kind in ("key-mismatch", "unreadable")}
+    whole = set(audit.whole)
     defects: list[Defect] = list(structural)
     for i, block in enumerate(chain.blocks[1:], start=1):
         for j, tx in enumerate(block.transactions):
             content_hash = tx.record.content_hash
+            if content_hash in whole:
+                continue
+            key = to_hex(content_hash)
             try:
                 if not store.has(content_hash):
                     kind = "content-missing"
-                elif not damaged:  # the common case: no hex key is needed
-                    continue
-                elif (key := to_hex(content_hash)) in damaged:
+                elif key in damaged:
                     kind = "content-hash-mismatch"
-                elif (key[:2] in damaged or "blobs" in damaged) and key not in read:
-                    read.add(key)
-                    store.get(content_hash)  # unlisted: the audit never read it
-                    continue
                 else:
+                    store.get(content_hash)  # unlisted: the audit never read it
+                    whole.add(content_hash)
                     continue
             except StoreError:
-                damaged.add(to_hex(content_hash))
+                damaged.add(key)
                 kind = "content-hash-mismatch"
-            defects.append(Defect(i, kind, f"tx {j}: {to_hex(content_hash)}"))
+            defects.append(Defect(i, kind, f"tx {j}: {key}"))
         for j, tx in enumerate(block.transactions):
             if not endorsement_checker(tx):
                 defects.append(Defect(i, "endorsement-invalid", f"tx {j}"))
 
     defects.sort(key=lambda d: d.height)
-    return VerifyReport(defects=defects, audit=audit)
+    return VerifyReport(defects=defects, audit=audit.defects)
 
 
 # --- chain file I/O ---------------------------------------------------------

@@ -20,7 +20,8 @@ only while the chain file's bytes still hash to it. A trusted checkpoint
 lets load_node parse only the tip, and read_history only the lines that can
 hold the work asked for. Any other checkpoint, or none, is ignored, and the
 node is rebuilt by a full check and replay of its chain, which stays the
-only recovery path.
+only recovery path. `verify` checks every replica's chain, store and
+checkpoint, and this is the only module that reads checkpoint files.
 
 Concurrent invocations on one workspace are excluded by a lock file; a
 second invocation fails fast instead of corrupting state.
@@ -37,24 +38,33 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import NoReturn
 
-from .content_store import ContentStore
+from .content_store import ContentStore, audit_stores
 from .digests import from_hex, to_hex
 from .ledger import (
     Block,
     Chain,
     ChainParseError,
     Defect,
+    VerifyReport,
     append_chain_file,
     block_from_line,
     check_block,
     check_chain,
     parse_chain,
     read_chain_file,
+    verify_chain,
     write_chain_file,
 )
-from .node import NodeRuntime
+from .node import NodeRuntime, make_policy
 from .pbft import ConfigError, GroupConfig
-from .revisions import HeadState, HistoryEntry, ValidityFlag, apply_block, history
+from .revisions import (
+    HeadState,
+    HistoryEntry,
+    ValidityFlag,
+    apply_block,
+    check_endorsement_policy,
+    history,
+)
 
 CONFIG_NAME = "config.json"
 LOCK_NAME = ".lock"
@@ -162,7 +172,7 @@ class Workspace:
         try:
             raw = json.loads(config_path.read_text(encoding="utf-8"))
             config = GroupConfig(**raw)
-        except (json.JSONDecodeError, TypeError, ConfigError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, TypeError, ConfigError) as exc:
             raise WorkspaceError(f"unreadable workspace config: {exc}") from exc
         return cls(root, config)
 
@@ -440,3 +450,43 @@ class Workspace:
             return [Defect(chain.height, "record-mismatch", "heads differ from the chain's")]
         return []
 
+    def verify(self) -> list[VerifyReport]:
+        """Each replica's integrity report, by node id: its chain's defects,
+        a trusted checkpoint's disagreement with that chain, and its store's
+        audit; a replica whose chain file cannot be read or whose genesis is
+        unusable reports that alone. Replicas whose chain files hold equal
+        bytes share one parse and check_chain, and those whose checkpoint
+        files are equal too share one checkpoint comparison; the stores are
+        audited together, so a key's copies that agree are hashed once. The
+        presence and endorsement checks are per replica."""
+        policy = make_policy(self.config)
+
+        def checker(tx) -> bool:
+            return check_endorsement_policy(tx, policy)
+
+        structural: dict[bytes, tuple] = {}
+        chains: dict[int, tuple] = {}
+        reports: dict[int, VerifyReport] = {}
+        for i in range(self.config.n):
+            raw, missing = self.read_chain_bytes(i)
+            if raw is not None and raw not in structural:
+                chain, defects = parse_chain(raw)
+                structural[raw] = chain, defects + (check_chain(chain) if chain else [])
+            chain, defects = structural.get(raw, (None, missing))
+            if chain is None:
+                reports[i] = VerifyReport(list(defects))
+            else:
+                chains[i] = raw, chain, defects
+        stores = [self.store(i) for i in chains]
+        compared: dict[tuple, list] = {}
+        for (i, (raw, chain, defects)), store, audit in zip(
+            chains.items(), stores, audit_stores(stores)
+        ):
+            report = verify_chain(chain, store, defects, audit, checker)
+            pair = raw, self.read_checkpoint_bytes(i)
+            if pair not in compared:
+                compared[pair] = self.checkpoint_defects(*pair, chain)
+            report.defects += compared[pair]
+            report.defects.sort(key=lambda d: d.height)
+            reports[i] = report
+        return [reports[i] for i in range(self.config.n)]

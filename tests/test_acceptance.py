@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from revledger.cli import main, verify_workspace
+from revledger.cli import main
 from revledger.digests import to_hex
 from revledger.merkle import merkle_proof, merkle_root, verify_proof
 from revledger.pbft import ConfigError, quorum_size
@@ -141,15 +141,15 @@ def test_criterion_1_tamper_evidence(tmp_path, capsys):
             expected_height = height
         assert rc == 0
 
-        results = verify_workspace(Workspace.load(ws.root))
-        assert not results[node]["ok"], "false negative: corruption not detected"
-        earliest = min(d.height for d in results[node]["defects"])
+        results = Workspace.load(ws.root).verify()
+        assert not results[node].ok, "false negative: corruption not detected"
+        earliest = min(d.height for d in results[node].defects)
         assert earliest == expected_height, (
             f"earliest defect at {earliest}, corrupted height {expected_height}"
         )
         for other in range(4):
             if other != node:
-                assert results[other]["ok"], f"spurious defect on untouched node {other}"
+                assert results[other].ok, f"spurious defect on untouched node {other}"
         assert main(["verify", "--dir", str(ws.root)]) == 1
 
         for path, data in pristine.items():

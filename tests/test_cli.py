@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from revledger.cli import main, verify_workspace
+from revledger.cli import main
 from revledger.node import NodeRuntime
 from revledger.pbft import ConfigError
 from revledger.sim import Crash, DelayAll, Partition, SimConfig, SimError, Simulation, Submission
@@ -328,11 +328,11 @@ def test_tamper_block_detected_on_that_node_only(ws_dir, tmp_path, capsys):
     assert rc == 0
     assert main(["verify", "--dir", str(ws_dir)]) == 1
     out = capsys.readouterr().out
-    results = verify_workspace(Workspace.load(ws_dir))
-    assert not results[2]["ok"]
-    assert min(d.height for d in results[2]["defects"]) == 2
+    results = Workspace.load(ws_dir).verify()
+    assert not results[2].ok
+    assert min(d.height for d in results[2].defects) == 2
     for i in (0, 1, 3):
-        assert results[i]["ok"]
+        assert results[i].ok
     assert "node 2: defect" in out
 
 
@@ -768,6 +768,95 @@ def test_lock_excludes_concurrent_invocations(ws_dir, tmp_path, capsys):
         assert rc != 0
         assert "locked" in capsys.readouterr().err
     assert commit(ws_dir, tmp_path, "w", "a.txt", "x") == 0
+
+
+# -- unusable paths, config or store ------------------------------------------------
+
+
+def regular_file(tmp_path):
+    path = tmp_path / "F"
+    path.write_bytes(b"a regular file")
+    return path
+
+
+def new_workspace(tmp_path):
+    d = tmp_path / "ledger"
+    assert main(["init", "--dir", str(d), "--nodes", "4", "--faulty", "1"]) == 0
+    return d
+
+
+def init_in(directory):
+    return ["init", "--dir", str(directory), "--nodes", "4", "--faulty", "1"]
+
+
+def config_replaced(tmp_path, replace):
+    d = new_workspace(tmp_path)
+    (d / "config.json").unlink()
+    replace(d / "config.json")
+    return d
+
+
+def verify_with_undecodable_config(tmp_path):
+    d = config_replaced(tmp_path, lambda path: path.write_bytes(b"\xff"))
+    return ["verify", "--dir", str(d)]
+
+
+def history_with_config_directory(tmp_path):
+    d = config_replaced(tmp_path, lambda path: path.mkdir())
+    return ["history", "--dir", str(d), "--work", "w"]
+
+
+def undecodable_scenario(tmp_path):
+    scenario = tmp_path / "s.json"
+    scenario.write_bytes(b"\xff")
+    return ["simulate", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")]
+
+
+def commit_with_blobs_a_file(tmp_path):
+    d = new_workspace(tmp_path)
+    blobs = d / "node-1" / "blobs"
+    blobs.rmdir()
+    blobs.write_bytes(b"")
+    payload = tmp_path / "a.txt"
+    payload.write_text("x")
+    return ["commit", "--dir", str(d), "--work", "w", "--file", str(payload), "--author", "ada"]
+
+
+def tamper_with_chain_a_directory(tmp_path):
+    d = new_workspace(tmp_path)
+    chain = d / "node-2" / "chain.jsonl"
+    chain.unlink()
+    chain.mkdir()
+    return ["tamper", "--dir", str(d), "--node", "2", "--block", "0", "--offset", "0",
+            "--xor", "1"]
+
+
+UNUSABLE = {
+    "init-in-a-file": lambda t: init_in(regular_file(t)),
+    "init-under-a-file": lambda t: init_in(regular_file(t) / "sub"),
+    "config-not-utf8": verify_with_undecodable_config,
+    "config-a-directory": history_with_config_directory,
+    "scenario-a-directory": lambda t: ["simulate", "--scenario", str(t), "--report",
+                                       str(t / "r.json")],
+    "scenario-not-utf8": undecodable_scenario,
+    "report-under-a-file": lambda t: ["simulate", "--scenario", "fault-free", "--report",
+                                      str(regular_file(t) / "r.json")],
+    "chains-dir-a-file": lambda t: ["simulate", "--scenario", "fault-free", "--report",
+                                    str(t / "r.json"), "--chains-dir", str(regular_file(t))],
+    "commit-blobs-a-file": commit_with_blobs_a_file,
+    "tamper-chain-a-directory": tamper_with_chain_a_directory,
+}
+
+
+@pytest.mark.parametrize("make_argv", UNUSABLE.values(), ids=UNUSABLE.keys())
+def test_an_unusable_path_config_or_store_is_one_error_line(tmp_path, capsys, make_argv):
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not list(tmp_path.rglob(LOCK_NAME))
 
 
 # -- simulate ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from revledger.content_store import (
     MemoryStore,
     NotFoundError,
     StoreError,
+    audit_stores,
 )
 from revledger.digests import from_hex, to_hex
 
@@ -92,17 +93,21 @@ def test_has_is_false_only_for_an_absent_blob(tmp_path):
     assert not store.has(digest)
 
 
-@pytest.mark.skipif(os.geteuid() == 0, reason="root reads any directory")
-def test_has_raises_when_the_fan_out_directory_is_unreadable(tmp_path):
+def test_has_raises_when_the_fan_out_directory_is_unreadable(tmp_path, monkeypatch):
+    """Permission bits do not bind root, so the refused lookup is simulated."""
     store = ContentStore(tmp_path)
     digest = store.put(b"abc")
-    fan_out = tmp_path / "blobs" / to_hex(digest)[:2]
-    fan_out.chmod(0)
-    try:
-        with pytest.raises(StoreError):
-            store.has(digest)
-    finally:
-        fan_out.chmod(0o755)
+    fan_out = str(tmp_path / "blobs" / to_hex(digest)[:2])
+    stat = os.stat
+
+    def refuse_in_fan_out(path, *args, **kwargs):
+        if os.path.dirname(path) == fan_out:
+            raise PermissionError(13, "Permission denied", path)
+        return stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", refuse_in_fan_out)
+    with pytest.raises(StoreError):
+        store.has(digest)
 
 
 def test_has_raises_when_the_fan_out_directory_cannot_be_resolved(tmp_path):
@@ -125,9 +130,8 @@ def test_blob_layout_is_fanout_by_prefix(tmp_path):
 
 def test_audit_clean_store(tmp_path):
     store = ContentStore(tmp_path)
-    for i in range(5):
-        store.put(f"blob {i}".encode())
-    assert store.audit() == []
+    digests = {store.put(f"blob {i}".encode()) for i in range(5)}
+    assert store.audit() == ([], digests)
 
 
 def test_audit_reports_single_corruption(tmp_path):
@@ -138,7 +142,8 @@ def test_audit_reports_single_corruption(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[3] ^= 0x01
     path.write_bytes(bytes(raw))
-    defects = store.audit()
+    defects, whole = store.audit()
+    assert whole == set(digests) - {digests[2]}
     assert len(defects) == 1
     assert defects[0].key == victim
     assert defects[0].kind == "key-mismatch"
@@ -152,7 +157,8 @@ def test_audit_reports_renamed_blob(tmp_path):
     dst = tmp_path / "blobs" / wrong[:2] / wrong
     dst.parent.mkdir(parents=True, exist_ok=True)
     src.rename(dst)
-    defects = store.audit()
+    defects, whole = store.audit()
+    assert whole == set()
     assert [d.kind for d in defects] == ["key-mismatch"]
     assert defects[0].key == wrong
 
@@ -163,7 +169,7 @@ def test_audit_reports_malformed_key(tmp_path):
     bad = tmp_path / "blobs" / "zz"
     bad.mkdir()
     (bad / "not-a-hash").write_bytes(b"junk")
-    kinds = {d.kind for d in store.audit()}
+    kinds = {d.kind for d in store.audit().defects}
     assert kinds == {"malformed-key"}
 
 
@@ -180,18 +186,35 @@ def test_audit_visits_blobs_in_name_order_and_skips_dot_names(tmp_path):
     (blobs / ".hidden").mkdir()
     (blobs / ".hidden" / keys[1]).write_bytes(b"stray")
     (blobs / "README").write_bytes(b"a file beside the fan-out directories")
-    assert [(d.key, d.kind, d.detail) for d in store.audit()] == [
+    defects, whole = store.audit()
+    assert [(d.key, d.kind, d.detail) for d in defects] == [
         (keys[1], "malformed-key", "wrong fan-out directory"),
         (keys[0], "key-mismatch", "content does not hash to key"),
         (keys[2], "key-mismatch", "content does not hash to key"),
         ("not-a-hash", "malformed-key", "not a 64-char hex name"),
     ]
+    assert whole == {from_hex(keys[1])}
 
 
 def test_audit_of_a_store_without_blobs_is_empty(tmp_path):
-    assert ContentStore(tmp_path / "absent").audit() == []
+    assert ContentStore(tmp_path / "absent").audit() == ([], set())
     (tmp_path / "blobs").write_bytes(b"not a directory")
-    assert ContentStore(tmp_path).audit() == []
+    assert ContentStore(tmp_path).audit() == ([], set())
+
+
+def test_audit_stores_reports_each_stores_whole_copies(tmp_path):
+    """A copy equal to one that hashed to its key is whole without hashing;
+    a damaged copy is not whole, and neither is a key the store lacks."""
+    stores = [ContentStore(tmp_path / name) for name in ("a", "b", "c")]
+    shared = [store.put(b"shared") for store in stores][0]
+    only_a = stores[0].put(b"only in a")
+    key = to_hex(shared)
+    (tmp_path / "b" / "blobs" / key[:2] / key).write_bytes(b"damaged")
+    audits = audit_stores(stores)
+    assert [audit.whole for audit in audits] == [{shared, only_a}, set(), {shared}]
+    assert [[(d.key, d.kind) for d in audit.defects] for audit in audits] == [
+        [], [(key, "key-mismatch")], []
+    ]
 
 
 def test_audit_reports_a_fan_out_directory_it_cannot_list(tmp_path, monkeypatch):
@@ -206,15 +229,17 @@ def test_audit_reports_a_fan_out_directory_it_cannot_list(tmp_path, monkeypatch)
         return listdir(path)
 
     monkeypatch.setattr(os, "listdir", refuse_fan_out)
-    assert [(d.key, d.kind) for d in store.audit()] == [(key[:2], "unreadable")]
+    defects, whole = store.audit()
+    assert [(d.key, d.kind) for d in defects] == [(key[:2], "unreadable")]
+    assert whole == set()
 
 
 def test_audit_skips_a_symlink_loop_in_place_of_a_fan_out_directory(tmp_path):
     store = ContentStore(tmp_path)
-    store.put(b"fine")
+    digest = store.put(b"fine")
     loop = tmp_path / "blobs" / "zz"
     loop.symlink_to(loop)
-    assert store.audit() == []
+    assert store.audit() == ([], {digest})
 
 
 def test_concurrent_identical_puts_converge(tmp_path):
@@ -227,14 +252,14 @@ def test_concurrent_identical_puts_converge(tmp_path):
     assert len(set(digests)) == 1
     assert len(blob_files(tmp_path)) == 1
     assert store.get(digests[0]) == payload
-    assert store.audit() == []
+    assert store.audit() == ([], {digests[0]})
 
 
 def test_memory_store_same_surface():
     store = MemoryStore()
     digest = store.put(b"in memory")
     assert store.get(digest) == b"in memory"
-    assert store.audit() == []
+    assert store.audit() == ([], {digest})
     with pytest.raises(NotFoundError):
         store.get(b"\x00" * 32)
 

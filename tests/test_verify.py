@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from revledger import cli, ledger
+from revledger import ledger, workspace
 from revledger.cli import main
 from revledger.workspace import Workspace
 
@@ -161,11 +161,11 @@ def test_tampering_a_height_digit_is_reported_at_the_tampered_line(ws_dir, tmp_p
     offset = line.index(b'"height":3,') + len(b'"height":')
     assert main(["tamper", "--dir", str(ws_dir), "--node", "2", "--block", "3",
                  "--offset", str(offset), "--xor", str(ord("3") ^ ord("1"))]) == 0
-    results = cli.verify_workspace(Workspace.load(ws_dir))
-    assert [(d.height, d.kind) for d in results[2]["defects"]] == [
+    results = Workspace.load(ws_dir).verify()
+    assert [(d.height, d.kind) for d in results[2].defects] == [
         (3, "height-mismatch"), (3, "block-hash-mismatch")
     ]
-    assert all(results[i]["ok"] for i in (0, 1, 3))
+    assert all(results[i].ok for i in (0, 1, 3))
 
 
 def test_verify_output_for_a_different_flip_on_each_replica(ws_dir, capsys):
@@ -252,6 +252,21 @@ def test_verify_opens_each_blob_once_per_replica(ws_dir, tmp_path):
     assert blob_opens == blobs
 
 
+def test_an_untampered_verify_looks_up_no_blob(ws_dir, monkeypatch):
+    """Every referenced blob is one the audit read whole, so the content
+    check makes no presence lookup of its own."""
+    stats: list[str] = []
+    stat = os.stat
+
+    def recorded(path, *args, **kwargs):
+        stats.append(os.fspath(path))
+        return stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", recorded)
+    assert main(["verify", "--dir", str(ws_dir)]) == 0
+    assert stats and not [p for p in stats if os.sep + "blobs" + os.sep in p]
+
+
 def test_verify_reads_each_chain_file_once(ws_dir):
     rc, opened = record_opens(["verify", "--dir", str(ws_dir)])
     assert rc == 0
@@ -288,7 +303,7 @@ def test_verify_parses_and_checks_each_distinct_chain_once(
     for node in tampered:
         tamper_tick(ws_dir, node, 1)
     parsed = count_calls(monkeypatch, ledger, "block_from_line")
-    checked = count_calls(monkeypatch, cli, "check_chain")
+    checked = count_calls(monkeypatch, workspace, "check_chain")
     capsys.readouterr()
     assert main(["verify", "--dir", str(ws_dir)]) == (1 if tampered else 0)
     # parse_chain reads every line of each distinct chain file: genesis and 2 blocks.
