@@ -20,6 +20,7 @@ and a commit that appended blocks replaces it whole.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -28,7 +29,7 @@ from pathlib import Path
 
 from .content_store import StoreError
 from .digests import from_hex, to_hex
-from .ledger import write_chain_file
+from .ledger import chain_lines, write_chain_file
 from .pbft import ConfigError, GroupConfig
 from .revisions import check_endorsement_policy, show
 from .sim import (
@@ -118,9 +119,9 @@ def cmd_commit(args) -> int:
         if report.stalled:
             # The stalled report lists and audits whole chains, where a
             # replica loaded from its checkpoint held only its old tip on:
-            # each reads its persisted chain, under the lock.
+            # each node and its replica read one persisted chain, under the lock.
             for i, node in enumerate(sim.nodes):
-                node.chain = ws.read_chain(i)
+                node.chain = node.replica.chain = ws.read_chain(i)
             print(_report_text(sim, sim.report(report.ticks_elapsed)), end="")
             return _err("consensus stalled; workspace left as committed so far")
     all_valid = True
@@ -219,9 +220,7 @@ def cmd_tamper(args) -> int:
             if not chain_path.exists():
                 return _err(f"{chain_path} does not exist")
             raw = chain_path.read_bytes()
-            lines = raw.split(b"\n")
-            if lines and lines[-1] == b"":
-                lines = lines[:-1]
+            lines = chain_lines(raw)
             if not 0 <= args.block < len(lines):
                 return _err(f"block {args.block} out of range (chain has {len(lines)} blocks)")
             start = sum(len(line) + 1 for line in lines[: args.block])
@@ -298,10 +297,11 @@ def cmd_simulate(args) -> int:
     sim = Simulation(config, workload)
     report = sim.run()
     out_path = Path(args.report)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(_report_text(sim, report), encoding="utf-8")
+    # The chains directory first: a run that cannot keep its chains leaves no report.
     chains_dir = Path(args.chains_dir) if args.chains_dir else Path(str(out_path) + ".chains")
     chains_dir.mkdir(parents=True, exist_ok=True)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.write_text(_report_text(sim, report), encoding="utf-8")
     for i, node in enumerate(sim.nodes):
         write_chain_file(chains_dir / f"node-{i}.chain", node.chain)
     print(
@@ -315,6 +315,7 @@ def cmd_simulate(args) -> int:
 # -- argument parsing -----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="revledger",

@@ -458,13 +458,18 @@ def append_chain_file(path: Path, blocks: Iterable[Block]) -> bytes:
     return data
 
 
-def read_chain_file(path: Path) -> tuple[Chain | None, list[Defect]]:
-    """Load a chain file through parse_chain; an unreadable file is a missing replica."""
+def read_chain_file(path: Path) -> tuple[bytes | None, list[Defect]]:
+    """A chain file's bytes; an unreadable file is a missing replica."""
     try:
-        raw = path.read_bytes()
+        return path.read_bytes(), []
     except OSError as exc:
         return None, [Defect(0, "missing-replica", str(exc))]
-    return parse_chain(raw)
+
+
+def chain_lines(raw: bytes) -> list[bytes]:
+    """A chain file's lines, one block record each, without their newlines."""
+    lines = raw.split(b"\n")
+    return lines[:-1] if lines[-1] == b"" else lines
 
 
 def parse_chain(raw: bytes) -> tuple[Chain | None, list[Defect]]:
@@ -476,9 +481,7 @@ def parse_chain(raw: bytes) -> tuple[Chain | None, list[Defect]]:
     broken anyway, and the defect already pins the earliest bad height.
     The chain is None when genesis itself is unusable.
     """
-    lines = raw.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
+    lines = chain_lines(raw)
     if not lines:
         return None, [Defect(0, "missing-genesis", "empty chain file")]
     blocks: list[Block] = []

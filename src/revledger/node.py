@@ -2,9 +2,9 @@
 
 A node accepts client submissions (endorsing them per policy), forwards
 endorsed transactions to the current primary, hands batches to the
-consensus layer when it is the primary itself, and on every commit
-appends the block to its chain, runs MVCC validation, updates client
-receipts, and replicates payload blobs into its own content store.
+consensus layer when it is the primary itself, and on every block its
+replica commits onto the chain they share runs MVCC validation, updates
+client receipts, and replicates payload blobs into its own content store.
 
 Validity is decided once per replica, when _apply_block applies a block,
 and recorded in `decisions`, one (tx id, flag) list per block after genesis
@@ -148,15 +148,11 @@ class NodeRuntime:
             # A copy: byte-identical replicas share one checkpoint parse.
             self.decisions = list(recorded[1])
             self._index(pair for pairs in self.decisions for pair in pairs)
-        self.replica = Replica(
-            node_id,
-            config,
-            tip_hash=self.chain.tip.block_hash,
-            last_committed_seq=self.chain.height,
-            proposal_validator=lambda block: all(
-                check_endorsement_policy(tx, self.policy) for tx in block.transactions
-            ),
-        )
+
+        def endorsed(block: Block) -> bool:
+            return all(check_endorsement_policy(tx, self.policy) for tx in block.transactions)
+
+        self.replica = Replica(node_id, config, self.chain, proposal_validator=endorsed)
         self.mempool: dict[bytes, MempoolEntry] = {}
         self.receipts: dict[bytes, ClientReceipt] = {}
         self.blocks_since_load: list[Block] = []
@@ -365,8 +361,8 @@ class NodeRuntime:
     # -- commit path -------------------------------------------------------------
 
     def _apply_commit(self, event: CommitEvent, now: int) -> None:
+        """Take in a block the replica has just appended to this node's chain."""
         block = event.block
-        self.chain.append(block)
         for digest, data in event.blobs.items():
             if not self.store.has(digest):
                 self.store.put(data)

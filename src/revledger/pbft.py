@@ -17,14 +17,14 @@ proofs show prepared (highest view wins per sequence). Replicas validate
 the NewView against the same rule and reject a primary that re-proposes
 a different digest than the proofs dictate.
 
-Committed blocks live in each replica's chain, which therefore serves as
-the stable checkpoint of PBFT's low-water mark. A replica keeps all it
-holds about one sequence number in one record, whose accepted PrePrepares
-are the one holder of the block and its payloads, and when a block commits
-it deletes every record at or below last_committed_seq. Messages at or
-below that mark are dropped on arrival and proofs below it are ignored,
-so no record is made again for a committed sequence, and replica memory
-stays bounded by the in-flight window rather than the chain height.
+Committed blocks live in the node's chain, which the replica extends as it
+commits them; its height is PBFT's low-water mark, the stable checkpoint. A
+replica keeps all it holds about one sequence number in one record, whose
+accepted PrePrepares are the one holder of the block and its payloads, and
+when a block commits it deletes every record at or below the chain height.
+Messages at or below that mark are dropped on arrival and proofs below it
+are ignored, so no record is made again for a committed sequence, and
+replica memory stays bounded by the in-flight window, not the chain height.
 
 Replica state machines are strictly single threaded: all transitions go
 through handle_message / on_timeout, driven by the simulator's event
@@ -40,7 +40,7 @@ from enum import IntEnum
 from typing import Callable
 
 from .digests import ZERO_DIGEST
-from .ledger import Block, check_block
+from .ledger import Block, Chain, check_block
 
 
 class ConfigError(ValueError):
@@ -185,26 +185,23 @@ class Replica:
 
     handle_message and on_timeout mutate the replica and return the
     messages to broadcast plus any blocks that became committed. Commits
-    are released strictly in sequence order; out-of-order quorums wait in
-    a buffer until the gap fills.
+    are appended to `chain`, the node's, strictly in sequence order;
+    out-of-order quorums wait in a buffer until the gap fills.
     """
 
     def __init__(
         self,
         node_id: int,
         config: GroupConfig,
-        tip_hash: bytes,
+        chain: Chain,
         proposal_validator: Callable[[Block], bool],
-        last_committed_seq: int = 0,
     ):
         if not 0 <= node_id < config.n:
             raise ConfigError(f"node_id {node_id} outside 0..{config.n - 1}")
         self.node_id = node_id
         self.config = config
+        self.chain = chain
         self.current_view = 0
-        self.last_committed_seq = last_committed_seq
-        self.tip_hash = tip_hash
-        self.in_view_change = False
         self.pending_view = 0  # current_view outside a view change
         self.timer_deadline: int | None = None
         self.evidence: list[Evidence] = []
@@ -219,6 +216,10 @@ class Replica:
         self._must_repropose: dict[int, bytes] = {}
         self._future: dict[int, list[PbftMessage]] = {}
 
+    @property
+    def in_view_change(self) -> bool:
+        return self.pending_view > self.current_view
+
     # -- public interface ----------------------------------------------------
 
     def on_propose(self, block: Block, blobs: dict[bytes, bytes]) -> list[PbftMessage]:
@@ -226,7 +227,7 @@ class Replica:
         me = self.node_id
         if self.in_view_change or primary_of(self.current_view, self.config.n) != me:
             return []
-        if block.header.height != self.last_committed_seq + 1:
+        if block.header.height != self.chain.height + 1:
             return []
         return [
             PbftMessage(
@@ -262,7 +263,7 @@ class Replica:
         constrain what may commit and must keep the timer armed until a
         re-proposal lands.
 
-        Records at or below last_committed_seq are dropped on commit (the
+        Records at or below the chain's height are dropped on commit (the
         chain holds the committed blocks), so this scans only the
         in-flight instances.
         """
@@ -309,7 +310,6 @@ class Replica:
     def _enter_view(self, view: int, queue: deque[PbftMessage]) -> None:
         self.current_view = view
         self.pending_view = view
-        self.in_view_change = False
         self.timer_deadline = None
         for stale in [v for v in self._view_change_log if v <= view]:
             del self._view_change_log[stale]
@@ -343,7 +343,7 @@ class Replica:
             return
         if msg.view < self.current_view or self.in_view_change:
             return
-        if msg.seq <= self.last_committed_seq:
+        if msg.seq <= self.chain.height:
             return
         inst = self._instances.get(msg.seq)
         if inst is None:
@@ -372,7 +372,8 @@ class Replica:
         if not self.proposal_validator(msg.block):
             self.evidence.append(Evidence("proposal-rejected", msg.view, msg.seq, msg.sender))
             return
-        if msg.seq == self.last_committed_seq + 1 and msg.block.header.prev_hash != self.tip_hash:
+        tip = self.chain.tip
+        if msg.seq == tip.header.height + 1 and msg.block.header.prev_hash != tip.block_hash:
             return
         want = self._must_repropose.get(msg.seq)
         if want is not None and msg.digest != want:
@@ -425,29 +426,28 @@ class Replica:
         inst.commit_ready = digest
         released = False
         while True:
-            nxt = self.last_committed_seq + 1
+            nxt = self.chain.height + 1
             ready = self._instances.get(nxt)
             if ready is None or ready.commit_ready is None:
                 break
             d, ready.commit_ready = ready.commit_ready, None
             pp = ready.proposal(d)
             block = pp.block
-            if block.header.prev_hash != self.tip_hash:
+            if block.header.prev_hash != self.chain.tip.block_hash:
                 self.evidence.append(
                     Evidence("link-mismatch-at-commit", view, nxt, self.node_id)
                 )
                 break
+            self.chain.append(block)
             committed.append(CommitEvent(block=block, blobs=pp.blobs or {}))
-            self.last_committed_seq = nxt
-            self.tip_hash = block.block_hash
             released = True
         if released:
             self._prune_committed()
 
     def _prune_committed(self) -> None:
-        """Drop every record at or below last_committed_seq; the module
+        """Drop every record at or below the chain's height; the module
         docstring gives the invariant that makes this safe."""
-        low = self.last_committed_seq
+        low = self.chain.height
         for held in (self._instances, self._must_repropose):
             for seq in [s for s in held if s <= low]:
                 del held[seq]
@@ -457,7 +457,6 @@ class Replica:
     def _start_view_change(self, target: int, now: int) -> PbftMessage:
         """Wait for view target with the timer rearmed; the returned
         ViewChange proves every prepared, uncommitted sequence."""
-        self.in_view_change = True
         self.pending_view = target
         self.timer_deadline = now + self.config.timeout_ticks
         proof = tuple(
@@ -510,7 +509,7 @@ class Replica:
         senders_above.discard(me)
         if len(senders_above) >= self.config.f + 1:
             target = min(self._view_change_log)
-            if not (self.in_view_change and self.pending_view >= target):
+            if self.pending_view < target:
                 out.append(self._start_view_change(target, now))
 
         # New-primary rule: with a quorum of ViewChanges for a view this node
@@ -520,7 +519,7 @@ class Replica:
         if primary_of(nv, self.config.n) != me or len(log) < self._quorum:
             return
         chosen = [log[s] for s in list(log)[: self._quorum]]
-        repro = self._reproposals(chosen, self.last_committed_seq)
+        repro = self._reproposals(chosen, self.chain.height)
         if repro is None:
             self.evidence.append(Evidence("invalid-proof-set", nv, 0, me))
             return
@@ -572,7 +571,7 @@ class Replica:
             and len(senders) == len(vcs)
             and all(vc.kind is MessageKind.VIEW_CHANGE and vc.view == nv for vc in vcs)
         )
-        repro = self._reproposals(vcs, self.last_committed_seq) if valid else None
+        repro = self._reproposals(vcs, self.chain.height) if valid else None
         if not valid or repro is None:
             self.evidence.append(Evidence("invalid-new-view", nv, 0, msg.sender))
             out.append(self._start_view_change(nv + 1, now))

@@ -48,6 +48,7 @@ from .ledger import (
     VerifyReport,
     append_chain_file,
     block_from_line,
+    chain_lines,
     check_block,
     check_chain,
     parse_chain,
@@ -217,21 +218,18 @@ class Workspace:
         """The node's chain file, or None and a missing-replica defect where it cannot be read."""
         if not self.node_dir(node_id).exists():
             return None, [Defect(0, "missing-replica", f"node-{node_id} directory absent")]
-        try:
-            return self.chain_path(node_id).read_bytes(), []
-        except OSError as exc:
-            return None, [Defect(0, "missing-replica", str(exc))]
+        return read_chain_file(self.chain_path(node_id))
 
     def read_chain(self, node_id: int) -> Chain:
-        """The node's whole chain, read through ledger.read_chain_file and
-        refused as _checked_chain refuses it."""
-        return self._checked_chain(node_id, *read_chain_file(self.chain_path(node_id)))
+        """The node's whole chain, refused as _checked_chain refuses it."""
+        return self._checked_chain(node_id, *self.read_chain_bytes(node_id))
 
-    def _checked_chain(self, node_id: int, chain: Chain | None, defects: list[Defect]) -> Chain:
-        """`chain` as parsed, with its parse `defects`, through
-        ledger.check_chain; a chain that fails to parse or has any defect is
-        refused, so a damaged replica fails loudly instead of dropping
-        revisions or proposing on a tip the other replicas reject."""
+    def _checked_chain(self, node_id: int, raw: bytes | None, missing: list[Defect]) -> Chain:
+        """The chain parsed from its file's bytes `raw` (None where `missing`
+        says why), through ledger.check_chain; a chain that fails to parse or
+        has any defect is refused, so a damaged replica fails loudly instead of
+        dropping revisions or proposing on a tip the other replicas reject."""
+        chain, defects = (None, missing) if missing else parse_chain(raw)
         if chain is not None and not defects:
             defects = check_chain(chain)
         if chain is None or defects:
@@ -288,8 +286,7 @@ class Workspace:
         """A runtime holding the whole chain parsed from `raw`, refused as
         `_checked_chain` refuses it, that replays every block, deciding
         validity from which blobs the store holds (none is read)."""
-        parsed = (None, missing) if missing else parse_chain(raw)
-        chain = self._checked_chain(node_id, *parsed)
+        chain = self._checked_chain(node_id, raw, missing)
         self._chains[node_id] = (len(raw), hashlib.sha256(raw))
         return NodeRuntime(node_id, self.config, self.store(node_id), chain=chain)
 
@@ -333,9 +330,7 @@ class Workspace:
         if trusted is None:
             return self._replayed_node(node_id, raw, missing).history(work_id)
         decisions = trusted[0].decisions
-        lines = raw.split(b"\n")
-        if lines[-1] == b"":
-            lines.pop()
+        lines = chain_lines(raw)
         if len(lines) != len(decisions) + 1:
             _refuse(node_id, Defect(len(lines) - 1, "height-mismatch"))
         # A surrogate (from a command line argument) has no literal UTF-8
@@ -358,7 +353,11 @@ class Workspace:
             if [tx.tx_id for tx in block.transactions] != [tx_id for tx_id, _ in pairs]:
                 _refuse(node_id, Defect(height, "record-mismatch"))
             decided.append((block, pairs))
-        return history(decided, work_id)
+        entries = history(decided, work_id)
+        head = trusted[0].heads.get(work_id, (0, None))[0]
+        if [e.revision_number for e in entries] != list(range(1, head + 1)):
+            _refuse(node_id, Defect(len(lines) - 1, "record-mismatch"))
+        return entries
 
     def load_all_nodes(self) -> list[NodeRuntime]:
         """Every replica, each holding only its tip where its checkpoint is

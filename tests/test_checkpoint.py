@@ -521,6 +521,7 @@ def test_stalled_commit_keeps_each_replicas_decisions_by_height(
         assert len(node.decisions) == node.chain.height == fresh.chain.height
         assert node.decisions == fresh.decisions
         assert node.history("w") == ws.read_history(i, "w")
+        assert node.replica.chain is node.chain
         heights.append(node.chain.height)
     assert heights == [2, 3, 3, 3]
     for node in ws.load_all_nodes():  # each holding only its tip
@@ -567,3 +568,106 @@ def test_checkpoint_is_replaced_whole_through_a_temp_file(ws_dir, tmp_path):
     now = json.loads(checkpoint_path(ws_dir, 0).read_text())
     assert (saved["height"], now["height"]) == (1, 2)
     assert now["blocks"][:1] == saved["blocks"]
+
+
+def forge_chain(ws_dir, node, edit):
+    """Rewrite a node's chain lines and checkpoint through `edit(lines, obj)`,
+    then give the checkpoint the rewritten file's length and SHA-256, so
+    every reader trusts it."""
+    chain_path = ws_dir / f"node-{node}" / "chain.jsonl"
+    lines = chain_path.read_bytes().split(b"\n")[:-1]
+
+    def change(obj):
+        edit(lines, obj)
+        raw = b"".join(line + b"\n" for line in lines)
+        chain_path.write_bytes(raw)
+        obj["chain_bytes"], obj["chain_sha256"] = len(raw), hashlib.sha256(raw).hexdigest()
+
+    edit_checkpoint(ws_dir, node, change)
+
+
+def _flip_hex_digit(text, at):
+    return text[:at] + ("1" if text[at] == "0" else "0") + text[at + 1 :]
+
+
+def _flip_tx_id_of_line_1(lines, obj):
+    at = lines[1].index(b'"tx_id":"') + len(b'"tx_id":"')
+    lines[1] = _flip_hex_digit(lines[1].decode(), at).encode()
+
+
+def _flip_recorded_tx_id(lines, obj):
+    obj["blocks"][0][0][0] = _flip_hex_digit(obj["blocks"][0][0][0], 0)
+
+
+def _set(index, value):
+    def edit(lines, obj):
+        lines[index] = value(lines[index])
+
+    return edit
+
+
+def _drop_line_2(lines, obj):
+    del lines[2]
+
+
+_DAMAGE = {
+    # case: (edit, command, what it prints)
+    "line-dropped": (_drop_line_2, "history", "(height-mismatch at height 2)"),
+    "first-byte-cut": (_set(1, lambda line: line[1:]), "history", "(unparseable-record at height 1)"),
+    "height-5": (
+        _set(1, lambda line: line.replace(b'"height":1,', b'"height":5,')),
+        "history",
+        "(height-mismatch at height 1)",
+    ),
+    "tx-id-flipped": (_flip_tx_id_of_line_1, "history", "(merkle-root-mismatch at height 1)"),
+    "recorded-tx-id-flipped": (_flip_recorded_tx_id, "history", "(record-mismatch at height 1)"),
+    "tip-truncated": (_set(3, lambda line: line[:-5]), "history", "(unparseable-record at height 3)"),
+    "line-2-truncated": (
+        _set(2, lambda line: line[:-5]),
+        "verify",
+        "node 0: defect height=1 kind=record-mismatch tip differs from the chain's\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DAMAGE))
+def test_a_checkpoint_forged_for_damaged_chain_bytes_is_caught(ws_dir, tmp_path, capsys, case):
+    """Node 0's checkpoint is rewritten to match its damaged chain file, so
+    history trusts it, or, where the tip no longer parses, replays the
+    chain: either way node 0 is refused, and verify names the damage."""
+    edit, command, printed = _DAMAGE[case]
+    for name in ("a.txt", "b.txt", "c.txt"):
+        assert commit(ws_dir, tmp_path, "w", name, name) == 0
+    forge_chain(ws_dir, 0, edit)
+    capsys.readouterr()
+    argv = [command, "--dir", str(ws_dir)] + (["--work", "w"] if command == "history" else [])
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    if command == "verify":
+        assert printed in out and out.endswith("verify: tampering detected\n")
+    else:
+        assert (out, err) == ("", f"error: node-0 chain is damaged {printed}; "
+                                  "run the verify command for details\n")
+
+
+def test_trusted_history_refuses_a_revision_left_out(ws_dir, tmp_path, capsys):
+    """Line 1 loses its work id's closing bytes, and node 0's checkpoint is
+    rewritten to match: the trusted history no longer parses that line, so
+    it would list revisions 2 and 3 alone. The checkpoint's head says 3, so
+    node 0 is refused instead."""
+    for name in ("a.txt", "b.txt", "c.txt"):
+        assert commit(ws_dir, tmp_path, "w", name, name) == 0
+
+    def cut(lines, obj):
+        assert lines[1].endswith(b'"work_id":"w"}]}')
+        lines[1] = lines[1][:-5]
+
+    forge_chain(ws_dir, 0, cut)
+    capsys.readouterr()
+    refused = (
+        "error: node-0 chain is damaged (record-mismatch at height 3); "
+        "run the verify command for details\n"
+    )
+    for revision in (None, 1):
+        assert _query(ws_dir, tmp_path, capsys, "w", revision) == (1, "", refused)
+    assert [e.revision_number for e in Workspace.load(ws_dir).read_history(1, "w")] == [1, 2, 3]

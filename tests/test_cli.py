@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -857,6 +858,35 @@ def test_an_unusable_path_config_or_store_is_one_error_line(tmp_path, capsys, ma
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert not list(tmp_path.rglob(LOCK_NAME))
+
+
+def test_simulate_that_cannot_make_its_chains_directory_leaves_no_report(tmp_path, capsys):
+    chains = regular_file(tmp_path)
+    report = tmp_path / "r.json"
+    argv = ["simulate", "--scenario", "fault-free", "--report", str(report),
+            "--chains-dir", str(chains)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: '{chains}'\n")
+    assert not report.exists()
+
+
+def test_main_builds_one_parser_for_every_call(tmp_path, capsys, monkeypatch):
+    """Each call still parses into a fresh namespace: the second reads its own --dir."""
+    from revledger import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    for name in ("a", "b"):
+        assert main(["history", "--dir", str(tmp_path / name), "--work", "w"]) == 1
+        assert f"{tmp_path / name} is not a ledger workspace" in capsys.readouterr().err
+    assert built.count("revledger") == 1
 
 
 # -- simulate ---------------------------------------------------------------------------

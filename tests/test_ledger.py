@@ -18,6 +18,7 @@ from revledger.ledger import (
     check_chain,
     check_genesis,
     genesis_block,
+    parse_chain,
     read_chain_file,
     verify_chain,
     write_chain_file,
@@ -259,7 +260,9 @@ def test_chain_file_round_trip(tmp_path, store):
     chain = chain_of(5, store, works=("x", "y"))
     path = tmp_path / "chain.jsonl"
     write_chain_file(path, chain)
-    loaded, defects = read_chain_file(path)
+    raw, missing = read_chain_file(path)
+    assert missing == [] and raw == path.read_bytes()
+    loaded, defects = parse_chain(raw)
     assert defects == []
     assert [b.block_hash for b in loaded.blocks] == [b.block_hash for b in chain.blocks]
     assert loaded.blocks[-1].transactions == chain.blocks[-1].transactions
@@ -339,13 +342,13 @@ def test_read_chain_file_reports_bad_line(tmp_path, store):
     lines = path.read_text().splitlines()
     lines[2] = lines[2][:-10]  # truncate block 2's record
     path.write_text("\n".join(lines) + "\n")
-    loaded, defects = read_chain_file(path)
+    loaded, defects = parse_chain(read_chain_file(path)[0])
     assert loaded.height == 1  # usable prefix
     assert defects[0].height == 2
     assert defects[0].kind == "unparseable-record"
 
 
 def test_read_missing_file(tmp_path):
-    loaded, defects = read_chain_file(tmp_path / "absent.jsonl")
-    assert loaded is None
+    raw, defects = read_chain_file(tmp_path / "absent.jsonl")
+    assert raw is None
     assert defects[0].kind == "missing-replica"

@@ -19,6 +19,13 @@ def test_submit_returns_pending_receipt():
     assert len(node.mempool) == 1
 
 
+def test_resubmitting_at_the_same_node_and_tick_returns_the_first_receipt():
+    node = make_node()
+    first = node.submit("w1", "ada", b"first draft", now=3)
+    assert node.submit("w1", "ada", b"first draft", now=3) is first
+    assert list(node.mempool) == [first.tx_id]
+
+
 def test_submit_malformed_work_rejected():
     node = make_node()
     receipt = node.submit("", "ada", b"x", now=1)
@@ -149,7 +156,6 @@ def test_commit_round_trip_updates_receipts_and_heads():
 
 
 def test_commit_at_wrong_height_is_fatal():
-    from revledger.pbft import CommitEvent
     from revledger.ledger import build_block
     from revledger.revisions import propose_revision
 
@@ -157,8 +163,10 @@ def test_commit_at_wrong_height_is_fatal():
     store = MemoryStore()
     tx = propose_revision("w", "ada", b"x", {}, store)
     bogus = build_block(5, b"\x00" * 32, [tx], "node-0", 0, 1)
+    # The replica commits onto the node's own chain, whose append refuses it.
+    assert node.replica.chain is node.chain
     with pytest.raises(ValueError, match="append at height 5, tip is 0"):
-        node._apply_commit(CommitEvent(block=bogus, blobs={}), now=1)
+        node.replica.chain.append(bogus)
     assert node.chain.height == 0 and node.decisions == []
 
 
@@ -202,6 +210,7 @@ def test_history_reads_the_flags_recorded_at_commit():
     node = make_node()
     tx = propose_revision("w", "ada", b"payload", {}, MemoryStore(), submit_tick=1)
     block = build_block(1, node.chain.tip.block_hash, [tx], "node-0", 0, 1)
+    node.chain.append(block)  # as the replica does before it reports the commit
     node._apply_commit(CommitEvent(block=block, blobs={}), now=1)
     assert node.decisions == [[(tx.tx_id, ValidityFlag.MISSING_CONTENT)]]
     assert node.heads == {}
@@ -354,6 +363,7 @@ def test_receipt_status_agrees_with_its_tx_id_and_flag():
     node = make_node()
     tx = propose_revision("w", "ada", b"payload", {}, MemoryStore(), submit_tick=4)
     block = build_block(1, node.chain.tip.block_hash, [tx], "node-0", 0, 4)
+    node.chain.append(block)  # as the replica does before it reports the commit
     node._apply_commit(CommitEvent(block=block, blobs={}), now=5)
     again = node.submit("w", "ada", b"payload", now=4)
     assert again.tx_id == tx.tx_id

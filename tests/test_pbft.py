@@ -12,7 +12,7 @@ import pytest
 
 from revledger.content_store import MemoryStore
 from revledger.digests import ZERO_DIGEST
-from revledger.ledger import build_block, genesis_block
+from revledger.ledger import Chain, build_block, genesis_block
 from revledger.pbft import (
     ConfigError,
     Evidence,
@@ -39,7 +39,7 @@ def make_block(height=1, prev=None, tick=1, salt="x"):
 
 def replica(node_id, timeout=30):
     config = GroupConfig(4, 1, 1, timeout_ticks=timeout)
-    return Replica(node_id, config, tip_hash=GENESIS.block_hash, proposal_validator=lambda b: True)
+    return Replica(node_id, config, Chain(), proposal_validator=lambda b: True)
 
 
 def msg(kind, view, seq, digest, sender, **kw):
@@ -143,8 +143,8 @@ def test_backup_prepares_then_commits_then_delivers():
     assert out == []
     assert len(committed) == 1
     assert committed[0].block.block_hash == d
-    assert r1.last_committed_seq == 1
-    assert r1.tip_hash == d
+    assert r1.chain.height == 1
+    assert r1.chain.tip.block_hash == d
 
 
 def test_pre_prepare_from_non_primary_ignored():
@@ -440,7 +440,7 @@ def test_commit_quorum_for_a_block_off_the_new_tip_is_not_released():
         for sender in (0, 1, 2):
             committed += r1.handle_message(msg(kind, 0, 1, d1, sender), now=4)[1]
     assert [e.block.block_hash for e in committed] == [d1]
-    assert (r1.last_committed_seq, r1.tip_hash) == (1, d1)
+    assert (r1.chain.height, r1.chain.tip.block_hash) == (1, d1)
     assert r1.evidence == [Evidence("link-mismatch-at-commit", 0, 2, 1)]
 
 

@@ -372,7 +372,7 @@ def test_replica_state_stays_within_the_in_flight_window():
             nonlocal checks
             out = duties(now)
             r = node.replica
-            low = r.last_committed_seq
+            low = r.chain.height
             bound = _WINDOW * config.n * (r.current_view + 1)
             for name, seqs in _held_seqs(r).items():
                 assert all(low < s <= low + _WINDOW for s in seqs), (i, name, low, seqs)
