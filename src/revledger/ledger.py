@@ -118,14 +118,11 @@ class Chain:
         if not blocks:
             raise ValueError("a chain always contains at least genesis")
         self._blocks: list[Block] = list(blocks)
-        self._snapshot: tuple[Block, ...] | None = None
 
     @property
     def blocks(self) -> tuple[Block, ...]:
-        """One tuple, shared by every reader until the next append."""
-        if self._snapshot is None:
-            self._snapshot = tuple(self._blocks)
-        return self._snapshot
+        """A new tuple of the blocks, O(height); `tip` and `height` are O(1)."""
+        return tuple(self._blocks)
 
     @property
     def tip(self) -> Block:
@@ -144,7 +141,6 @@ class Chain:
         if block.header.prev_hash != tip.block_hash:
             raise ValueError("appended block does not link to the current tip")
         self._blocks.append(block)
-        self._snapshot = None
 
 
 # --- verification -----------------------------------------------------------

@@ -155,7 +155,6 @@ class NodeRuntime:
         self.replica = Replica(node_id, config, self.chain, proposal_validator=endorsed)
         self.mempool: dict[bytes, MempoolEntry] = {}
         self.receipts: dict[bytes, ClientReceipt] = {}
-        self.blocks_since_load: list[Block] = []
 
     def _apply_block(self, block: Block) -> list[ValidityFlag]:
         """Decide the validity of a chained block's transactions and record it."""
@@ -366,7 +365,6 @@ class NodeRuntime:
         for digest, data in event.blobs.items():
             if not self.store.has(digest):
                 self.store.put(data)
-        self.blocks_since_load.append(block)
         flags = self._apply_block(block)
         for tx, flag in zip(block.transactions, flags):
             receipt = self.receipts.get(tx.tx_id)

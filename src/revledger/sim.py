@@ -330,7 +330,7 @@ class MetricsError(AssertionError):
     """A reported metric contradicts the protocol's structural bounds."""
 
 
-def metrics(report: SimReport, config: SimConfig | None = None) -> dict:
+def metrics(report: SimReport, config: SimConfig) -> dict:
     """Throughput / latency summary with structural consistency checks.
 
     In a fault-free run every commit crosses the network at least three
@@ -355,7 +355,7 @@ def metrics(report: SimReport, config: SimConfig | None = None) -> dict:
         "latency_p99": percentile(99),
         "stalled": report.stalled,
     }
-    if config is not None and config.is_fault_free():
+    if config.is_fault_free():
         floor = 3 * config.delay_min
         summary["latency_floor"] = floor
         if any(v < floor for v in lat):
@@ -390,6 +390,7 @@ class Simulation:
         elif len(nodes) != config.n:
             raise SimError(f"expected {config.n} nodes, got {len(nodes)}")
         self.nodes = nodes
+        self.start_heights = [node.chain.height for node in nodes]
         self.receipt_rows: list[tuple[Submission, object]] = []
 
     # dispatch one node's outbound actions into the network
@@ -485,8 +486,9 @@ class Simulation:
 
     def report(self, ticks_elapsed: int) -> SimReport:
         """What the run decided so far, read from the nodes as they stand;
-        `run` returns it, and a caller that gives the nodes longer chains
-        builds it again."""
+        `run` returns it, and a caller that gives the nodes whole chains
+        builds it again. Validity counts cover the blocks above the start
+        heights, as the reference node decided them."""
         honest = self._honest_nodes()
 
         rows: list[ReceiptRow] = []
@@ -517,9 +519,9 @@ class Simulation:
         # blocks that others committed, so neither can speak for the run:
         # count on the tallest live honest chain, the lowest id on a tie.
         live = [i for i in honest if i not in self.crashed] or honest or [0]
-        reference = max((self.nodes[i] for i in live), key=lambda node: node.chain.height)
+        ref = max(live, key=lambda i: self.nodes[i].chain.height)
         # Flags of the blocks committed in this run, as the reference recorded them.
-        run = reference.decisions[len(reference.decisions) - len(reference.blocks_since_load):]
+        run = self.nodes[ref].decisions[self.start_heights[ref]:]
         counts = Counter(flag.value for pairs in run for _, flag in pairs)
         validity_counts = dict(sorted(counts.items()))
         committed_valid = validity_counts.get(ValidityFlag.VALID.value, 0)

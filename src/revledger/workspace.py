@@ -13,15 +13,17 @@ Layout:
 The checkpoint records the byte length and SHA-256 of the chain file it was
 made for, the tip's height and hash, the heads, and each block's
 [tx id, flag] list. The node runtime supplies the heads and the recorded
-decisions; the workspace keeps only each loaded chain file's length and
-running SHA-256. `init` writes the checkpoint, and so does a commit that
-appended blocks, after the chain file, as a whole new file. It is trusted
-only while the chain file's bytes still hash to it. A trusted checkpoint
-lets load_node parse only the tip, and read_history only the lines that can
-hold the work asked for. Any other checkpoint, or none, is ignored, and the
-node is rebuilt by a full check and replay of its chain, which stays the
-only recovery path. `verify` checks every replica's chain, store and
-checkpoint, and this is the only module that reads checkpoint files.
+decisions; the workspace keeps only each loaded chain file's length,
+running SHA-256 and height. A commit appends the node's chain blocks above
+that height, so a repeated persist writes nothing. `init` writes the
+checkpoint, and so does a commit that appended blocks, after the chain
+file, as a whole new file. It is trusted only while the chain file's bytes
+still hash to it. A trusted checkpoint lets load_node parse only the tip,
+and read_history only the lines that can hold the work asked for. Any
+other checkpoint, or none, is ignored, and the node is rebuilt by a full
+check and replay of its chain, which stays the only recovery path.
+`verify` checks every replica's chain, store and checkpoint, and this is
+the only module that reads checkpoint files.
 
 Concurrent invocations on one workspace are excluded by a lock file; a
 second invocation fails fast instead of corrupting state.
@@ -138,9 +140,9 @@ class Workspace:
     def __init__(self, root: Path, config: GroupConfig):
         self.root = Path(root)
         self.config = config
-        # Each loaded node's chain file length and running SHA-256, extended
-        # as blocks persist.
-        self._chains: dict[int, tuple[int, "hashlib._Hash"]] = {}
+        # Each loaded node's chain file length, running SHA-256 and height,
+        # advanced as a commit appends the chain's blocks above that height.
+        self._chains: dict[int, tuple[int, "hashlib._Hash", int]] = {}
         # The chain bytes, checkpoint bytes and parse of the last trusted checkpoint.
         self._last_trusted: tuple[bytes, bytes, tuple] | None = None
         self._last_written: tuple[tuple, str] | None = None
@@ -287,7 +289,7 @@ class Workspace:
         `_checked_chain` refuses it, that replays every block, deciding
         validity from which blobs the store holds (none is read)."""
         chain = self._checked_chain(node_id, raw, missing)
-        self._chains[node_id] = (len(raw), hashlib.sha256(raw))
+        self._chains[node_id] = (len(raw), hashlib.sha256(raw), chain.height)
         return NodeRuntime(node_id, self.config, self.store(node_id), chain=chain)
 
     def load_node(self, node_id: int) -> NodeRuntime:
@@ -303,7 +305,7 @@ class Workspace:
         if trusted is None:
             return self._replayed_node(node_id, raw, missing)
         checkpoint, tip, sha256 = trusted
-        self._chains[node_id] = (len(raw), sha256)
+        self._chains[node_id] = (len(raw), sha256, checkpoint.height)
         recorded = (checkpoint.heads, checkpoint.decisions)
         return NodeRuntime(
             node_id, self.config, self.store(node_id), chain=Chain([tip]), recorded=recorded
@@ -382,15 +384,16 @@ class Workspace:
         return nodes
 
     def persist_new_blocks(self, node: NodeRuntime) -> None:
-        """Append the node's blocks committed this run, then replace its
-        checkpoint to match; existing chain bytes stay untouched."""
-        if not node.blocks_since_load:
-            return
+        """Append the node's chain blocks above its file's recorded height,
+        then replace its checkpoint; a chain no taller writes nothing."""
         node_id = node.node_id
-        appended = append_chain_file(self.chain_path(node_id), node.blocks_since_load)
-        size, sha256 = self._chains[node_id]
+        size, sha256, height = self._chains[node_id]
+        if node.chain.height <= height:
+            return
+        new = [block for block in node.chain.blocks if block.header.height > height]
+        appended = append_chain_file(self.chain_path(node_id), new)
         sha256.update(appended)
-        self._chains[node_id] = (size + len(appended), sha256)
+        self._chains[node_id] = (size + len(appended), sha256, node.chain.height)
         self._write_checkpoint(node)
 
     def _write_checkpoint(self, node: NodeRuntime) -> None:
@@ -398,7 +401,7 @@ class Workspace:
         heads and decisions, for its chain file as this workspace last read
         or wrote it."""
         node_id = node.node_id
-        size, sha256 = self._chains[node_id]
+        size, sha256, _ = self._chains[node_id]
         tip, heads, decisions = node.chain.tip, node.heads, node.decisions
         # Honest replicas write identical checkpoints: encode each once.
         key = (size, sha256.digest(), tip.block_hash, heads, decisions)

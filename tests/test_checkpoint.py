@@ -570,6 +570,33 @@ def test_checkpoint_is_replaced_whole_through_a_temp_file(ws_dir, tmp_path):
     assert now["blocks"][:1] == saved["blocks"]
 
 
+@pytest.mark.parametrize("checkpoints", ["trusted", "removed"])
+def test_a_repeated_persist_writes_nothing(ws_dir, tmp_path, checkpoints):
+    """A block reaches a chain file only from the node's chain: persisting
+    every node a second time after a commit leaves each chain file and
+    checkpoint byte-identical, whether the nodes held only their tips
+    (trusted checkpoints) or replayed whole chains (none)."""
+    from revledger import cli
+    from revledger.sim import Submission
+
+    commit(ws_dir, tmp_path, "w", "a.txt", "first")
+    if checkpoints == "removed":
+        for i in range(4):
+            checkpoint_path(ws_dir, i).unlink()
+    ws = Workspace.load(ws_dir)
+    submissions = [Submission(tick=0, node=0, work_id="w", author_id="ada", payload=b"second")]
+    sim, report = cli._run_local_consensus(ws, submissions)
+    assert not report.stalled
+    for node in sim.nodes:
+        ws.persist_new_blocks(node)
+    persisted = all_bytes(ws_dir)
+    for node in sim.nodes:
+        ws.persist_new_blocks(node)
+    assert all_bytes(ws_dir) == persisted
+    assert all(report.ok for report in ws.verify())
+    assert [e.revision_number for e in ws.read_history(0, "w")] == [1, 2]
+
+
 def forge_chain(ws_dir, node, edit):
     """Rewrite a node's chain lines and checkpoint through `edit(lines, obj)`,
     then give the checkpoint the rewritten file's length and SHA-256, so

@@ -209,6 +209,20 @@ def test_show_unknown_revision_fails(ws_dir, tmp_path, capsys):
     assert rc != 0
 
 
+def test_show_into_a_missing_directory_is_one_error_line(ws_dir, tmp_path, capsys):
+    commit(ws_dir, tmp_path, "novel-1", "a.txt", "x")
+    out_file = tmp_path / "absent" / "out.bin"
+    capsys.readouterr()
+    rc = main([
+        "show", "--dir", str(ws_dir), "--work", "novel-1",
+        "--revision", "1", "--out", str(out_file),
+    ])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {out_file}: ")
+    assert not out_file.parent.exists()
+
+
 def test_commit_unreadable_file_fails(ws_dir, tmp_path, capsys):
     rc = main([
         "commit", "--dir", str(ws_dir), "--work", "w", "--file",

@@ -330,6 +330,40 @@ def test_parse_rejects_negative_and_bool_ints(store):
         block_from_line(json.dumps(obj))
 
 
+def _set_tx(key, value):
+    def edit(obj):
+        obj["transactions"][0][key] = value
+
+    return edit
+
+
+def _set_transactions(obj):
+    obj["transactions"] = {"0": obj["transactions"][0]}
+
+
+def _set_prev_hash(obj):
+    obj["header"]["prev_hash"] = 5
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_transactions, "transactions must be a list"),
+        (_set_tx("endorsements", "0"), "endorsements must be a list"),
+        (_set_tx("endorsements", [[0]]), r"endorsement must be a \[node_id, token\] pair"),
+        (_set_tx("endorsements", ["00"]), r"endorsement must be a \[node_id, token\] pair"),
+        (_set_prev_hash, "prev_hash must be a hex string"),
+        (_set_tx("work_id", 7), "work_id must be a string"),
+    ],
+    ids=["transactions", "endorsements", "short-pair", "not-a-pair", "digest", "text"],
+)
+def test_parse_rejects_misshapen_fields(store, edit, message):
+    obj = json.loads(block_to_line(chain_of(1, store).blocks[1]))
+    edit(obj)
+    with pytest.raises(ChainParseError, match=message):
+        block_from_line(json.dumps(obj))
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ChainParseError):
         block_from_line("not json at all {")

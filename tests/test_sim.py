@@ -768,10 +768,24 @@ CONFIG = {"n": 4, "f": 1, "seed": 1}
         ({"config": CONFIG, "workload": [{"tick": 1, "node": 0}]}, "bad workload entry 0: 'work'"),
         ({"config": {**CONFIG, "byzantine": [{"node": 1, "behavior": "delay_all", "extra": 0}]},
           "workload": []}, "delay_all behavior needs positive 'extra'"),
+        ({"config": CONFIG, "workload": [{"tick": 1, "node": 7, "work": "w"}]},
+         "submission targets unknown node 7"),
+        ({"config": {**CONFIG, "byzantine": [{"node": 1, "behavior": "crash", "at_tick": -1}]},
+          "workload": []}, "crash behavior needs non-negative 'at_tick'"),
+        ({"config": {"f": 1, "seed": 1}, "workload": []},
+         "bad config: SimConfig.__init__() missing 1 required positional argument: 'n'"),
     ],
-    ids=["config-not-object", "workload-not-list", "entry-without-work", "delay-all-zero"],
+    ids=["config-not-object", "workload-not-list", "entry-without-work", "delay-all-zero",
+         "unknown-node", "crash-before-tick-0", "config-without-n"],
 )
 def test_parse_scenario_refuses_a_misshapen_document(doc, message):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(json.dumps(doc))
     assert str(err.value) == message
+
+
+def test_simulation_refuses_a_node_list_of_the_wrong_length():
+    config = SimConfig(n=4, f=1, seed=1)
+    nodes = [NodeRuntime(i, config, MemoryStore()) for i in range(3)]
+    with pytest.raises(SimError, match="^expected 4 nodes, got 3$"):
+        Simulation(config, [], nodes=nodes)
