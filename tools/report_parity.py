@@ -1,18 +1,17 @@
-"""SHA-256 digests of simulation reports and chains, for comparing two checkouts.
+"""SHA-256 digests of simulation reports, for comparing two checkouts.
 
-    python3 tools/report_parity.py [--root CHECKOUT] [--seeds 400]
+    python3 tools/report_parity.py [--root CHECKOUT]
 
-Prints three digests for the checkout at `--root` (default: the one this
-file is in), each over one text per run, in run order:
+Prints two digests for the checkout at `--root` (default: the one this
+file is in), each over one report per run, in run order:
 
 - `random-runs`: `cli._report_text` of `random_run(seed)` from
-  `tests/test_lossy_runs.py`, for seeds 0 to `--seeds` - 1;
-- `scenarios`: `cli._report_text` of each bundled scenario, by name;
-- `block-hashes`: every replica's block hashes, in node order, over the
-  random runs and then the scenarios.
+  `tests/test_lossy_runs.py`, for seeds 0 to 399;
+- `scenarios`: `cli._report_text` of each bundled scenario, by name.
 
-A change that keeps every report and chain byte-identical prints the same
-three lines as its parent. Nothing is written.
+A report's `committed_digests` lists every replica's block hashes, so the
+digests cover the chains too. A change that keeps every report
+byte-identical prints the same two lines as its parent. Nothing is written.
 """
 
 from __future__ import annotations
@@ -22,37 +21,32 @@ import hashlib
 import sys
 from pathlib import Path
 
+SEEDS = range(400)
 
-def digests(seeds: int) -> dict[str, str]:
+
+def digests() -> dict[str, str]:
     from revledger.cli import _report_text, bundled_scenarios
     from revledger.sim import Simulation, parse_scenario
     from tests.test_lossy_runs import random_run
 
-    reports, scenarios, blocks = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
-    runs = [(reports, random_run(seed)) for seed in range(seeds)]
+    reports, scenarios = hashlib.sha256(), hashlib.sha256()
+    runs = [(reports, random_run(seed)) for seed in SEEDS]
     texts = bundled_scenarios()
     runs += [(scenarios, parse_scenario(texts[name])) for name in sorted(texts)]
     for sink, (config, workload) in runs:
         sim = Simulation(config, workload)
         sink.update(_report_text(sim, sim.run()).encode())
-        for node in sim.nodes:
-            blocks.update(b"".join(block.block_hash for block in node.chain.blocks) + b"\n")
-    return {
-        "random-runs": reports.hexdigest(),
-        "scenarios": scenarios.hexdigest(),
-        "block-hashes": blocks.hexdigest(),
-    }
+    return {"random-runs": reports.hexdigest(), "scenarios": scenarios.hexdigest()}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src/ and tests/ are imported")
-    parser.add_argument("--seeds", type=int, default=400, help="random runs, seeds 0..N-1")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root)]
-    for name, digest in digests(args.seeds).items():
+    for name, digest in digests().items():
         print(f"{name} {digest}")
     return 0
 
