@@ -286,7 +286,7 @@ def cmd_simulate(args) -> int:
             return _err(
                 f"no scenario file or bundled scenario {args.scenario!r} (bundled: {names})"
             )
-        config, workload = parse_scenario(text)
+        sim = Simulation(*parse_scenario(text))
     except ScenarioError as exc:
         where = (
             f" at line {exc.line} column {exc.column}"
@@ -294,7 +294,6 @@ def cmd_simulate(args) -> int:
             else ""
         )
         return _err(f"scenario parse failed{where}: {exc}")
-    sim = Simulation(config, workload)
     report = sim.run()
     out_path = Path(args.report)
     # The chains directory first: a run that cannot keep its chains leaves no report.

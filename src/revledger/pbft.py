@@ -163,7 +163,8 @@ class _Instance:
     log: set[tuple[int, MessageKind, int]] = field(default_factory=set)
     # (view, kind, digest) -> logged messages carrying digest
     counts: dict[tuple[int, MessageKind, bytes], int] = field(default_factory=dict)
-    # (view, sender) -> first digest seen; flagged once a conflicting one was reported
+    # (view, sender) -> first digest seen in any message kind; flagged once a
+    # conflicting one was reported: the one record of an equivocation
     digests: dict[tuple[int, int], bytes] = field(default_factory=dict)
     flagged: set[tuple[int, int]] = field(default_factory=set)
     prepared: tuple[int, bytes] | None = None  # (view, digest) of the last view Commit went in
@@ -381,13 +382,8 @@ class Replica:
                 Evidence("reproposal-mismatch", msg.view, msg.seq, msg.sender)
             )
             return
-        existing = inst.accepted.get(msg.view)
-        if existing is not None:
-            if existing.digest != msg.digest:
-                self.evidence.append(
-                    Evidence("conflicting-digest", msg.view, msg.seq, msg.sender, "pre-prepare")
-                )
-            return
+        if msg.view in inst.accepted:
+            return  # the view's first PrePrepare wins; _record_digest reported a different one
         inst.accepted[msg.view] = msg
         out.append(
             PbftMessage(

@@ -22,7 +22,9 @@ Each scenario field is checked once, where its record is built: every
 record's int fields by pbft.check_int_fields, each behavior's bound by the
 behavior, and by SimConfig what needs the group: node ids in 0..n-1, known
 behaviors, and max_ticks within u64, which bounds every tick the run
-reaches. The loop and apply_behavior trust what passed.
+reaches. The workload, whose checks need the whole list and the config, is
+checked by check_workload when the Simulation is built. Every refusal is a
+ScenarioError. The loop and apply_behavior trust what passed.
 """
 
 from __future__ import annotations
@@ -41,8 +43,13 @@ from .revisions import ValidityFlag
 from .rng import SplitMix64, derive_stream_seed
 
 
-class SimError(ValueError):
-    """Scenario configuration or workload violates its invariants."""
+class ScenarioError(ValueError):
+    """A scenario input breaks its invariants; a JSON syntax error has a position."""
+
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        super().__init__(message)
+        self.line = line
+        self.column = column
 
 
 # -- Byzantine behaviors -------------------------------------------------------
@@ -53,9 +60,9 @@ class Crash:
     at_tick: int
 
     def __post_init__(self):
-        check_int_fields(self, SimError, "crash ")
+        check_int_fields(self, ScenarioError, "crash ")
         if self.at_tick < 0:
-            raise SimError("crash behavior needs non-negative 'at_tick'")
+            raise ScenarioError("crash behavior needs non-negative 'at_tick'")
 
 
 @dataclass(frozen=True)
@@ -73,9 +80,9 @@ class DelayAll:
     extra: int
 
     def __post_init__(self):
-        check_int_fields(self, SimError, "delay_all ")
+        check_int_fields(self, ScenarioError, "delay_all ")
         if self.extra < 1:
-            raise SimError("delay_all behavior needs positive 'extra'")
+            raise ScenarioError("delay_all behavior needs positive 'extra'")
 
 
 @dataclass(frozen=True)
@@ -104,9 +111,11 @@ class Partition:
     group: frozenset[int]
 
     def __post_init__(self):
-        check_int_fields(self, SimError, "partition ")
+        check_int_fields(self, ScenarioError, "partition ")
         if self.start >= self.end:
-            raise SimError(f"partition start {self.start} must be below its end {self.end}")
+            raise ScenarioError(
+                f"partition start {self.start} must be below its end {self.end}"
+            )
 
     def blocks(self, src: int, dst: int, now: int) -> bool:
         if not (self.start <= now < self.end):
@@ -128,26 +137,28 @@ class SimConfig(GroupConfig):
     def __post_init__(self):
         super().__post_init__()
         if self.delay_min < 1:
-            raise SimError("delay_min must be >= 1")
+            raise ScenarioError("delay_min must be >= 1")
         if self.delay_max < self.delay_min:
-            raise SimError("delay_max must be >= delay_min")
+            raise ScenarioError("delay_max must be >= delay_min")
         if type(self.drop_prob) not in (int, float) or not 0.0 <= self.drop_prob <= 1.0:
-            raise SimError("drop_prob must be a number in [0, 1]")
+            raise ScenarioError("drop_prob must be a number in [0, 1]")
         if self.max_ticks < 1:
-            raise SimError("max_ticks must be >= 1")
+            raise ScenarioError("max_ticks must be >= 1")
         if self.max_ticks > MAX_TICKS:
-            raise SimError(f"max_ticks out of u64 range: {self.max_ticks}")
+            raise ScenarioError(f"max_ticks out of u64 range: {self.max_ticks}")
         seen = [nid for nid, _ in self.byzantine]
         for nid in seen + [nid for part in self.partitions for nid in part.group]:
             if type(nid) is not int or not 0 <= nid < self.n:
-                raise SimError(f"node id {nid!r} outside 0..{self.n - 1}")
+                raise ScenarioError(f"node id {nid!r} outside 0..{self.n - 1}")
         for part in self.partitions:  # a group of none or of every node cuts nothing
             if not 0 < len(part.group) < self.n:
-                raise SimError(f"partition group must hold 1..{self.n - 1} of the {self.n} nodes")
+                raise ScenarioError(
+                    f"partition group must hold 1..{self.n - 1} of the {self.n} nodes"
+                )
         if len(seen) != len(set(seen)):
-            raise SimError("duplicate byzantine node entries")
+            raise ScenarioError("duplicate byzantine node entries")
         if not all(isinstance(b, ByzantineBehavior) for _, b in self.byzantine):
-            raise SimError("unknown byzantine behavior")
+            raise ScenarioError("unknown byzantine behavior")
 
     def is_fault_free(self) -> bool:
         return not self.byzantine and not self.partitions and self.drop_prob == 0.0
@@ -165,12 +176,12 @@ class Submission:
 def check_workload(workload: list[Submission], config: SimConfig) -> None:
     last = 0
     for sub in workload:
-        check_int_fields(sub, SimError, "workload ")
+        check_int_fields(sub, ScenarioError, "workload ")
         if sub.tick < last:
-            raise SimError("workload submit ticks must be non-decreasing")
+            raise ScenarioError("workload submit ticks must be non-decreasing")
         last = sub.tick
         if not 0 <= sub.node < config.n:
-            raise SimError(f"submission targets unknown node {sub.node}")
+            raise ScenarioError(f"submission targets unknown node {sub.node}")
 
 
 # -- event queue ---------------------------------------------------------------
@@ -187,7 +198,7 @@ class EventQueue:
 
     def schedule(self, item: tuple, deliver_tick: int) -> None:
         if deliver_tick < self.current_tick:
-            raise SimError(
+            raise ScenarioError(
                 f"cannot schedule at tick {deliver_tick}, now is {self.current_tick}"
             )
         items = self._by_tick.get(deliver_tick)
@@ -388,7 +399,7 @@ class Simulation:
         if nodes is None:
             nodes = [NodeRuntime(i, config, MemoryStore()) for i in range(config.n)]
         elif len(nodes) != config.n:
-            raise SimError(f"expected {config.n} nodes, got {len(nodes)}")
+            raise ScenarioError(f"expected {config.n} nodes, got {len(nodes)}")
         self.nodes = nodes
         self.start_heights = [node.chain.height for node in nodes]
         self.receipt_rows: list[tuple[Submission, object]] = []
@@ -559,13 +570,6 @@ class Simulation:
 # -- scenario files -----------------------------------------------------------------
 
 
-class ScenarioError(ValueError):
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        super().__init__(message)
-        self.line = line
-        self.column = column
-
-
 def _refuse_unknown_keys(obj, known, what: str) -> None:
     """Refuse a key that no field reads: a misspelled fault would run as none."""
     unknown = sorted(set(obj) - set(known)) if isinstance(obj, dict) else []
@@ -596,7 +600,9 @@ def generate_payload(seed: int, tag: int, size: int) -> bytes:
 def parse_scenario(text: str) -> tuple[SimConfig, list[Submission]]:
     """Parse a scenario document into (config, workload).
 
-    Raises ScenarioError carrying line/column for JSON syntax problems.
+    Raises ScenarioError, carrying line/column for JSON syntax problems.
+    The config's records check themselves as they are built; the workload's
+    ticks and node ids are checked by the Simulation built from it.
     """
     try:
         doc = json.loads(text)
@@ -614,7 +620,7 @@ def parse_scenario(text: str) -> tuple[SimConfig, list[Submission]]:
         config = SimConfig(**{**c, "partitions": partitions, "byzantine": byzantine})
     except (KeyError, TypeError, AttributeError) as exc:
         raise ScenarioError(f"bad config: {exc}") from exc
-    except (ConfigError, SimError) as exc:
+    except ConfigError as exc:
         raise ScenarioError(str(exc)) from exc
     workload = []
     if not isinstance(doc["workload"], list):
@@ -639,8 +645,4 @@ def parse_scenario(text: str) -> tuple[SimConfig, list[Submission]]:
             )
         except (KeyError, TypeError, AttributeError) as exc:
             raise ScenarioError(f"bad workload entry {idx}: {exc}") from exc
-    try:
-        check_workload(workload, config)
-    except SimError as exc:
-        raise ScenarioError(str(exc)) from exc
     return config, workload

@@ -9,7 +9,9 @@ import pytest
 from revledger.cli import main
 from revledger.node import NodeRuntime
 from revledger.pbft import ConfigError
-from revledger.sim import Crash, DelayAll, Partition, SimConfig, SimError, Simulation, Submission
+from revledger.sim import (
+    Crash, DelayAll, Partition, ScenarioError, SimConfig, Simulation, Submission,
+)
 from revledger.workspace import LOCK_NAME, Workspace
 
 
@@ -1005,14 +1007,19 @@ def test_simulate_refuses_a_bad_group_config(tmp_path, capsys, key, value, error
         ({"node": "0"}, "workload node must be an int"),
         ({"tick": 2.5}, "workload tick must be an int"),
         ({"node": True}, "workload node must be an int"),
+        ({"node": 7}, "submission targets unknown node 7"),
+        ({"tick": 0}, "workload submit ticks must be non-decreasing"),
     ],
-    ids=["tick=str", "node=str", "tick=2.5", "node=true"],
+    ids=["tick=str", "node=str", "tick=2.5", "node=true", "node=7-of-4", "tick-before-first"],
 )
 def test_simulate_refuses_a_non_integer_workload_field(tmp_path, capsys, entry, error):
+    """The second entry is changed: its int fields, its node and its tick
+    against the first entry's are checked when the Simulation is built."""
     scenario = tmp_path / "bad.json"
     scenario.write_text(json.dumps({
         "config": {"n": 4, "f": 1, "seed": 1},
-        "workload": [{"tick": 1, "node": 0, "work": "w", **entry}],
+        "workload": [{"tick": 1, "node": 0, "work": "w"},
+                     {"tick": 1, "node": 0, "work": "w", **entry}],
     }))
     report = tmp_path / "r.json"
     rc = main(["simulate", "--scenario", str(scenario), "--report", str(report)])
@@ -1164,7 +1171,7 @@ def test_simulate_refuses_an_input_it_once_misread(tmp_path, capsys, change, bui
         "workload": [{"tick": 1, "node": 1, "work": "w"}, {"tick": 2**64 - 1, "node": 1, "work": "w"}],
     }
     assert error in simulate_refuses(tmp_path, capsys, doc)
-    with pytest.raises((ConfigError, SimError)) as exc:
+    with pytest.raises((ConfigError, ScenarioError)) as exc:
         build()
     assert error in str(exc.value)
 

@@ -79,6 +79,11 @@ def test_get_detects_corruption(tmp_path):
     with pytest.raises(IntegrityError) as err:
         store.get(digest)
     assert to_hex(digest) in str(err.value)
+    path.unlink()
+    path.mkdir()  # a directory where the blob belongs cannot be read, yet is there
+    with pytest.raises(StoreError, match="^cannot read blob at ") as err:
+        store.get(digest)
+    assert not isinstance(err.value, NotFoundError)
 
 
 def test_has_is_false_only_for_an_absent_blob(tmp_path):
@@ -262,6 +267,9 @@ def test_memory_store_same_surface():
     assert store.audit() == ([], {digest})
     with pytest.raises(NotFoundError):
         store.get(b"\x00" * 32)
+    store._blobs[digest] = b"replaced"
+    with pytest.raises(IntegrityError, match="does not match its key"):
+        store.get(digest)
 
 
 @given(st.binary(max_size=2048))

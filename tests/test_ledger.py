@@ -96,9 +96,12 @@ def test_tick_changes_hash_not_merkle(store):
     assert b1.block_hash != b2.block_hash
 
 
-def test_empty_block_rejected():
+def test_empty_block_rejected(store):
     with pytest.raises(ValueError):
         build_block(1, genesis_block().block_hash, [], "node-0", 0, 1)
+    tx = propose_revision("w", "ada", b"x", {}, store)
+    with pytest.raises(ValueError, match="start at height 1"):
+        build_block(0, genesis_block().block_hash, [tx], "node-0", 0, 1)
 
 
 def test_chain_append_discipline(store):
@@ -112,6 +115,8 @@ def test_chain_append_discipline(store):
     unlinked = build_block(2, b"\xab" * 32, [tx], "node-0", 0, 2)
     with pytest.raises(ValueError):
         chain.append(unlinked)
+    with pytest.raises(ValueError, match="at least genesis"):
+        Chain([])
 
 
 # -- check_block ------------------------------------------------------------------

@@ -128,6 +128,7 @@ def test_proof_rejects_flipped_path_bytes():
                 bad_path = [bytearray(p) for p in path]
                 bad_path[elem][pos] ^= 0x01
                 assert not verify_proof(root, ids[i], i, 8, [bytes(p) for p in bad_path])
+        assert not verify_proof(root, ids[i], i, 8, [path[0][:31], *path[1:]])
 
 
 def test_proof_against_other_trees_root_fails():

@@ -192,8 +192,8 @@ def test_conflicting_pre_prepare_keeps_first_and_logs_evidence():
         msg(MessageKind.PRE_PREPARE, 0, 1, block_b.block_hash, 0, block=block_b, blobs=blobs_b),
         now=1,
     )
-    assert out == []
-    assert any(e.kind == "conflicting-digest" for e in r1.evidence)
+    assert out == []  # no Prepare for the second
+    assert [(e.kind, e.sender) for e in r1.evidence] == [("conflicting-digest", 0)]
 
 
 def test_cross_kind_digest_conflict_is_evidence():

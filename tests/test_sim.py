@@ -25,7 +25,6 @@ from revledger.sim import (
     ScenarioError,
     Silent,
     SimConfig,
-    SimError,
     Simulation,
     Submission,
     _flip_digest,
@@ -87,6 +86,8 @@ def test_uniform_int_bounds():
     draws = {rng.uniform_int(2, 5) for _ in range(200)}
     assert draws == {2, 3, 4, 5}
     assert SplitMix64(1).uniform_int(3, 3) == 3
+    with pytest.raises(ValueError, match=r"^empty range \[5, 4\]$"):
+        SplitMix64(1).uniform_int(5, 4)
 
 
 def test_unit_float_in_range():
@@ -121,7 +122,7 @@ def test_same_tick_events_fifo():
 def test_past_scheduling_rejected():
     q = EventQueue()
     q.current_tick = 10
-    with pytest.raises(SimError):
+    with pytest.raises(ScenarioError):
         q.schedule(("late",), 9)
     q.schedule(("now",), 10)
 
@@ -172,17 +173,17 @@ def test_sim_config_validation():
         SimConfig(n=3, f=1, seed=1)
     with pytest.raises(ConfigError):
         SimConfig(n=4, f=-1, seed=1)
-    with pytest.raises(SimError):
+    with pytest.raises(ScenarioError):
         SimConfig(n=4, f=1, seed=1, delay_min=0)
-    with pytest.raises(SimError):
+    with pytest.raises(ScenarioError):
         SimConfig(n=4, f=1, seed=1, delay_min=3, delay_max=2)
-    with pytest.raises(SimError):
+    with pytest.raises(ScenarioError):
         SimConfig(n=4, f=1, seed=1, drop_prob=1.5)
     with pytest.raises(ConfigError, match="max_batch must be positive"):
         SimConfig(n=4, f=1, seed=1, max_batch=0)
-    with pytest.raises(SimError, match="duplicate byzantine node entries"):
+    with pytest.raises(ScenarioError, match="duplicate byzantine node entries"):
         SimConfig(n=4, f=1, seed=1, byzantine=((1, Crash(at_tick=5)), (1, Crash(at_tick=9))))
-    with pytest.raises(SimError, match="unknown byzantine behavior"):
+    with pytest.raises(ScenarioError, match="unknown byzantine behavior"):
         SimConfig(n=4, f=1, seed=1, byzantine=((1, "crash"),))
 
 
@@ -192,7 +193,7 @@ def test_workload_tick_monotonicity_enforced():
         Submission(tick=5, node=0, work_id="w", author_id="a", payload=b"x"),
         Submission(tick=4, node=0, work_id="w", author_id="a", payload=b"y"),
     ]
-    with pytest.raises(SimError):
+    with pytest.raises(ScenarioError):
         Simulation(config, bad).run()
 
 
@@ -779,13 +780,29 @@ CONFIG = {"n": 4, "f": 1, "seed": 1}
          "unknown-node", "crash-before-tick-0", "config-without-n"],
 )
 def test_parse_scenario_refuses_a_misshapen_document(doc, message):
+    """The workload's node ids are checked when the Simulation is built."""
     with pytest.raises(ScenarioError) as err:
-        parse_scenario(json.dumps(doc))
+        Simulation(*parse_scenario(json.dumps(doc)))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("entry", [{"work": 5}, {"work": "w", "author": ["ada"]}],
+                         ids=["work=5", "author=list"])
+def test_a_scenario_id_that_is_no_string_is_rejected_as_malformed(entry):
+    """The parser keeps a work or author id of any JSON type; the node
+    refuses one that is no string, and the run goes on."""
+    doc = {"config": CONFIG, "workload": [{"tick": 1, "node": 0, **entry},
+                                          {"tick": 2, "node": 1, "work": "w"}]}
+    report = Simulation(*parse_scenario(json.dumps(doc))).run()
+    bad, good = report.receipts
+    assert (bad.work_id, bad.author_id) == (entry["work"], entry.get("author", "author"))
+    assert (bad.tx_id, bad.status, bad.flag, bad.commit_tick) == (
+        None, "Rejected", "InvalidMalformed", None)
+    assert (good.status, report.stalled, report.safety_ok) == ("CommittedValid", False, True)
 
 
 def test_simulation_refuses_a_node_list_of_the_wrong_length():
     config = SimConfig(n=4, f=1, seed=1)
     nodes = [NodeRuntime(i, config, MemoryStore()) for i in range(3)]
-    with pytest.raises(SimError, match="^expected 4 nodes, got 3$"):
+    with pytest.raises(ScenarioError, match="^expected 4 nodes, got 3$"):
         Simulation(config, [], nodes=nodes)

@@ -6,7 +6,7 @@ Prints two digests for the checkout at `--root` (default: the one this
 file is in), each over one report per run, in run order:
 
 - `random-runs`: `cli._report_text` of `random_run(seed)` from
-  `tests/test_lossy_runs.py`, for seeds 0 to 399;
+  `tests/runs.py`, for seeds 0 to 399;
 - `scenarios`: `cli._report_text` of each bundled scenario, by name.
 
 A report's `committed_digests` lists every replica's block hashes, so the
@@ -27,7 +27,7 @@ SEEDS = range(400)
 def digests() -> dict[str, str]:
     from revledger.cli import _report_text, bundled_scenarios
     from revledger.sim import Simulation, parse_scenario
-    from tests.test_lossy_runs import random_run
+    from tests.runs import random_run
 
     reports, scenarios = hashlib.sha256(), hashlib.sha256()
     runs = [(reports, random_run(seed)) for seed in SEEDS]
