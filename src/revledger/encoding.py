@@ -39,8 +39,6 @@ class MalformedError(ValueError):
 
 def _check_text(value: str, name: str, max_bytes: int) -> bytes:
     """UTF-8 encode a text field that must be non-empty and at most max_bytes."""
-    if not isinstance(value, str):
-        raise MalformedError(f"{name} must be a string")
     try:
         raw = value.encode("utf-8")
     except UnicodeEncodeError as exc:  # a lone surrogate, as undecodable argv bytes give
@@ -54,7 +52,7 @@ def _check_text(value: str, name: str, max_bytes: int) -> bytes:
 
 def check_work_id(work_id: str) -> bytes:
     """Validate and UTF-8 encode a work id: non-empty, no NUL, <= 256 bytes."""
-    if isinstance(work_id, str) and "\x00" in work_id:
+    if "\x00" in work_id:
         raise MalformedError("work_id must not contain NUL bytes")
     return _check_text(work_id, "work_id", MAX_WORK_ID_BYTES)
 

@@ -3,8 +3,9 @@
 A node accepts client submissions (endorsing them per policy), forwards
 endorsed transactions to the current primary, hands batches to the
 consensus layer when it is the primary itself, and on every block its
-replica commits onto the chain they share runs MVCC validation, updates
-client receipts, and replicates payload blobs into its own content store.
+replica commits onto the chain they share stores the block's payloads in
+its own content store, runs MVCC validation and updates client receipts.
+A payload enters the store there only: a node holds what it committed.
 
 Validity is decided once per replica, when _apply_block applies a block,
 and recorded in `decisions`, one (tx id, flag) list per block after genesis
@@ -181,7 +182,7 @@ class NodeRuntime:
         others in ascending id, so the transaction meets the policy.
         """
         try:
-            tx = propose_revision(work_id, author_id, payload, self.heads, self.store, now)
+            tx = propose_revision(work_id, author_id, payload, self.heads, now)
         except MalformedError:
             return ClientReceipt(tx_id=None, submit_tick=now, flag=ValidityFlag.MALFORMED)
         me = self.node_id
@@ -363,7 +364,7 @@ class NodeRuntime:
         """Take in a block the replica has just appended to this node's chain."""
         block = event.block
         for digest, data in event.blobs.items():
-            if not self.store.has(digest):
+            if not self.store.has(digest):  # found on disk without hashing, as put would
                 self.store.put(data)
         flags = self._apply_block(block)
         for tx, flag in zip(block.transactions, flags):

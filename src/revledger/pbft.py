@@ -74,12 +74,14 @@ class PbftMessage:
     view_changes: tuple["PbftMessage", ...] | None = None
 
 
-def check_int_fields(record, error: type[Exception], what: str = "") -> None:
-    """Refuse, with `error`, a dataclass field declared int that holds no int
-    or a bool: the one type check of every record built from outside input."""
+def check_field_types(record, error: type[Exception], what: str = "") -> None:
+    """Refuse, with `error`, a dataclass field declared int or str that holds
+    another type (a bool is no int): the one type check of outside input."""
+    declared = {"int": (int, "an int"), "str": (str, "a string")}
     for spec in fields(record):
-        if spec.type == "int" and type(getattr(record, spec.name)) is not int:
-            raise error(f"{what}{spec.name} must be an int")
+        want = declared.get(spec.type)
+        if want is not None and type(getattr(record, spec.name)) is not want[0]:
+            raise error(f"{what}{spec.name} must be {want[1]}")
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,8 @@ class GroupConfig:
 
     def __post_init__(self):
         """Refuse, with ConfigError, a config no workspace could run or a
-        field (a subclass's too) that check_int_fields refuses."""
-        check_int_fields(self, ConfigError)
+        field (a subclass's too) that check_field_types refuses."""
+        check_field_types(self, ConfigError)
         try:
             quorum_size(self.n, self.f)
         except ConfigError as exc:

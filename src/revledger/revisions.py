@@ -20,9 +20,9 @@ exactly one writer wins each slot.
 Validation trusts block structure (tx ids, record bounds, the revision
 gap), which ledger checks once: check_block when consensus accepts a
 pre-prepare, check_chain when a workspace loads a chain file. A new
-record's fields are checked once, by propose_revision. It reads
-blob presence, never blob bytes, so a damaged blob changes no replica's
-flags or heads; bytes are re-hashed where read (show) or audited (verify).
+record's fields are checked once, by propose_revision, which stores
+nothing. Validity reads blob presence, never blob bytes, so a damaged
+blob changes no replica's flags or heads; show and verify re-hash bytes.
 """
 
 from __future__ import annotations
@@ -82,23 +82,21 @@ def propose_revision(
     author_id: str,
     payload: bytes,
     heads: HeadState,
-    store,
     submit_tick: int = 0,
 ) -> Transaction:
     """Propose the next revision of a work against the observed head.
 
-    Refuses, with MalformedError and before storing anything, ids that
-    break their bounds and a revision number outside u64 (SimConfig bounds
-    the tick). Otherwise stores the payload (content addressing makes that
-    idempotent) and returns an unendorsed transaction with read_version =
-    current head, or 0 for a work not yet created.
+    Refuses, with MalformedError, ids that break their bounds and a
+    revision number outside u64 (SimConfig bounds the tick). Otherwise
+    returns an unendorsed transaction naming the payload by its SHA-256,
+    with read_version = current head, or 0 for a work not yet created.
     """
     encoding.check_work_id(work_id)
     encoding.check_author_id(author_id)
     read_version = heads[work_id][0] if work_id in heads else 0
     if read_version + 1 >= 1 << 64:
         raise MalformedError(f"revision_number out of u64 range: {read_version + 1}")
-    content_hash = store.put(payload)
+    content_hash = sha256(payload)
     record = RevisionRecord(
         work_id=work_id,
         revision_number=read_version + 1,

@@ -19,12 +19,12 @@ tick it skips, its duties would change nothing and send nothing, and
 draws are made only for sent messages, so no draw moves.
 
 Each scenario field is checked once, where its record is built: every
-record's int fields by pbft.check_int_fields, each behavior's bound by the
-behavior, and by SimConfig what needs the group: node ids in 0..n-1, known
-behaviors, and max_ticks within u64, which bounds every tick the run
-reaches. The workload, whose checks need the whole list and the config, is
-checked by check_workload when the Simulation is built. Every refusal is a
-ScenarioError. The loop and apply_behavior trust what passed.
+record's int and str fields by pbft.check_field_types, each behavior's
+bound by the behavior, and by SimConfig what needs the group: node ids in
+0..n-1, known behaviors, and max_ticks within u64, which bounds every tick
+the run reaches. The workload, whose checks need the whole list and the
+config, is checked by check_workload when the Simulation is built. Every
+refusal is a ScenarioError. The loop and apply_behavior trust what passed.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .content_store import MemoryStore
 from .digests import to_hex
 from .ledger import Block, build_block
 from .node import NodeRuntime, Outbound, ReceiptStatus
-from .pbft import ConfigError, GroupConfig, MessageKind, PbftMessage, check_int_fields
+from .pbft import ConfigError, GroupConfig, MessageKind, PbftMessage, check_field_types
 from .revisions import ValidityFlag
 from .rng import SplitMix64, derive_stream_seed
 
@@ -60,7 +60,7 @@ class Crash:
     at_tick: int
 
     def __post_init__(self):
-        check_int_fields(self, ScenarioError, "crash ")
+        check_field_types(self, ScenarioError, "crash ")
         if self.at_tick < 0:
             raise ScenarioError("crash behavior needs non-negative 'at_tick'")
 
@@ -80,7 +80,7 @@ class DelayAll:
     extra: int
 
     def __post_init__(self):
-        check_int_fields(self, ScenarioError, "delay_all ")
+        check_field_types(self, ScenarioError, "delay_all ")
         if self.extra < 1:
             raise ScenarioError("delay_all behavior needs positive 'extra'")
 
@@ -111,7 +111,7 @@ class Partition:
     group: frozenset[int]
 
     def __post_init__(self):
-        check_int_fields(self, ScenarioError, "partition ")
+        check_field_types(self, ScenarioError, "partition ")
         if self.start >= self.end:
             raise ScenarioError(
                 f"partition start {self.start} must be below its end {self.end}"
@@ -176,7 +176,7 @@ class Submission:
 def check_workload(workload: list[Submission], config: SimConfig) -> None:
     last = 0
     for sub in workload:
-        check_int_fields(sub, ScenarioError, "workload ")
+        check_field_types(sub, ScenarioError, "workload ")
         if sub.tick < last:
             raise ScenarioError("workload submit ticks must be non-decreasing")
         last = sub.tick

@@ -558,6 +558,32 @@ def test_stall_after_some_replicas_committed_leaves_trusted_checkpoints(ws_dir, 
     assert main(["verify", "--dir", str(ws_dir)]) == 0
 
 
+def test_a_stall_leaves_no_payload_on_a_replica_that_did_not_commit_it(ws_dir, tmp_path, capsys):
+    """Node 0 commits none of a stalled three-file commit's blocks and
+    stores none of its payloads: every replica's blob names are the content
+    hashes its chain references. The command's output is unchanged."""
+    commit(ws_dir, tmp_path, "w", "a.txt", "first")
+    config = json.loads((ws_dir / "config.json").read_text())
+    (ws_dir / "config.json").write_text(json.dumps({**config, "timeout_ticks": 2, "max_batch": 1}))
+    argv = ["commit", "--dir", str(ws_dir), "--work", "w", "--author", "ada"]
+    for k in range(3):
+        (tmp_path / f"p{k}.txt").write_text(f"payload {k}")
+        argv += ["--file" if k == 0 else "--also-file", str(tmp_path / f"p{k}.txt")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: consensus stalled; workspace left as committed so far\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "afcd28222ec4f82b35c01e395158483445224b8a12c5d924cfc39903f9292492")
+    assert json.loads(out)["committed_heights"] == {"0": 1, "1": 2, "2": 2, "3": 2}
+    for i in range(4):
+        lines = (ws_dir / f"node-{i}" / "chain.jsonl").read_text().splitlines()
+        referenced = {tx["content_hash"] for line in lines for tx in json.loads(line)["transactions"]}
+        stored = {p.name for p in (ws_dir / f"node-{i}" / "blobs").glob("*/*")}
+        assert stored == referenced, i
+    assert main(["verify", "--dir", str(ws_dir)]) == 0
+
+
 def test_checkpoint_is_replaced_whole_through_a_temp_file(ws_dir, tmp_path):
     commit(ws_dir, tmp_path, "w", "a.txt", "first")
     names = sorted(p.name for p in (ws_dir / "node-0").iterdir())

@@ -1113,7 +1113,11 @@ FIELD_REFUSALS = [
     for spec in dataclasses.fields(record)
     if spec.type == "int"
     for value in (True, "1", 1.5)
-] + [(SimConfig, "drop_prob", True, "drop_prob must be a number in [0, 1]")]
+] + [(SimConfig, "drop_prob", True, "drop_prob must be a number in [0, 1]")] + [
+    (Submission, key, value, f"workload {key}_id must be a string")
+    for key in ("work", "author")
+    for value in (5, ["ada"])
+]
 
 
 @pytest.mark.parametrize(

@@ -52,7 +52,9 @@ def chain_of(n_blocks, store, works=("w",)):
     heads = {}
     for i in range(n_blocks):
         work = works[i % len(works)]
-        tx = propose_revision(work, "ada", f"content {i}".encode(), heads, store, submit_tick=i)
+        payload = f"content {i}".encode()
+        store.put(payload)
+        tx = propose_revision(work, "ada", payload, heads, submit_tick=i)
         tx = endorse(tx, 0, POLICY.secrets[0])
         heads[work] = (tx.record.revision_number, tx.record.content_hash)
         block = build_block(i + 1, chain.tip.block_hash, [tx], "node-0", view=0, tick=i + 1)
@@ -72,41 +74,41 @@ def test_genesis_constants():
     assert genesis_block().block_hash == g.block_hash
 
 
-def test_build_block_is_deterministic(store):
-    tx = propose_revision("w", "ada", b"x", {}, store)
+def test_build_block_is_deterministic():
+    tx = propose_revision("w", "ada", b"x", {})
     b1 = build_block(1, genesis_block().block_hash, [tx], "node-0", 0, 5)
     b2 = build_block(1, genesis_block().block_hash, [tx], "node-0", 0, 5)
     assert b1.block_hash == b2.block_hash
 
 
-def test_reordering_txs_changes_merkle_and_hash(store):
-    t1 = propose_revision("a", "ada", b"1", {}, store)
-    t2 = propose_revision("b", "ada", b"2", {}, store)
+def test_reordering_txs_changes_merkle_and_hash():
+    t1 = propose_revision("a", "ada", b"1", {})
+    t2 = propose_revision("b", "ada", b"2", {})
     b1 = build_block(1, genesis_block().block_hash, [t1, t2], "node-0", 0, 1)
     b2 = build_block(1, genesis_block().block_hash, [t2, t1], "node-0", 0, 1)
     assert b1.header.merkle_root != b2.header.merkle_root
     assert b1.block_hash != b2.block_hash
 
 
-def test_tick_changes_hash_not_merkle(store):
-    tx = propose_revision("w", "ada", b"x", {}, store)
+def test_tick_changes_hash_not_merkle():
+    tx = propose_revision("w", "ada", b"x", {})
     b1 = build_block(1, genesis_block().block_hash, [tx], "node-0", 0, 1)
     b2 = build_block(1, genesis_block().block_hash, [tx], "node-0", 0, 2)
     assert b1.header.merkle_root == b2.header.merkle_root
     assert b1.block_hash != b2.block_hash
 
 
-def test_empty_block_rejected(store):
+def test_empty_block_rejected():
     with pytest.raises(ValueError):
         build_block(1, genesis_block().block_hash, [], "node-0", 0, 1)
-    tx = propose_revision("w", "ada", b"x", {}, store)
+    tx = propose_revision("w", "ada", b"x", {})
     with pytest.raises(ValueError, match="start at height 1"):
         build_block(0, genesis_block().block_hash, [tx], "node-0", 0, 1)
 
 
-def test_chain_append_discipline(store):
+def test_chain_append_discipline():
     chain = Chain()
-    tx = propose_revision("w", "ada", b"x", {}, store)
+    tx = propose_revision("w", "ada", b"x", {})
     good = build_block(1, chain.tip.block_hash, [tx], "node-0", 0, 1)
     chain.append(good)
     wrong_height = build_block(3, chain.tip.block_hash, [tx], "node-0", 0, 2)
@@ -128,8 +130,8 @@ def gap_transaction(store):
     return Transaction(tx_id=transaction_id(record, 0), record=record, read_version=0)
 
 
-def test_check_block_reports_forged_tx_id(store):
-    tx = propose_revision("w", "ada", b"x", {}, store)
+def test_check_block_reports_forged_tx_id():
+    tx = propose_revision("w", "ada", b"x", {})
     forged = replace(tx, tx_id=b"\x00" * 32)
     block = build_block(1, genesis_block().block_hash, [forged], "node-0", 0, 1)
     assert check_block(block, 1) == [Defect(1, "tx-id-mismatch", "tx 0")]
@@ -279,7 +281,7 @@ def test_append_preserves_existing_bytes(tmp_path, store):
     write_chain_file(path, chain)
     before = path.read_bytes()
     heads = {"w": (2, chain.blocks[2].transactions[0].record.content_hash)}
-    tx = propose_revision("w", "ada", b"more", heads, store)
+    tx = propose_revision("w", "ada", b"more", heads)
     block = build_block(3, chain.tip.block_hash, [tx], "node-0", 0, 9)
     append_chain_file(path, [block])
     after = path.read_bytes()

@@ -19,6 +19,20 @@ def test_submit_returns_pending_receipt():
     assert len(node.mempool) == 1
 
 
+def test_a_payload_enters_a_store_only_with_the_block_that_commits_it():
+    """submit names the payload by its hash and stores nothing; the commit
+    puts it on every replica, the submitting node's included."""
+    from revledger.digests import sha256
+    from revledger.sim import SimConfig, Simulation, Submission
+
+    node = make_node()
+    assert node.submit("w", "ada", b"draft", now=1).status is ReceiptStatus.PENDING
+    assert node.store._blobs == {}
+    sim = Simulation(SimConfig(n=4, f=1, seed=5), [Submission(1, 1, "w", "ada", b"draft")])
+    assert [row.status for row in sim.run().receipts] == ["CommittedValid"]
+    assert [n.store._blobs for n in sim.nodes] == [{sha256(b"draft"): b"draft"}] * 4
+
+
 def test_resubmitting_at_the_same_node_and_tick_returns_the_first_receipt():
     node = make_node()
     first = node.submit("w1", "ada", b"first draft", now=3)
@@ -160,8 +174,7 @@ def test_commit_at_wrong_height_is_fatal():
     from revledger.revisions import propose_revision
 
     node = make_node()
-    store = MemoryStore()
-    tx = propose_revision("w", "ada", b"x", {}, store)
+    tx = propose_revision("w", "ada", b"x", {})
     bogus = build_block(5, b"\x00" * 32, [tx], "node-0", 0, 1)
     # The replica commits onto the node's own chain, whose append refuses it.
     assert node.replica.chain is node.chain
@@ -208,16 +221,16 @@ def test_history_reads_the_flags_recorded_at_commit():
     from revledger.revisions import propose_revision
 
     node = make_node()
-    tx = propose_revision("w", "ada", b"payload", {}, MemoryStore(), submit_tick=1)
+    tx = propose_revision("w", "ada", b"payload", {}, submit_tick=1)
     block = build_block(1, node.chain.tip.block_hash, [tx], "node-0", 0, 1)
     node.chain.append(block)  # as the replica does before it reports the commit
     node._apply_commit(CommitEvent(block=block, blobs={}), now=1)
     assert node.decisions == [[(tx.tx_id, ValidityFlag.MISSING_CONTENT)]]
     assert node.heads == {}
 
+    node.store.put(b"payload")
     receipt = node.submit("w", "ada", b"payload", now=1)
     assert receipt.tx_id == tx.tx_id and receipt.flag is ValidityFlag.MISSING_CONTENT
-    assert node.store.has(tx.record.content_hash)
     assert node.history("w") == []
     with pytest.raises(NotFoundError):
         node.show("w", 1)
@@ -237,8 +250,7 @@ def test_unendorsed_block_refused_at_pre_prepare():
     from revledger.revisions import propose_revision
 
     node = make_node(node_id=1)
-    store = MemoryStore()
-    tx = propose_revision("w", "ada", b"x", {}, store)  # no endorsements
+    tx = propose_revision("w", "ada", b"x", {})  # no endorsements
     block = build_block(1, genesis_block().block_hash, [tx], "node-0", 0, 1)
     pp = PbftMessage(
         kind=MessageKind.PRE_PREPARE, view=0, seq=1, digest=block.block_hash,
@@ -361,7 +373,7 @@ def test_receipt_status_agrees_with_its_tx_id_and_flag():
 
     # Committed without its payload, then resubmitted byte for byte.
     node = make_node()
-    tx = propose_revision("w", "ada", b"payload", {}, MemoryStore(), submit_tick=4)
+    tx = propose_revision("w", "ada", b"payload", {}, submit_tick=4)
     block = build_block(1, node.chain.tip.block_hash, [tx], "node-0", 0, 4)
     node.chain.append(block)  # as the replica does before it reports the commit
     node._apply_commit(CommitEvent(block=block, blobs={}), now=5)

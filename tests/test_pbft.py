@@ -30,8 +30,7 @@ GENESIS = genesis_block()
 
 
 def make_block(height=1, prev=None, tick=1, salt="x"):
-    store = MemoryStore()
-    tx = propose_revision(f"w-{salt}", "ada", f"payload {salt}".encode(), {}, store)
+    tx = propose_revision(f"w-{salt}", "ada", f"payload {salt}".encode(), {})
     return build_block(
         height, prev if prev is not None else GENESIS.block_hash, [tx], "node-0", 0, tick
     ), {tx.record.content_hash: f"payload {salt}".encode()}

@@ -48,54 +48,54 @@ def make_chain(blocks_txs, store):
 # -- propose -------------------------------------------------------------------
 
 
-def test_first_revision_of_new_work(store):
-    tx = propose_revision("w1", "ada", b"first", {}, store)
+def test_first_revision_of_new_work():
+    tx = propose_revision("w1", "ada", b"first", {})
     assert tx.read_version == 0
     assert tx.record.revision_number == 1
-    assert store.get(tx.record.content_hash) == b"first"
+    assert tx.record.content_hash == sha256(b"first")
 
 
-def test_successor_revision(store):
+def test_successor_revision():
     heads = {"w1": (3, sha256(b"head"))}
-    tx = propose_revision("w1", "ada", b"fourth", heads, store)
+    tx = propose_revision("w1", "ada", b"fourth", heads)
     assert tx.read_version == 3
     assert tx.record.revision_number == 4
 
 
-def test_empty_work_id_is_malformed(store):
+def test_empty_work_id_is_malformed():
     with pytest.raises(MalformedError):
-        propose_revision("", "ada", b"x", {}, store)
+        propose_revision("", "ada", b"x", {})
 
 
 # -- endorsement ----------------------------------------------------------------
 
 
-def test_endorse_token_recomputes(store):
-    tx = propose_revision("w", "ada", b"x", {}, store)
+def test_endorse_token_recomputes():
+    tx = propose_revision("w", "ada", b"x", {})
     tx = endorse(tx, 2, b"node-2-secret")
     (node_id, token), = tx.endorsements
     assert node_id == 2
     assert token == endorsement_token(b"node-2-secret", tx.tx_id)
 
 
-def test_endorse_twice_is_idempotent(store):
-    tx = propose_revision("w", "ada", b"x", {}, store)
+def test_endorse_twice_is_idempotent():
+    tx = propose_revision("w", "ada", b"x", {})
     tx = endorse(endorse(tx, 1, b"s"), 1, b"s")
     assert len(tx.endorsements) == 1
 
 
-def test_forged_token_fails_policy(store):
+def test_forged_token_fails_policy():
     secrets = {1: b"one", 2: b"two"}
-    tx = propose_revision("w", "ada", b"x", {}, store)
+    tx = propose_revision("w", "ada", b"x", {})
     tx = endorse(tx, 1, b"one")
     tx = endorse(tx, 2, b"WRONG")
     assert check_endorsement_policy(tx, policy_of(1, secrets))
     assert not check_endorsement_policy(tx, policy_of(2, secrets))
 
 
-def test_policy_counts_distinct_eligible_nodes(store):
+def test_policy_counts_distinct_eligible_nodes():
     secrets = {1: b"one", 2: b"two"}
-    tx = propose_revision("w", "ada", b"x", {}, store)
+    tx = propose_revision("w", "ada", b"x", {})
     assert not check_endorsement_policy(tx, policy_of(1, secrets))
     tx = endorse(tx, 9, b"nine")
     # node 9 holds no secret under this policy, so its token counts for nothing
@@ -110,20 +110,21 @@ def test_policy_counts_distinct_eligible_nodes(store):
 
 
 def test_validate_matches_head(store):
-    tx = propose_revision("w", "ada", b"x", {"w": (2, sha256(b"p"))}, store)
+    store.put(b"x")
+    tx = propose_revision("w", "ada", b"x", {"w": (2, sha256(b"p"))})
     assert validate_transaction(tx, {"w": (2, sha256(b"p"))}, store) is ValidityFlag.VALID
 
 
 def test_validate_stale_read(store):
-    tx = propose_revision("w", "ada", b"x", {"w": (2, sha256(b"p"))}, store)
+    tx = propose_revision("w", "ada", b"x", {"w": (2, sha256(b"p"))})
     assert (
         validate_transaction(tx, {"w": (3, sha256(b"q"))}, store)
         is ValidityFlag.STALE_READ
     )
 
 
-def test_validate_missing_content(store):
-    tx = propose_revision("w", "ada", b"x", {}, store)
+def test_validate_missing_content():
+    tx = propose_revision("w", "ada", b"x", {})
     empty = MemoryStore()
     assert validate_transaction(tx, {}, empty) is ValidityFlag.MISSING_CONTENT
 
@@ -132,8 +133,9 @@ def test_validate_missing_content(store):
 
 
 def test_intra_block_conflict_first_wins(store):
-    tx1 = propose_revision("w", "ada", b"one", {}, store)
-    tx2 = propose_revision("w", "ben", b"two", {}, store)
+    store.put(b"one")
+    tx1 = propose_revision("w", "ada", b"one", {})
+    tx2 = propose_revision("w", "ben", b"two", {})
     block = build_block(1, genesis_block().block_hash, [tx1, tx2], "node-0", 0, 1)
     heads, flags = apply_block({}, block, store)
     assert flags == [ValidityFlag.VALID, ValidityFlag.STALE_READ]
@@ -141,14 +143,18 @@ def test_intra_block_conflict_first_wins(store):
 
 
 def test_conflict_free_block_all_valid(store):
-    txs = [propose_revision(f"w{i}", "ada", f"p{i}".encode(), {}, store) for i in range(3)]
+    payloads = [f"p{i}".encode() for i in range(3)]
+    for payload in payloads:
+        store.put(payload)
+    txs = [propose_revision(f"w{i}", "ada", payload, {}) for i, payload in enumerate(payloads)]
     block = build_block(1, genesis_block().block_hash, txs, "node-0", 0, 1)
     _, flags = apply_block({}, block, store)
     assert flags == [ValidityFlag.VALID] * 3
 
 
 def test_apply_block_is_pure(store):
-    tx = propose_revision("w", "ada", b"x", {}, store)
+    store.put(b"x")
+    tx = propose_revision("w", "ada", b"x", {})
     block = build_block(1, genesis_block().block_hash, [tx], "node-0", 0, 1)
     heads = {}
     out1 = apply_block(heads, block, store)
@@ -174,7 +180,9 @@ def test_history_collects_valid_revisions_in_order(store):
     heads = {}
     blocks = []
     for i in range(5):
-        tx = propose_revision("w", "ada", f"rev {i}".encode(), heads, store)
+        payload = f"rev {i}".encode()
+        store.put(payload)
+        tx = propose_revision("w", "ada", payload, heads)
         blocks.append([tx])
         heads[tx.record.work_id] = (tx.record.revision_number, tx.record.content_hash)
     chain = make_chain(blocks, store)
@@ -189,8 +197,9 @@ def test_history_unknown_work_is_empty(store):
 
 
 def test_history_excludes_stale_transactions(store):
-    tx1 = propose_revision("w", "ada", b"one", {}, store)
-    tx2 = propose_revision("w", "ben", b"two", {}, store)  # same read_version
+    store.put(b"one")
+    tx1 = propose_revision("w", "ada", b"one", {})
+    tx2 = propose_revision("w", "ben", b"two", {})  # same read_version
     chain = make_chain([[tx1, tx2]], store)
     entries = history(decided(chain, store), "w")
     assert len(entries) == 1
@@ -214,7 +223,9 @@ def test_gap_free_numbering_over_random_interleaving(store):
                 observed[work] = (max(0, rev - 1), digest)
                 if observed[work][0] == 0:
                     del observed[work]
-            tx = propose_revision(work, "ada", rnd.randbytes(8), observed, store)
+            payload = rnd.randbytes(8)
+            store.put(payload)
+            tx = propose_revision(work, "ada", payload, observed)
             txs.append(tx)
         block_heads, _ = apply_block(heads, make_chain([txs], store).blocks[1], store)
         heads = block_heads

@@ -513,7 +513,7 @@ def test_safety_compares_honest_chains_height_by_height():
     honest chains with different blocks at one height are not."""
 
     def block_on(chain, salt):
-        tx = propose_revision(f"w-{salt}", "ada", salt.encode(), {}, MemoryStore())
+        tx = propose_revision(f"w-{salt}", "ada", salt.encode(), {})
         return build_block(chain.height + 1, chain.tip.block_hash, [tx], "node-0", 0, 1)
 
     config = SimConfig(n=4, f=1, seed=1, max_ticks=10)
@@ -532,7 +532,7 @@ def test_safety_matches_blocks_by_header_height_on_chains_based_past_genesis():
     their old tip on; safety compares blocks at equal header heights."""
 
     def block_on(chain, salt):
-        tx = propose_revision(f"w-{salt}", "ada", salt.encode(), {}, MemoryStore())
+        tx = propose_revision(f"w-{salt}", "ada", salt.encode(), {})
         return build_block(chain.height + 1, chain.tip.block_hash, [tx], "node-0", 0, 1)
 
     full = Chain()
@@ -786,19 +786,18 @@ def test_parse_scenario_refuses_a_misshapen_document(doc, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("entry", [{"work": 5}, {"work": "w", "author": ["ada"]}],
-                         ids=["work=5", "author=list"])
-def test_a_scenario_id_that_is_no_string_is_rejected_as_malformed(entry):
-    """The parser keeps a work or author id of any JSON type; the node
-    refuses one that is no string, and the run goes on."""
+@pytest.mark.parametrize("entry, message", [
+    ({"work": 5}, "workload work_id must be a string"),
+    ({"work": "w", "author": ["ada"]}, "workload author_id must be a string"),
+], ids=["work=5", "author=list"])
+def test_a_scenario_id_that_is_no_string_is_rejected_as_malformed(entry, message):
+    """A work or author id that is no string is refused as the Simulation
+    is built, like a mistyped int, so no node ever sees it."""
     doc = {"config": CONFIG, "workload": [{"tick": 1, "node": 0, **entry},
                                           {"tick": 2, "node": 1, "work": "w"}]}
-    report = Simulation(*parse_scenario(json.dumps(doc))).run()
-    bad, good = report.receipts
-    assert (bad.work_id, bad.author_id) == (entry["work"], entry.get("author", "author"))
-    assert (bad.tx_id, bad.status, bad.flag, bad.commit_tick) == (
-        None, "Rejected", "InvalidMalformed", None)
-    assert (good.status, report.stalled, report.safety_ok) == ("CommittedValid", False, True)
+    with pytest.raises(ScenarioError) as err:
+        Simulation(*parse_scenario(json.dumps(doc)))
+    assert str(err.value) == message
 
 
 def test_simulation_refuses_a_node_list_of_the_wrong_length():
