@@ -364,7 +364,7 @@ class NodeRuntime:
         """Take in a block the replica has just appended to this node's chain."""
         block = event.block
         for digest, data in event.blobs.items():
-            if not self.store.has(digest):  # found on disk without hashing, as put would
+            if not self.store.has(digest):  # unlike put, finds a stored blob unhashed
                 self.store.put(data)
         flags = self._apply_block(block)
         for tx, flag in zip(block.transactions, flags):

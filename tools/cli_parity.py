@@ -1,5 +1,4 @@
-"""One SHA-256 digest of the CLI's behaviour on damaged workspaces, for
-comparing two checkouts.
+"""A SHA-256 digest of CLI runs on damaged workspaces, for comparing two checkouts.
 
     python3 tools/cli_parity.py [--root CHECKOUT]
 
@@ -10,11 +9,11 @@ file is in) and, in a temporary directory:
    `init` and `commit`. Their work ids include one with a quote and a
    backslash and one that is not ASCII; each commit holds 1-3 files, and
    one commit's `--also-file` loses a stale-read conflict;
-2. applies, to a fresh copy of each workspace, each damage in `DAMAGES`
-   at positions picked by hashing the damage's name (one-byte flips,
-   truncation, a torn append, deletions, a directory in place of a file,
-   a duplicated line, another group's chain copied over) and also keeps
-   one undamaged copy;
+2. applies, to fresh copies of each workspace, each damage in `DAMAGES`
+   at `VARIANTS` positions picked by hashing a label (one-byte flips,
+   hex-digit changes, truncation, a torn append, deletions, a directory in
+   place of a file, a duplicated line, another group's chain copied over),
+   and keeps one undamaged copy;
 3. runs on each copy `verify`, then `history` and `show` of every
    revision of each work, then one `commit`, then `verify`, in process
    through `cli.main`, catching `SystemExit` and recording any other
@@ -131,7 +130,10 @@ def on(choices, act):
 
 
 def delete(path: Path, label: str) -> None:
-    shutil.rmtree(path) if path.is_dir() else path.unlink()
+    if path.is_dir():
+        shutil.rmtree(path)
+    else:
+        path.unlink()
 
 
 def directory_instead(path: Path, label: str) -> None:
@@ -176,10 +178,10 @@ class Runner:
     def feed(self, *parts) -> None:
         for part in parts:
             if isinstance(part, str):
-                part = part.replace(self.tmp, "TMP").encode("utf-8", "surrogateescape")
+                part = part.replace(self.tmp, "TMP").encode()
             self.digest.update(len(part).to_bytes(8, "big") + part)
 
-    def run(self, *argv) -> int:
+    def run(self, *argv) -> None:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -189,7 +191,6 @@ class Runner:
             except Exception as exc:  # a traceback is behaviour too
                 code = f"raised {type(exc).__name__}: {exc}"
         self.feed(json.dumps([str(a) for a in argv]), repr(code), out.getvalue(), err.getvalue())
-        return code
 
     def feed_files(self, ws: Path) -> None:
         for node in nodes(ws):
