@@ -11,6 +11,11 @@ On-disk layout, relative to the store root:
 Blob files hold the raw payload bytes, no envelope, so any external
 sha256 tool can check them. Identical content is stored once, whatever
 work or revision it belongs to.
+
+An audit of a replica group hashes a blob once where the replicas' copies
+agree, as equal bytes have equal hashes: `audit_stores` reads the
+replicas' files together, and the in-memory stores of one simulation
+share a pool of bytes already hashed to their keys (see MemoryStore).
 """
 
 from __future__ import annotations
@@ -184,14 +189,23 @@ def _names(directory: str, key: str, defects: list[AuditDefect]) -> set[str]:
 
 
 class MemoryStore:
-    """Dict-backed store with the ContentStore surface, for simulations."""
+    """Dict-backed store with the ContentStore surface, for simulations.
 
-    def __init__(self):
+    The stores of one replica group may share `pool`, which maps a key to
+    bytes that SHA-256 matched to it: `put` adds what it hashed, `audit`
+    each entry it hashed and found whole. The audit accepts an entry equal
+    to the pooled bytes without hashing it, the rule of `audit_stores`;
+    bytes are immutable, so a pooled entry never goes stale.
+    """
+
+    def __init__(self, pool: dict[bytes, bytes] | None = None):
         self._blobs: dict[bytes, bytes] = {}
+        self._pool = {} if pool is None else pool
 
     def put(self, data: bytes) -> bytes:
         digest = sha256(data)
         self._blobs.setdefault(digest, data)
+        self._pool.setdefault(digest, data)
         return digest
 
     def has(self, digest: bytes) -> bool:
@@ -208,7 +222,9 @@ class MemoryStore:
     def audit(self) -> StoreAudit:
         audit = StoreAudit([], set())
         for digest in sorted(self._blobs):
-            if sha256(self._blobs[digest]) == digest:
+            data = self._blobs[digest]
+            if data == self._pool.get(digest) or sha256(data) == digest:
+                self._pool.setdefault(digest, data)
                 audit.whole.add(digest)
             else:
                 audit.defects.append(AuditDefect(to_hex(digest), "key-mismatch"))

@@ -397,7 +397,8 @@ class Simulation:
         self.behaviors: dict[int, ByzantineBehavior] = dict(config.byzantine)
         self.crashed: set[int] = set()
         if nodes is None:
-            nodes = [NodeRuntime(i, config, MemoryStore()) for i in range(config.n)]
+            pool: dict[bytes, bytes] = {}  # the group's hashed blobs: see MemoryStore
+            nodes = [NodeRuntime(i, config, MemoryStore(pool)) for i in range(config.n)]
         elif len(nodes) != config.n:
             raise ScenarioError(f"expected {config.n} nodes, got {len(nodes)}")
         self.nodes = nodes
@@ -427,7 +428,8 @@ class Simulation:
 
     def run(self) -> SimReport:
         """Run to quiescence or max_ticks. The replicas are not audited;
-        `NodeRuntime.verify` on `self.nodes` does that."""
+        `NodeRuntime.verify` on `self.nodes` does that, and through the
+        stores' shared pool hashes each distinct blob once per group."""
         for sub in self.workload:
             self.queue.schedule(("submit", sub), sub.tick)
         crash_ticks = [b.at_tick for b in self.behaviors.values() if isinstance(b, Crash)]
