@@ -223,9 +223,10 @@ class MemoryStore:
         audit = StoreAudit([], set())
         for digest in sorted(self._blobs):
             data = self._blobs[digest]
-            if data == self._pool.get(digest) or sha256(data) == digest:
-                self._pool.setdefault(digest, data)
-                audit.whole.add(digest)
-            else:
-                audit.defects.append(AuditDefect(to_hex(digest), "key-mismatch"))
+            if data != self._pool.get(digest):
+                if sha256(data) != digest:
+                    audit.defects.append(AuditDefect(to_hex(digest), "key-mismatch"))
+                    continue
+                self._pool[digest] = data
+            audit.whole.add(digest)
         return audit

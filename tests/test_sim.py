@@ -1,4 +1,6 @@
+import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -7,8 +9,16 @@ import revledger.ledger
 import revledger.node
 import revledger.sim
 from revledger.cli import _report_text, bundled_scenarios
-from revledger.content_store import MemoryStore
-from revledger.ledger import Chain, Defect, block_from_line, block_to_line, build_block, check_block
+from revledger.content_store import AuditDefect, MemoryStore
+from revledger.ledger import (
+    Chain,
+    Defect,
+    VerifyReport,
+    block_from_line,
+    block_to_line,
+    build_block,
+    check_block,
+)
 from revledger.node import NodeRuntime
 from revledger.pbft import ConfigError, MessageKind, PbftMessage
 from revledger.revisions import check_endorsement_policy, propose_revision
@@ -431,6 +441,86 @@ def test_each_block_is_checked_once_for_every_replica_holding_it(monkeypatch):
     distinct = {id(block) for node in sim.nodes for block in node.chain.blocks[1:]}
     assert len(distinct) == sim.nodes[0].chain.height == counts["build_block"] >= 10
     assert counts["merkle_root"] == counts["build_block"] + len(distinct)
+
+
+def test_verify_hashes_no_blob_that_the_group_already_hashed(monkeypatch):
+    """n=13: the stores share one pool, so after the run the verify of all
+    13 replicas hashes no blob key (13 per key when each store hashed its
+    own). The run hashes each payload at submit and in each replica's put."""
+    config = SimConfig(n=13, f=4, seed=11, max_batch=4)
+    sim = Simulation(config, workload_distinct(40, nodes=tuple(range(13))))
+    keys = {hashlib.sha256(sub.payload).digest() for sub in sim.workload}
+    hashed = Counter()
+    sha256 = hashlib.sha256
+
+    def counted(*args, **kwargs):
+        digest = sha256(*args, **kwargs)
+        if digest.digest() in keys:
+            hashed[digest.digest()] += 1
+        return digest
+
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    report = sim.run()
+    assert not report.stalled and report.safety_ok
+    assert hashed == {key: 1 + 13 for key in keys}
+    hashed.clear()
+    for node in sim.nodes:
+        assert verify_node(node) == (VerifyReport([], []), [])
+    assert hashed == {}
+
+
+def _other_bytes(stores, key, data):
+    stores[2]._blobs[key] = data + b"!"
+
+
+def _one_damaged_object(stores, key, data):
+    stores[2]._blobs[key] = stores[3]._blobs[key] = b"damaged " + data
+
+
+def _equal_copy(stores, key, data):
+    stores[2]._blobs[key] = bytes(bytearray(data))
+
+
+def _deleted(stores, key, data):
+    del stores[2]._blobs[key]
+
+
+@pytest.mark.parametrize("verified_before", [False, True], ids=["fresh", "after-verify"])
+@pytest.mark.parametrize(
+    "damage, damaged, kinds",
+    [
+        (_other_bytes, (2,), ["key-mismatch"]),
+        (_one_damaged_object, (2, 3), ["key-mismatch"]),
+        (_equal_copy, (), []),
+        (_deleted, (2,), []),
+    ],
+    ids=["other-bytes", "one-damaged-object", "equal-copy", "deleted"],
+)
+def test_a_damaged_blob_is_reported_by_each_replica_holding_it(
+    damage, damaged, kinds, verified_before
+):
+    """After a run, damage a blob in the replicas' stores, which share one
+    pool. Only the replicas holding damaged bytes report them, at the height
+    of the block that references the blob; an equal copy is no defect."""
+    config = SimConfig(n=4, f=1, seed=2)
+    sim = Simulation(config, workload_distinct(8))
+    assert not sim.run().stalled
+    if verified_before:
+        for node in sim.nodes:
+            assert verify_node(node)[0].ok
+    height = 2
+    key = sim.nodes[0].chain.blocks[height].transactions[0].record.content_hash
+    data = sim.nodes[0].store._blobs[key]
+    damage([node.store for node in sim.nodes], key, data)
+    kind = "content-missing" if damage is _deleted else "content-hash-mismatch"
+    for _ in range(2):  # a second verify sees what the first one pooled
+        for i, node in enumerate(sim.nodes):
+            report, audit = verify_node(node)
+            if i in damaged:
+                assert report.defects == [Defect(height, kind, f"tx 0: {key.hex()}")]
+                assert audit == [AuditDefect(key.hex(), k) for k in kinds]
+            else:
+                assert report == VerifyReport([], []) and audit == []
 
 
 SWAPS = {

@@ -2,26 +2,35 @@
 
     python3 tools/report_parity.py [--root CHECKOUT]
 
-Prints two digests for the checkout at `--root` (default: the one this
+Prints three digests for the checkout at `--root` (default: the one this
 file is in), each over one report per run, in run order:
 
 - `random-runs`: `cli._report_text` of `random_run(seed)` from
   `tests/runs.py`, for seeds 0 to 399;
-- `scenarios`: `cli._report_text` of each bundled scenario, by name.
+- `scenarios`: `cli._report_text` of each bundled scenario, by name;
+- `tampered-runs`: for seeds 0 to 99 of `random_run`, four damages to the
+  replicas' blob stores after the run, each kept as the next is made, and
+  `cli._report_text` after each: an entry replaced by other bytes; one
+  damaged bytes object placed in two replicas; an entry replaced by an
+  equal copy; an entry deleted. Each damage hits an entry drawn from
+  `random.Random(seed)`.
 
 A report's `committed_digests` lists every replica's block hashes, so the
-digests cover the chains too. A change that keeps every report
-byte-identical prints the same two lines as its parent. Nothing is written.
+digests cover the chains too, and its `verify` section covers the damages.
+A change that keeps every report byte-identical prints the same three lines
+as its parent. Nothing is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import random
 import sys
 from pathlib import Path
 
 SEEDS = range(400)
+TAMPER_SEEDS = range(100)
 
 
 def digests() -> dict[str, str]:
@@ -36,7 +45,37 @@ def digests() -> dict[str, str]:
     for sink, (config, workload) in runs:
         sim = Simulation(config, workload)
         sink.update(_report_text(sim, sim.run()).encode())
-    return {"random-runs": reports.hexdigest(), "scenarios": scenarios.hexdigest()}
+    tampered = hashlib.sha256()
+    for seed in TAMPER_SEEDS:
+        sim = Simulation(*random_run(seed))
+        report = sim.run()
+        for _ in damages([node.store._blobs for node in sim.nodes], random.Random(seed)):
+            tampered.update(_report_text(sim, report).encode())
+    return {
+        "random-runs": reports.hexdigest(),
+        "scenarios": scenarios.hexdigest(),
+        "tampered-runs": tampered.hexdigest(),
+    }
+
+
+def damages(stores: list[dict[bytes, bytes]], rng: random.Random):
+    """Damage one or two of the replicas' blob dicts four times, yielding
+    after each damage; a damage is skipped when no replica holds a blob."""
+    for kind in ("other-bytes", "damaged-in-two", "equal-copy", "deleted"):
+        held = [(i, key) for i, blobs in enumerate(stores) for key in sorted(blobs)]
+        if held:
+            i, key = rng.choice(held)
+            data = stores[i][key]
+            if kind == "other-bytes":
+                stores[i][key] = data + b"!"
+            elif kind == "damaged-in-two":
+                other = rng.choice([j for j in range(len(stores)) if j != i] or [i])
+                stores[i][key] = stores[other][key] = b"damaged " + data
+            elif kind == "equal-copy":
+                stores[i][key] = bytes(bytearray(data))
+            else:
+                del stores[i][key]
+        yield kind
 
 
 def main(argv: list[str] | None = None) -> int:
