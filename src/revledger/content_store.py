@@ -12,10 +12,8 @@ Blob files hold the raw payload bytes, no envelope, so any external
 sha256 tool can check them. Identical content is stored once, whatever
 work or revision it belongs to.
 
-An audit of a replica group hashes a blob once where the replicas' copies
-agree, as equal bytes have equal hashes: `audit_stores` reads the
-replicas' files together, and the in-memory stores of one simulation
-share a pool of bytes already hashed to their keys (see MemoryStore).
+An audit does not re-hash a copy equal to bytes already hashed to its
+key: see `audit_stores` and `MemoryStore`.
 """
 
 from __future__ import annotations
@@ -191,21 +189,20 @@ def _names(directory: str, key: str, defects: list[AuditDefect]) -> set[str]:
 class MemoryStore:
     """Dict-backed store with the ContentStore surface, for simulations.
 
-    The stores of one replica group may share `pool`, which maps a key to
-    bytes that SHA-256 matched to it: `put` adds what it hashed, `audit`
-    each entry it hashed and found whole. The audit accepts an entry equal
-    to the pooled bytes without hashing it, the rule of `audit_stores`;
-    bytes are immutable, so a pooled entry never goes stale.
+    `put` keeps the bytes it hashed to each key. The audit accepts an
+    entry equal to those bytes without hashing it, the rule of
+    `audit_stores` (equal bytes have equal hashes), and hashes every other
+    entry; bytes are immutable, so the kept bytes never go stale.
     """
 
-    def __init__(self, pool: dict[bytes, bytes] | None = None):
+    def __init__(self):
         self._blobs: dict[bytes, bytes] = {}
-        self._pool = {} if pool is None else pool
+        self._hashed: dict[bytes, bytes] = {}
 
     def put(self, data: bytes) -> bytes:
         digest = sha256(data)
         self._blobs.setdefault(digest, data)
-        self._pool.setdefault(digest, data)
+        self._hashed.setdefault(digest, data)
         return digest
 
     def has(self, digest: bytes) -> bool:
@@ -223,10 +220,8 @@ class MemoryStore:
         audit = StoreAudit([], set())
         for digest in sorted(self._blobs):
             data = self._blobs[digest]
-            if data != self._pool.get(digest):
-                if sha256(data) != digest:
-                    audit.defects.append(AuditDefect(to_hex(digest), "key-mismatch"))
-                    continue
-                self._pool[digest] = data
-            audit.whole.add(digest)
+            if data == self._hashed.get(digest) or sha256(data) == digest:
+                audit.whole.add(digest)
+            else:
+                audit.defects.append(AuditDefect(to_hex(digest), "key-mismatch"))
         return audit

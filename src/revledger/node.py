@@ -396,9 +396,7 @@ class NodeRuntime:
         return show(self.history(work_id), work_id, revision_number, self.store)
 
     def verify(self, endorsement_checker) -> tuple[VerifyReport, list]:
-        """verify_chain over this replica: its store's audit, then its chain.
-        In one simulation the stores share a pool (see MemoryStore), so the
-        audit hashes no blob that another replica's put or audit hashed."""
+        """verify_chain over this replica: its store's audit, then its chain."""
         structural = check_chain(self.chain)
         report = verify_chain(
             self.chain, self.store, structural, self.store.audit(), endorsement_checker

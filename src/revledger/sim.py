@@ -397,8 +397,7 @@ class Simulation:
         self.behaviors: dict[int, ByzantineBehavior] = dict(config.byzantine)
         self.crashed: set[int] = set()
         if nodes is None:
-            pool: dict[bytes, bytes] = {}  # the group's hashed blobs: see MemoryStore
-            nodes = [NodeRuntime(i, config, MemoryStore(pool)) for i in range(config.n)]
+            nodes = [NodeRuntime(i, config, MemoryStore()) for i in range(config.n)]
         elif len(nodes) != config.n:
             raise ScenarioError(f"expected {config.n} nodes, got {len(nodes)}")
         self.nodes = nodes
@@ -428,8 +427,7 @@ class Simulation:
 
     def run(self) -> SimReport:
         """Run to quiescence or max_ticks. The replicas are not audited;
-        `NodeRuntime.verify` on `self.nodes` does that, and through the
-        stores' shared pool hashes each distinct blob once per group."""
+        `NodeRuntime.verify` on `self.nodes` does that."""
         for sub in self.workload:
             self.queue.schedule(("submit", sub), sub.tick)
         crash_ticks = [b.at_tick for b in self.behaviors.values() if isinstance(b, Crash)]

@@ -275,10 +275,9 @@ def test_memory_store_same_surface():
         store.get(digest)
 
 
-
-def test_memory_stores_of_one_pool_hash_each_blob_once(monkeypatch):
-    """A put hashes its bytes and an audit each entry the pool lacks; each
-    adds them to the pool, so no other store of the pool hashes them again."""
+def test_memory_store_audit_hashes_only_what_put_did_not(monkeypatch):
+    """The audit hashes no entry equal to the bytes its put hashed, and an
+    entry replaced by other bytes at every audit."""
     hashed = Counter()
     sha256 = hashlib.sha256
 
@@ -286,20 +285,17 @@ def test_memory_stores_of_one_pool_hash_each_blob_once(monkeypatch):
         hashed[bytes(*args)] += 1
         return sha256(*args, **kwargs)
 
-    pool = {}
-    stores = [MemoryStore(pool) for _ in range(3)]
-    key = sha256(b"unput").digest()
-    for store in stores:
-        store._blobs[key] = bytes(bytearray(b"unput"))  # no put hashed it
     monkeypatch.setattr(hashlib, "sha256", counted)
-    for store in stores:
-        store.put(b"put")
-    for store in stores:
-        assert store.audit() == ([], {key, sha256(b"put").digest()})
-    assert hashed == {b"put": 3, b"unput": 1}
+    store = MemoryStore()
+    kept, replaced = store.put(b"kept"), store.put(b"replaced")
+    store._blobs[replaced] = b"other"
+    for _ in range(2):
+        assert store.audit() == ([AuditDefect(to_hex(replaced), "key-mismatch")], {kept})
+    assert hashed == {b"kept": 1, b"replaced": 1, b"other": 2}
+
 
 def hashed_audit(store: MemoryStore) -> StoreAudit:
-    """The audit that hashes every entry, pool or no pool."""
+    """The audit that hashes every entry."""
     audit = StoreAudit([], set())
     for digest, data in sorted(store._blobs.items()):
         if hashlib.sha256(data).digest() == digest:
@@ -312,7 +308,7 @@ def hashed_audit(store: MemoryStore) -> StoreAudit:
 PAYLOADS = st.sampled_from([b"", b"a", b"b", b"ab"]) | st.binary(max_size=8)
 STORE_OPS = st.one_of(
     st.tuples(st.just("put"), st.integers(0, 3), PAYLOADS),
-    st.tuples(st.just("unpooled"), st.integers(0, 3), PAYLOADS, PAYLOADS),
+    st.tuples(st.just("unput"), st.integers(0, 3), PAYLOADS, PAYLOADS),
     st.tuples(st.just("other-bytes"), st.integers(0, 3), st.integers(0, 7), PAYLOADS),
     st.tuples(st.just("equal-copy"), st.integers(0, 3), st.integers(0, 7)),
     st.tuples(st.just("delete"), st.integers(0, 3), st.integers(0, 7)),
@@ -323,19 +319,18 @@ STORE_OPS = st.one_of(
 
 @settings(derandomize=True, max_examples=300)
 @given(st.integers(2, 4), st.lists(STORE_OPS, max_size=40))
-def test_a_pooled_audit_equals_one_that_hashes_every_entry(n, ops):
-    """Stores sharing one pool, with entries added without a put, replaced
-    by other bytes or by an equal copy, deleted, or one damaged object placed
-    in two stores: each store's audit, whenever it runs, equals hashing each
-    of its entries."""
-    pool = {}
-    stores = [MemoryStore(pool) for _ in range(n)]
+def test_memory_store_audit_equals_one_that_hashes_every_entry(n, ops):
+    """Stores with entries added without a put, replaced by other bytes or
+    by an equal copy, deleted, or one damaged object placed in two stores:
+    each store's audit, whenever it runs, equals hashing each of its
+    entries."""
+    stores = [MemoryStore() for _ in range(n)]
     for op, i, *rest in ops:
         store = stores[i % n]
         keys = sorted(store._blobs)
         if op == "put":
             store.put(rest[0])
-        elif op == "unpooled":  # an entry no put hashed, under any payload's key
+        elif op == "unput":  # an entry no put hashed, under any payload's key
             store._blobs[hashlib.sha256(rest[0]).digest()] = rest[1]
         elif op == "audit":
             assert store.audit() == hashed_audit(store)
@@ -353,6 +348,7 @@ def test_a_pooled_audit_equals_one_that_hashes_every_entry(n, ops):
                 store._blobs[key] = stores[rest[1] % n]._blobs[key] = damaged
     for store in stores:
         assert store.audit() == hashed_audit(store)
+
 
 @given(st.binary(max_size=2048))
 def test_round_trip_property(data):

@@ -443,10 +443,11 @@ def test_each_block_is_checked_once_for_every_replica_holding_it(monkeypatch):
     assert counts["merkle_root"] == counts["build_block"] + len(distinct)
 
 
-def test_verify_hashes_no_blob_that_the_group_already_hashed(monkeypatch):
-    """n=13: the stores share one pool, so after the run the verify of all
-    13 replicas hashes no blob key (13 per key when each store hashed its
-    own). The run hashes each payload at submit and in each replica's put."""
+def test_verify_hashes_no_blob_that_its_store_put_hashed(monkeypatch):
+    """n=13: each store keeps the bytes its put hashed, so after the run the
+    verify of all 13 replicas hashes no blob key (13 per key when each audit
+    hashed its whole store). The run hashes each payload at submit and in
+    each replica's put."""
     config = SimConfig(n=13, f=4, seed=11, max_batch=4)
     sim = Simulation(config, workload_distinct(40, nodes=tuple(range(13))))
     keys = {hashlib.sha256(sub.payload).digest() for sub in sim.workload}
@@ -499,9 +500,9 @@ def _deleted(stores, key, data):
 def test_a_damaged_blob_is_reported_by_each_replica_holding_it(
     damage, damaged, kinds, verified_before
 ):
-    """After a run, damage a blob in the replicas' stores, which share one
-    pool. Only the replicas holding damaged bytes report them, at the height
-    of the block that references the blob; an equal copy is no defect."""
+    """After a run, damage a blob in the replicas' stores. Only the replicas
+    holding damaged bytes report them, at the height of the block that
+    references the blob; an equal copy is no defect."""
     config = SimConfig(n=4, f=1, seed=2)
     sim = Simulation(config, workload_distinct(8))
     assert not sim.run().stalled
@@ -513,7 +514,7 @@ def test_a_damaged_blob_is_reported_by_each_replica_holding_it(
     data = sim.nodes[0].store._blobs[key]
     damage([node.store for node in sim.nodes], key, data)
     kind = "content-missing" if damage is _deleted else "content-hash-mismatch"
-    for _ in range(2):  # a second verify sees what the first one pooled
+    for _ in range(2):  # a second verify reports the same
         for i, node in enumerate(sim.nodes):
             report, audit = verify_node(node)
             if i in damaged:
