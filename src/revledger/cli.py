@@ -30,6 +30,7 @@ from pathlib import Path
 from .content_store import StoreError
 from .digests import from_hex, to_hex
 from .ledger import chain_lines, write_chain_file
+from .node import make_policy
 from .pbft import ConfigError, GroupConfig
 from .revisions import check_endorsement_policy, show
 from .sim import (
@@ -267,9 +268,10 @@ def _report_text(sim: Simulation, report: SimReport) -> str:
     links, and each block's structural verdict, computed once per block
     object and shared by the replicas holding it), content and endorsement
     checks and blob audit."""
+    policy = make_policy(sim.config)
     verify = {}
     for i, node in enumerate(sim.nodes):
-        chain_report, audit = node.verify(lambda tx: check_endorsement_policy(tx, node.policy))
+        chain_report, audit = node.verify(lambda tx: check_endorsement_policy(tx, policy))
         verify[str(i)] = {
             "ok": chain_report.ok,
             "chain_defects": len(chain_report.defects),

@@ -217,11 +217,11 @@ class MemoryStore:
         return data
 
     def audit(self) -> StoreAudit:
-        audit = StoreAudit([], set())
-        for digest in sorted(self._blobs):
-            data = self._blobs[digest]
-            if data == self._hashed.get(digest) or sha256(data) == digest:
-                audit.whole.add(digest)
-            else:
-                audit.defects.append(AuditDefect(to_hex(digest), "key-mismatch"))
-        return audit
+        hashed = self._hashed
+        damaged = sorted(
+            digest
+            for digest, data in self._blobs.items()
+            if data != hashed.get(digest) and sha256(data) != digest
+        )
+        defects = [AuditDefect(to_hex(digest), "key-mismatch") for digest in damaged]
+        return StoreAudit(defects, set(self._blobs).difference(damaged))

@@ -27,7 +27,7 @@ blob changes no replica's flags or heads; show and verify re-hash bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping
 
@@ -62,16 +62,28 @@ class RevisionRecord:
 
 @dataclass(frozen=True)
 class Transaction:
+    """Nothing changes a transaction once it is built: a damaged, re-parsed
+    or re-endorsed transaction is a new object. So check_endorsement_policy
+    keeps on it the policy it last met, and every replica holding the
+    object reads that verdict."""
+
     tx_id: bytes
     record: RevisionRecord
     read_version: int
     endorsements: tuple[tuple[int, bytes], ...] = ()
+    # The policy object this transaction last met; None until a check passes.
+    # A declared field, not a cached_property, as Block.verdict is.
+    met_policy: EndorsementPolicy | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
 class EndorsementPolicy:
     """`required`-of-n endorsement rule: the n nodes are those holding one of
-    `secrets`, which re-verify their tokens."""
+    `secrets`, which re-verify their tokens. Nothing changes a policy once
+    it is built (no code writes `secrets`), so a transaction's verdict
+    under one policy object holds for as long as both objects live."""
 
     required: int
     secrets: Mapping[int, bytes]
@@ -130,7 +142,16 @@ def endorse(tx: Transaction, node_id: int, node_secret: bytes) -> Transaction:
 
 
 def check_endorsement_policy(tx: Transaction, policy: EndorsementPolicy) -> bool:
-    """True iff >= required valid tokens from distinct nodes holding a secret."""
+    """True iff >= required valid tokens from distinct nodes holding a secret.
+
+    A pass is kept on the transaction object (Transaction.met_policy), so a
+    later call with the same policy object, from any replica holding the
+    transaction, computes no token. The policy is matched by identity: an
+    equal policy built elsewhere is checked afresh. A failure keeps nothing
+    and is recomputed on every call.
+    """
+    if tx.met_policy is policy:
+        return True
     valid_nodes: set[int] = set()
     for node_id, token in tx.endorsements:
         secret = policy.secrets.get(node_id)
@@ -138,7 +159,10 @@ def check_endorsement_policy(tx: Transaction, policy: EndorsementPolicy) -> bool
             continue
         if token == endorsement_token(secret, tx.tx_id):
             valid_nodes.add(node_id)
-    return len(valid_nodes) >= policy.required
+    if len(valid_nodes) < policy.required:
+        return False
+    object.__setattr__(tx, "met_policy", policy)  # the one write; Transaction is frozen
+    return True
 
 
 def validate_transaction(tx: Transaction, heads: HeadState, store) -> ValidityFlag:

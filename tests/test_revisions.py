@@ -1,11 +1,15 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from revledger import revisions
 from revledger.content_store import MemoryStore
 from revledger.digests import sha256
 from revledger.encoding import MalformedError
 from revledger.ledger import build_block, genesis_block
+from revledger.node import make_policy
+from revledger.pbft import GroupConfig
 from revledger.revisions import (
     EndorsementPolicy,
     RevisionRecord,
@@ -104,6 +108,154 @@ def test_policy_counts_distinct_eligible_nodes():
     tx = replace(tx, endorsements=tx.endorsements * 2)  # a repeated token counts once
     assert check_endorsement_policy(tx, policy_of(1, secrets))
     assert not check_endorsement_policy(tx, policy_of(2, secrets))
+
+
+def reference_check(tx, policy):
+    """check_endorsement_policy as it was before a pass was kept on the
+    transaction: every call computes the tokens."""
+    valid_nodes = set()
+    for node_id, token in tx.endorsements:
+        secret = policy.secrets.get(node_id)
+        if secret is None or node_id in valid_nodes:
+            continue
+        if token == endorsement_token(secret, tx.tx_id):
+            valid_nodes.add(node_id)
+    return len(valid_nodes) >= policy.required
+
+
+def count_tokens(monkeypatch):
+    calls = [0]
+    token = revisions.endorsement_token
+
+    def counted(secret, tx_id):
+        calls[0] += 1
+        return token(secret, tx_id)
+
+    monkeypatch.setattr(revisions, "endorsement_token", counted)
+    return calls
+
+
+def endorsed_by(policy, endorsers):
+    tx = propose_revision("w", "ada", b"x", {})
+    for node_id in endorsers:
+        tx = endorse(tx, node_id, policy.secrets[node_id])
+    return tx
+
+
+def test_a_pass_is_kept_for_that_policy_object_only(monkeypatch):
+    one_of_four = make_policy(GroupConfig(n=4, f=1, seed=7))
+    tx = endorsed_by(one_of_four, [2])
+    assert tx.met_policy is None
+    assert check_endorsement_policy(tx, one_of_four)
+    assert tx.met_policy is one_of_four
+    tokens = count_tokens(monkeypatch)
+    assert check_endorsement_policy(tx, one_of_four)
+    assert tokens[0] == 0
+    # An equal policy built elsewhere is checked afresh.
+    assert check_endorsement_policy(tx, make_policy(GroupConfig(n=4, f=1, seed=7)))
+    assert tokens[0] == 1
+
+
+@pytest.mark.parametrize("endorsers", [[2], [2, 0]], ids=["one-token", "two-tokens"])
+@pytest.mark.parametrize(
+    "other",
+    [GroupConfig(n=4, f=1, seed=7, endorsement_m=2), GroupConfig(n=4, f=1, seed=8)],
+    ids=["2-of-4", "other-seed"],
+)
+def test_a_pass_under_one_policy_decides_nothing_under_another(endorsers, other):
+    one_of_four = make_policy(GroupConfig(n=4, f=1, seed=7))
+    tx = endorsed_by(one_of_four, endorsers)
+    assert check_endorsement_policy(tx, one_of_four)
+    policy = make_policy(other)
+    fresh = replace(tx)
+    assert fresh.met_policy is None
+    assert check_endorsement_policy(tx, policy) == check_endorsement_policy(fresh, policy)
+    assert check_endorsement_policy(tx, policy) == reference_check(tx, policy)
+    assert check_endorsement_policy(tx, one_of_four)
+
+
+def test_endorse_and_replace_return_transactions_with_no_verdict():
+    policy = make_policy(GroupConfig(n=4, f=1, seed=7))
+    tx = endorsed_by(policy, [1])
+    assert check_endorsement_policy(tx, policy) and tx.met_policy is policy
+    assert endorse(tx, 1, policy.secrets[1]) is tx  # a repeat endorsement is a no-op
+    assert endorse(tx, 3, policy.secrets[3]).met_policy is None
+    assert replace(tx).met_policy is None
+    forged = replace(tx, endorsements=((1, bytes(32)),))
+    assert forged.met_policy is None and not check_endorsement_policy(forged, policy)
+
+
+def test_a_failing_check_keeps_no_verdict(monkeypatch):
+    policy = make_policy(GroupConfig(n=4, f=1, seed=7))
+    tx = endorsed_by(policy, [1])
+    forged = replace(tx, endorsements=((1, bytes(32)),))
+    tokens = count_tokens(monkeypatch)
+    assert not check_endorsement_policy(forged, policy)
+    assert not check_endorsement_policy(forged, policy)
+    assert forged.met_policy is None and tokens[0] == 2
+    # A failure under another policy leaves an earlier pass as it was.
+    assert check_endorsement_policy(tx, policy)
+    two_of_four = make_policy(GroupConfig(n=4, f=1, seed=7, endorsement_m=2))
+    assert not check_endorsement_policy(tx, two_of_four)
+    assert tx.met_policy is policy
+
+
+SECRETS = [b"s0", b"s1", b"s2"]
+POLICIES = st.lists(
+    st.builds(
+        EndorsementPolicy,
+        required=st.integers(0, 3),
+        secrets=st.dictionaries(st.integers(0, 4), st.sampled_from(SECRETS), max_size=4),
+    ),
+    min_size=1,
+    max_size=4,
+)
+# (node id, secret index or None for a forged token); node 5 is in no policy,
+# and a node id drawn twice is a duplicate endorsement.
+ENDORSEMENTS = st.lists(
+    st.tuples(st.integers(0, 5), st.none() | st.integers(0, len(SECRETS) - 1)), max_size=5
+)
+CHECK_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("check"), st.integers(0, 3), st.integers(0, 3)),
+        st.tuples(st.just("replace"), st.integers(0, 3), ENDORSEMENTS),
+        st.tuples(st.just("copy"), st.integers(0, 3)),
+        st.tuples(st.just("share"), st.integers(0, 3), st.integers(0, 3)),
+    ),
+    max_size=30,
+)
+
+
+def with_endorsements(tx, endorsements):
+    return replace(tx, endorsements=tuple(
+        (node_id, bytes(32) if i is None else endorsement_token(SECRETS[i], tx.tx_id))
+        for node_id, i in endorsements
+    ))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(POLICIES, st.lists(ENDORSEMENTS, min_size=1, max_size=4), CHECK_OPS)
+def test_kept_passes_answer_as_a_fresh_check(policies, endorsements, ops):
+    """Checks interleaved on transaction objects shared by several slots, on
+    copies and on re-endorsed copies, with valid, forged, duplicate and unknown-node
+    tokens, under several policies (equal ones among them): each answer
+    equals that of the check computing every token."""
+    base = propose_revision("w", "ada", b"x", {})
+    txs = [with_endorsements(base, e) for e in endorsements]
+    for op, i, *rest in ops:
+        i %= len(txs)
+        if op == "check":
+            policy = policies[rest[0] % len(policies)]
+            assert check_endorsement_policy(txs[i], policy) == reference_check(txs[i], policy)
+        elif op == "replace":
+            txs[i] = with_endorsements(txs[i], rest[0])
+        elif op == "copy":
+            txs[i] = replace(txs[i])
+        else:  # two slots hold one object
+            txs[i] = txs[rest[0] % len(txs)]
+    for tx in txs:
+        for policy in policies:
+            assert check_endorsement_policy(tx, policy) == reference_check(tx, policy)
 
 
 # -- validation -------------------------------------------------------------------

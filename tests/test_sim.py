@@ -7,6 +7,7 @@ import pytest
 
 import revledger.ledger
 import revledger.node
+import revledger.revisions
 import revledger.sim
 from revledger.cli import _report_text, bundled_scenarios
 from revledger.content_store import AuditDefect, MemoryStore
@@ -19,7 +20,7 @@ from revledger.ledger import (
     build_block,
     check_block,
 )
-from revledger.node import NodeRuntime
+from revledger.node import NodeRuntime, make_policy
 from revledger.pbft import ConfigError, MessageKind, PbftMessage
 from revledger.revisions import check_endorsement_policy, propose_revision
 from revledger.rng import SplitMix64, derive_stream_seed
@@ -52,9 +53,10 @@ def report_text(config, workload):
     return _report_text(sim, sim.run())
 
 
-def verify_node(node):
-    """The node's verify with its own endorsement policy, as the report runs it."""
-    return node.verify(lambda tx: check_endorsement_policy(tx, node.policy))
+def verify_node(node, policy):
+    """The node's verify under the group's one endorsement policy `policy`,
+    built once for all the replicas, as the report runs it."""
+    return node.verify(lambda tx: check_endorsement_policy(tx, policy))
 
 
 def workload_distinct(count, nodes=(0, 1, 2, 3), start=1):
@@ -310,8 +312,9 @@ def test_fault_free_run_commits_everything():
     assert all(r.status == "CommittedValid" for r in report.receipts)
     assert len(set(report.committed_heights.values())) == 1
     assert len(sim.nodes) == config.n
+    policy = make_policy(config)
     for node in sim.nodes:
-        chain_report, audit = verify_node(node)
+        chain_report, audit = verify_node(node, policy)
         assert chain_report.ok
         assert audit == []
 
@@ -436,8 +439,9 @@ def test_each_block_is_checked_once_for_every_replica_holding_it(monkeypatch):
     sim = Simulation(config, workload_distinct(40, nodes=tuple(range(13))))
     report = sim.run()
     assert not report.stalled and report.safety_ok
+    policy = make_policy(config)
     for node in sim.nodes:
-        assert verify_node(node)[0].ok
+        assert verify_node(node, policy)[0].ok
     distinct = {id(block) for node in sim.nodes for block in node.chain.blocks[1:]}
     assert len(distinct) == sim.nodes[0].chain.height == counts["build_block"] >= 10
     assert counts["merkle_root"] == counts["build_block"] + len(distinct)
@@ -465,9 +469,35 @@ def test_verify_hashes_no_blob_that_its_store_put_hashed(monkeypatch):
     assert not report.stalled and report.safety_ok
     assert hashed == {key: 1 + 13 for key in keys}
     hashed.clear()
+    policy = make_policy(config)
     for node in sim.nodes:
-        assert verify_node(node) == (VerifyReport([], []), [])
+        assert verify_node(node, policy) == (VerifyReport([], []), [])
     assert hashed == {}
+
+
+def test_verify_checks_each_committed_endorsement_once_per_group(monkeypatch):
+    """n=13: the replicas share each committed transaction object, so the
+    verify of all 13 under the group's one policy computes at most one token
+    per committed transaction (13 when each replica recomputed them); the
+    pass is kept on the object, and the other 12 replicas read it."""
+    config = SimConfig(n=13, f=4, seed=11, max_batch=4)
+    sim = Simulation(config, workload_distinct(40, nodes=tuple(range(13))))
+    report = sim.run()
+    assert not report.stalled and report.safety_ok
+    committed = {tx.tx_id for block in sim.nodes[0].chain.blocks for tx in block.transactions}
+    assert len(committed) == 40
+    tokens = Counter()
+    token = revledger.revisions.endorsement_token
+
+    def counted(secret, tx_id):
+        tokens[tx_id] += 1
+        return token(secret, tx_id)
+
+    monkeypatch.setattr(revledger.revisions, "endorsement_token", counted)
+    policy = make_policy(config)
+    for node in sim.nodes:
+        assert verify_node(node, policy) == (VerifyReport([], []), [])
+    assert set(tokens) <= committed and max(tokens.values()) == 1
 
 
 def _other_bytes(stores, key, data):
@@ -506,9 +536,10 @@ def test_a_damaged_blob_is_reported_by_each_replica_holding_it(
     config = SimConfig(n=4, f=1, seed=2)
     sim = Simulation(config, workload_distinct(8))
     assert not sim.run().stalled
+    policy = make_policy(config)
     if verified_before:
         for node in sim.nodes:
-            assert verify_node(node)[0].ok
+            assert verify_node(node, policy)[0].ok
     height = 2
     key = sim.nodes[0].chain.blocks[height].transactions[0].record.content_hash
     data = sim.nodes[0].store._blobs[key]
@@ -516,12 +547,18 @@ def test_a_damaged_blob_is_reported_by_each_replica_holding_it(
     kind = "content-missing" if damage is _deleted else "content-hash-mismatch"
     for _ in range(2):  # a second verify reports the same
         for i, node in enumerate(sim.nodes):
-            report, audit = verify_node(node)
+            report, audit = verify_node(node, policy)
             if i in damaged:
                 assert report.defects == [Defect(height, kind, f"tx 0: {key.hex()}")]
                 assert audit == [AuditDefect(key.hex(), k) for k in kinds]
             else:
                 assert report == VerifyReport([], []) and audit == []
+
+
+def _flip_first_token(tx):
+    """tx's endorsements with one byte of the first token flipped."""
+    (node_id, token), *rest = tx.endorsements
+    return ((node_id, bytes([token[0] ^ 1]) + token[1:]), *rest)
 
 
 SWAPS = {
@@ -535,6 +572,14 @@ SWAPS = {
         ),
         [Defect(2, "block-hash-mismatch"), Defect(2, "merkle-root-mismatch"),
          Defect(3, "link-mismatch")],
+    ),
+    "token": (
+        lambda b: replace(b, transactions=(
+            replace(b.transactions[0], endorsements=_flip_first_token(b.transactions[0])),
+            *b.transactions[1:],
+        )),
+        # tx ids, the Merkle root and the block hash leave endorsements out
+        [Defect(2, "endorsement-invalid", "tx 0")],
     ),
     "tx-id": (
         lambda b: replace(b, transactions=(
@@ -554,7 +599,8 @@ def test_a_swapped_block_is_reported_only_by_the_replica_holding_it(swap, order)
     """The replicas share each block object; replica 2 holds a damaged copy
     at height 2. Only its verify reports the damage, at that height, whether
     or not the others checked the original first."""
-    sim = Simulation(SimConfig(n=4, f=1, seed=3, max_batch=2), workload_distinct(8))
+    config = SimConfig(n=4, f=1, seed=3, max_batch=2)
+    sim = Simulation(config, workload_distinct(8))
     sim.run()
     # Fresh objects, shared by all four replicas, that no check has read yet.
     blocks = [block_from_line(block_to_line(b)) for b in sim.nodes[0].chain.blocks]
@@ -564,10 +610,11 @@ def test_a_swapped_block_is_reported_only_by_the_replica_holding_it(swap, order)
     for i, node in enumerate(sim.nodes):
         node.chain = Chain(blocks[:2] + [damaged] + blocks[3:] if i == 2 else blocks)
     others = [sim.nodes[i] for i in (0, 1, 3)]
+    policy = make_policy(config)
     if order == "other-replicas-first":
-        assert all(verify_node(node)[0].ok for node in others)
-    assert verify_node(sim.nodes[2])[0].defects == expected
-    assert all(verify_node(node)[0].ok for node in others)
+        assert all(verify_node(node, policy)[0].ok for node in others)
+    assert verify_node(sim.nodes[2], policy)[0].defects == expected
+    assert all(verify_node(node, policy)[0].ok for node in others)
 
 
 def test_an_equivocation_variant_is_checked_on_its_own(monkeypatch):

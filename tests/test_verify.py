@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from revledger import ledger, workspace
+from revledger import ledger, revisions, workspace
 from revledger.cli import main
 from revledger.workspace import Workspace
 
@@ -342,6 +342,24 @@ def test_verify_hashes_each_blob_key_once_where_the_replicas_agree(ws_dir, monke
     monkeypatch.setattr(hashlib, "sha256", counted)
     assert main(["verify", "--dir", str(ws_dir)]) == 0
     assert hashed == dict.fromkeys(keys, 1)
+
+
+def test_verify_checks_each_shared_transaction_endorsement_once(ws_dir, monkeypatch):
+    """The four byte-identical replicas share one parse, so each committed
+    transaction is one object; its pass under verify's one policy is kept on
+    it, and the other three replicas compute no token (4 per transaction
+    when each replica recomputed them)."""
+    tokens = Counter()
+    token = revisions.endorsement_token
+
+    def counted(secret, tx_id):
+        tokens[tx_id] += 1
+        return token(secret, tx_id)
+
+    monkeypatch.setattr(revisions, "endorsement_token", counted)
+    reports = Workspace.load(ws_dir).verify()
+    assert all(report.ok and not report.audit for report in reports)
+    assert len(tokens) == 2 and set(tokens.values()) == {1}
 
 
 @pytest.mark.parametrize("edited, distinct", [((), 1), ((2,), 2)], ids=["equal", "one-edited"])

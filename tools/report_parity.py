@@ -8,12 +8,14 @@ file is in), each over one report per run, in run order:
 - `random-runs`: `cli._report_text` of `random_run(seed)` from
   `tests/runs.py`, for seeds 0 to 399;
 - `scenarios`: `cli._report_text` of each bundled scenario, by name;
-- `tampered-runs`: for seeds 0 to 99 of `random_run`, four damages to the
-  replicas' blob stores after the run, each kept as the next is made, and
-  `cli._report_text` after each: an entry replaced by other bytes; one
-  damaged bytes object placed in two replicas; an entry replaced by an
-  equal copy; an entry deleted. Each damage hits an entry drawn from
-  `random.Random(seed)`.
+- `tampered-runs`: for seeds 0 to 99 of `random_run`, five damages to the
+  replicas after the run, each kept as the next is made, and
+  `cli._report_text` after each. Four hit a blob store: an entry replaced
+  by other bytes; one damaged bytes object placed in two replicas; an
+  entry replaced by an equal copy; an entry deleted. The fifth hits one
+  replica's chain: a committed transaction replaced by a copy with one
+  byte of its first endorsement token flipped, in a copy of its block.
+  Each damage hits an entry or transaction drawn from `random.Random(seed)`.
 
 A report's `committed_digests` lists every replica's block hashes, so the
 digests cover the chains too, and its `verify` section covers the damages.
@@ -27,6 +29,7 @@ import argparse
 import hashlib
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 SEEDS = range(400)
@@ -49,7 +52,7 @@ def digests() -> dict[str, str]:
     for seed in TAMPER_SEEDS:
         sim = Simulation(*random_run(seed))
         report = sim.run()
-        for _ in damages([node.store._blobs for node in sim.nodes], random.Random(seed)):
+        for _ in damages(sim.nodes, random.Random(seed)):
             tampered.update(_report_text(sim, report).encode())
     return {
         "random-runs": reports.hexdigest(),
@@ -58,9 +61,13 @@ def digests() -> dict[str, str]:
     }
 
 
-def damages(stores: list[dict[bytes, bytes]], rng: random.Random):
-    """Damage one or two of the replicas' blob dicts four times, yielding
-    after each damage; a damage is skipped when no replica holds a blob."""
+def damages(nodes, rng: random.Random):
+    """Damage one or two of the replicas' blob dicts four times, then one
+    replica's chain, yielding after each damage; a damage is skipped when no
+    replica holds a blob, or a committed transaction."""
+    from revledger.ledger import Chain
+
+    stores = [node.store._blobs for node in nodes]
     for kind in ("other-bytes", "damaged-in-two", "equal-copy", "deleted"):
         held = [(i, key) for i, blobs in enumerate(stores) for key in sorted(blobs)]
         if held:
@@ -76,6 +83,23 @@ def damages(stores: list[dict[bytes, bytes]], rng: random.Random):
             else:
                 del stores[i][key]
         yield kind
+    held = [
+        (i, at, j)
+        for i, node in enumerate(nodes)
+        for at, block in enumerate(node.chain.blocks)
+        for j in range(len(block.transactions))
+    ]
+    if held:
+        i, at, j = rng.choice(held)
+        blocks = list(nodes[i].chain.blocks)
+        txs = list(blocks[at].transactions)
+        (node_id, token), *rest = txs[j].endorsements
+        k = rng.randrange(len(token))
+        flipped = token[:k] + bytes([token[k] ^ 1]) + token[k + 1:]
+        txs[j] = replace(txs[j], endorsements=((node_id, flipped), *rest))
+        blocks[at] = replace(blocks[at], transactions=tuple(txs))
+        nodes[i].chain = Chain(blocks)
+    yield "token"
 
 
 def main(argv: list[str] | None = None) -> int:
