@@ -266,8 +266,9 @@ def _report_text(sim: Simulation, report: SimReport) -> str:
     """The run's report as JSON, with a `verify` section holding each
     replica's verify after the run: its own check_chain (genesis, heights,
     links, and each block's structural verdict, computed once per block
-    object and shared by the replicas holding it), content and endorsement
-    checks and blob audit."""
+    object and shared by the replicas holding it), content checks, blob
+    audit, and endorsement checks under one policy for the group, so a
+    transaction object the replicas share has its tokens computed once."""
     policy = make_policy(sim.config)
     verify = {}
     for i, node in enumerate(sim.nodes):

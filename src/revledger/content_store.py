@@ -192,7 +192,9 @@ class MemoryStore:
     `put` keeps the bytes it hashed to each key. The audit accepts an
     entry equal to those bytes without hashing it, the rule of
     `audit_stores` (equal bytes have equal hashes), and hashes every other
-    entry; bytes are immutable, so the kept bytes never go stale.
+    entry; bytes are immutable, so the kept bytes never go stale. It makes
+    one pass over the entries and sorts only the damaged keys, for its
+    defect list; each replica's verify still runs its own audit.
     """
 
     def __init__(self):

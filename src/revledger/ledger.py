@@ -262,7 +262,9 @@ def verify_chain(
     content-hash-mismatch. A present blob the audit did not read whole is
     one it could not list, so it is read and hashed here, once.
     `endorsement_checker` re-verifies each transaction's endorsements
-    against the replica group's policy.
+    against the replica group's policy; built on one policy object for the
+    whole group, it computes the tokens of a transaction object the replicas
+    share once (check_endorsement_policy keeps each pass on the object).
     """
     # Only a blob at its own fan-out path is read, so a stray copy is no content defect.
     damaged = {a.key for a in audit.defects if a.kind in ("key-mismatch", "unreadable")}

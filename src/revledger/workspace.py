@@ -460,7 +460,9 @@ class Workspace:
         bytes share one parse and check_chain, and those whose checkpoint
         files are equal too share one checkpoint comparison; the stores are
         audited together, so a key's copies that agree are hashed once. The
-        presence and endorsement checks are per replica."""
+        presence check is per replica; the endorsement check runs under one
+        policy object, which each transaction that meets it keeps, so a
+        transaction of a shared parse is checked once for all its replicas."""
         policy = make_policy(self.config)
 
         def checker(tx) -> bool:
