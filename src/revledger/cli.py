@@ -30,7 +30,6 @@ from pathlib import Path
 from .content_store import StoreError
 from .digests import from_hex, to_hex
 from .ledger import chain_lines, write_chain_file
-from .node import make_policy
 from .pbft import ConfigError, GroupConfig
 from .revisions import check_endorsement_policy, show
 from .sim import (
@@ -267,9 +266,10 @@ def _report_text(sim: Simulation, report: SimReport) -> str:
     replica's verify after the run: its own check_chain (genesis, heights,
     links, and each block's structural verdict, computed once per block
     object and shared by the replicas holding it), content checks, blob
-    audit, and endorsement checks under one policy for the group, so a
-    transaction object the replicas share has its tokens computed once."""
-    policy = make_policy(sim.config)
+    audit, and endorsement checks under the group's one policy object: the
+    gates kept a pass on each transaction object the replicas share under
+    it, so this verify computes no token for them."""
+    policy = sim.nodes[0].policy
     verify = {}
     for i, node in enumerate(sim.nodes):
         chain_report, audit = node.verify(lambda tx: check_endorsement_policy(tx, policy))

@@ -12,8 +12,11 @@ Blob files hold the raw payload bytes, no envelope, so any external
 sha256 tool can check them. Identical content is stored once, whatever
 work or revision it belongs to.
 
-An audit does not re-hash a copy equal to bytes already hashed to its
-key: see `audit_stores` and `MemoryStore`.
+`put` takes the key a transaction claims for the bytes, and stores them
+only where they hash to it: bytes that do not are stored under no key,
+so a store holds no blob that no block references. Neither a put nor an
+audit re-hashes a copy equal to bytes already hashed to its key: see
+`audit_stores` and `MemoryStore`.
 """
 
 from __future__ import annotations
@@ -68,11 +71,11 @@ class ContentStore:
         hex_key = to_hex(digest)
         return f"{self._prefix}{hex_key[:2]}/{hex_key}"
 
-    def put(self, data: bytes) -> bytes:
-        """Store bytes under their hash; re-putting identical bytes is a no-op."""
-        digest = sha256(data)
-        if self.has(digest):
-            return digest
+    def put(self, digest: bytes, data: bytes) -> None:
+        """Store bytes under `digest`, the hash their transaction claims,
+        where they hash to it; a key already stored is left as it is."""
+        if self.has(digest) or sha256(data) != digest:
+            return
         path = self.blob_path(digest)
         try:
             fan_out = os.path.dirname(path)
@@ -86,7 +89,6 @@ class ContentStore:
             os.replace(tmp, path)
         except OSError as exc:
             raise StoreError(f"cannot write blob at {path}: {exc}") from exc
-        return digest
 
     def has(self, digest: bytes) -> bool:
         """True if a blob is stored under the digest. Only an absent blob or
@@ -189,23 +191,28 @@ def _names(directory: str, key: str, defects: list[AuditDefect]) -> set[str]:
 class MemoryStore:
     """Dict-backed store with the ContentStore surface, for simulations.
 
-    `put` keeps the bytes it hashed to each key. The audit accepts an
-    entry equal to those bytes without hashing it, the rule of
-    `audit_stores` (equal bytes have equal hashes), and hashes every other
-    entry; bytes are immutable, so the kept bytes never go stale. It makes
-    one pass over the entries and sorts only the damaged keys, for its
-    defect list; each replica's verify still runs its own audit.
+    Every store of one group shares `_hashed`, the group's record of bytes
+    that hashed to their key, which only `put` writes. A put of bytes equal
+    to those recorded under the claimed key stores them unhashed, as equal
+    bytes have equal hashes; any other bytes are hashed, stored and
+    recorded where they hash to the key, and stored nowhere otherwise. So
+    a payload that all of a group's replicas put is hashed once. The audit
+    accepts an entry equal to the recorded bytes unhashed, the rule of
+    `audit_stores`, and hashes every other entry; bytes are immutable, so
+    the record never goes stale. It makes one pass over the entries and
+    sorts only the damaged keys, for its defect list.
     """
 
-    def __init__(self):
+    def __init__(self, hashed: dict[bytes, bytes]):
+        """`hashed` is the group's record, shared by all of its stores."""
         self._blobs: dict[bytes, bytes] = {}
-        self._hashed: dict[bytes, bytes] = {}
+        self._hashed = hashed
 
-    def put(self, data: bytes) -> bytes:
-        digest = sha256(data)
-        self._blobs.setdefault(digest, data)
+    def put(self, digest: bytes, data: bytes) -> None:
+        if digest in self._blobs or data != self._hashed.get(digest) and sha256(data) != digest:
+            return
         self._hashed.setdefault(digest, data)
-        return digest
+        self._blobs[digest] = data
 
     def has(self, digest: bytes) -> bool:
         return digest in self._blobs

@@ -5,7 +5,17 @@ endorsed transactions to the current primary, hands batches to the
 consensus layer when it is the primary itself, and on every block its
 replica commits onto the chain they share stores the block's payloads in
 its own content store, runs MVCC validation and updates client receipts.
-A payload enters the store there only: a node holds what it committed.
+A payload enters the store there only, under the content hash its
+transaction claims and only where it hashes to it: a node holds what it
+committed, and bytes that do not match their claim leave the transaction
+InvalidMissingContent. The stores of one simulation share a record of the
+bytes already hashed to each key, so a payload is hashed once for them all.
+
+The nodes of one group share one endorsement policy object, built once by
+make_policy where the group is built (Simulation, Workspace). Every
+pre-prepare gate, _accept_forward and verify checks under it, and a pass
+is kept on the transaction object (Transaction.met_policy), so each
+transaction's tokens are computed once for the whole group.
 
 Validity is decided once per replica, when _apply_block applies a block,
 and recorded in `decisions`, one (tx id, flag) list per block after genesis
@@ -55,7 +65,9 @@ def endorsement_secret(seed: int, node_id: int) -> bytes:
 
 
 def make_policy(config: GroupConfig) -> EndorsementPolicy:
-    """`endorsement_m`-of-n endorsement over every node, with the seed's secrets."""
+    """`endorsement_m`-of-n endorsement over every node, with the seed's
+    secrets. Build it once per group and hand the one object to each of the
+    group's nodes: a pass kept on a transaction holds for that object only."""
     return EndorsementPolicy(
         required=config.endorsement_m,
         secrets={i: endorsement_secret(config.seed, i) for i in range(config.n)},
@@ -125,18 +137,20 @@ class NodeRuntime:
         node_id: int,
         config: GroupConfig,
         store,
+        policy: EndorsementPolicy,
         chain: Chain | None = None,
         recorded: tuple[revisions.HeadState, list[list[tuple[bytes, ValidityFlag]]]]
         | None = None,
     ):
-        """`recorded`, when given, is (heads, one (tx id, flag) list per block
+        """`policy` is the group's one endorsement policy (make_policy).
+        `recorded`, when given, is (heads, one (tx id, flag) list per block
         after genesis) as this replica decided them earlier, and nothing is
         replayed. `chain` may then start at a later block than genesis, such
         as the tip."""
         self.node_id = node_id
         self.config = config
         self.store = store
-        self.policy = make_policy(config)
+        self.policy = policy
         self.chain = chain if chain is not None else Chain()
         self.heads: revisions.HeadState = {}
         self.decisions: list[list[tuple[bytes, ValidityFlag]]] = []
@@ -364,8 +378,7 @@ class NodeRuntime:
         """Take in a block the replica has just appended to this node's chain."""
         block = event.block
         for digest, data in event.blobs.items():
-            if not self.store.has(digest):  # unlike put, finds a stored blob unhashed
-                self.store.put(data)
+            self.store.put(digest, data)
         flags = self._apply_block(block)
         for tx, flag in zip(block.transactions, flags):
             receipt = self.receipts.get(tx.tx_id)

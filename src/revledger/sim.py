@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from .content_store import MemoryStore
 from .digests import to_hex
 from .ledger import Block, build_block
-from .node import NodeRuntime, Outbound, ReceiptStatus
+from .node import NodeRuntime, Outbound, ReceiptStatus, make_policy
 from .pbft import ConfigError, GroupConfig, MessageKind, PbftMessage, check_field_types
 from .revisions import ValidityFlag
 from .rng import SplitMix64, derive_stream_seed
@@ -397,7 +397,8 @@ class Simulation:
         self.behaviors: dict[int, ByzantineBehavior] = dict(config.byzantine)
         self.crashed: set[int] = set()
         if nodes is None:
-            nodes = [NodeRuntime(i, config, MemoryStore()) for i in range(config.n)]
+            policy, hashed = make_policy(config), {}
+            nodes = [NodeRuntime(i, config, MemoryStore(hashed), policy) for i in range(config.n)]
         elif len(nodes) != config.n:
             raise ScenarioError(f"expected {config.n} nodes, got {len(nodes)}")
         self.nodes = nodes

@@ -140,6 +140,8 @@ class Workspace:
     def __init__(self, root: Path, config: GroupConfig):
         self.root = Path(root)
         self.config = config
+        # The one endorsement policy of every replica this workspace loads and verifies.
+        self.policy = make_policy(config)
         # Each loaded node's chain file length, running SHA-256 and height,
         # advanced as a commit appends the chain's blocks above that height.
         self._chains: dict[int, tuple[int, "hashlib._Hash", int]] = {}
@@ -290,7 +292,7 @@ class Workspace:
         validity from which blobs the store holds (none is read)."""
         chain = self._checked_chain(node_id, raw, missing)
         self._chains[node_id] = (len(raw), hashlib.sha256(raw), chain.height)
-        return NodeRuntime(node_id, self.config, self.store(node_id), chain=chain)
+        return NodeRuntime(node_id, self.config, self.store(node_id), self.policy, chain=chain)
 
     def load_node(self, node_id: int) -> NodeRuntime:
         """Rebuild a node runtime from its persisted chain and checkpoint.
@@ -308,7 +310,7 @@ class Workspace:
         self._chains[node_id] = (len(raw), sha256, checkpoint.height)
         recorded = (checkpoint.heads, checkpoint.decisions)
         return NodeRuntime(
-            node_id, self.config, self.store(node_id), chain=Chain([tip]), recorded=recorded
+            node_id, self.config, self.store(node_id), self.policy, Chain([tip]), recorded
         )
 
     def read_history(self, node_id: int, work_id: str) -> list[HistoryEntry]:
@@ -460,13 +462,13 @@ class Workspace:
         bytes share one parse and check_chain, and those whose checkpoint
         files are equal too share one checkpoint comparison; the stores are
         audited together, so a key's copies that agree are hashed once. The
-        presence check is per replica; the endorsement check runs under one
-        policy object, which each transaction that meets it keeps, so a
-        transaction of a shared parse is checked once for all its replicas."""
-        policy = make_policy(self.config)
+        presence check is per replica; the endorsement check runs under the
+        workspace's one policy object, which each transaction that meets it
+        keeps, so a transaction of a shared parse is checked once for all its
+        replicas."""
 
         def checker(tx) -> bool:
-            return check_endorsement_policy(tx, policy)
+            return check_endorsement_policy(tx, self.policy)
 
         structural: dict[bytes, tuple] = {}
         chains: dict[int, tuple] = {}

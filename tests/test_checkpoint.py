@@ -441,7 +441,9 @@ def test_history_lists_every_revision_whatever_the_work_ids_spelling(
     raw = chain_path.read_bytes()
     assert raw.count(spelling) == 3
     assert ws._trusted_checkpoint(raw, ws.read_checkpoint_bytes(0)) is not None
-    replayed = NodeRuntime(0, ws.config, ws.store(0), chain=ws.read_chain(0)).history(work)
+    replayed = NodeRuntime(
+        0, ws.config, ws.store(0), ws.policy, chain=ws.read_chain(0)
+    ).history(work)
     assert [e.revision_number for e in replayed] == [1, 2, 3]
     assert ws.read_history(0, work) == replayed
     assert ws.read_history(1, work) == replayed

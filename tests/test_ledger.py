@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from revledger.content_store import MemoryStore
-from revledger.digests import ZERO_DIGEST
+from revledger.digests import ZERO_DIGEST, sha256
 from revledger.encoding import header_hash, transaction_id
 from revledger.ledger import (
     Chain,
@@ -35,7 +35,7 @@ from revledger.revisions import (
 
 @pytest.fixture
 def store():
-    return MemoryStore()
+    return MemoryStore({})
 
 
 POLICY = EndorsementPolicy(required=1, secrets={0: b"node-0 secret"})
@@ -53,7 +53,7 @@ def chain_of(n_blocks, store, works=("w",)):
     for i in range(n_blocks):
         work = works[i % len(works)]
         payload = f"content {i}".encode()
-        store.put(payload)
+        store.put(sha256(payload), payload)
         tx = propose_revision(work, "ada", payload, heads, submit_tick=i)
         tx = endorse(tx, 0, POLICY.secrets[0])
         heads[work] = (tx.record.revision_number, tx.record.content_hash)
@@ -126,7 +126,8 @@ def test_chain_append_discipline():
 
 def gap_transaction(store):
     """Revision 2 read against version 0: a revision gap under a correct tx id."""
-    record = RevisionRecord("w", 2, store.put(b"x"), "ada", 0)
+    store.put(sha256(b"x"), b"x")
+    record = RevisionRecord("w", 2, sha256(b"x"), "ada", 0)
     return Transaction(tx_id=transaction_id(record, 0), record=record, read_version=0)
 
 
@@ -163,7 +164,8 @@ def rehashed(block, **header_fields):
 
 
 def long_author_block(store):
-    record = RevisionRecord("w", 1, store.put(b"x"), "a" * 129, 0)
+    store.put(sha256(b"x"), b"x")
+    record = RevisionRecord("w", 1, sha256(b"x"), "a" * 129, 0)
     tx = Transaction(tx_id=b"\x00" * 32, record=record, read_version=0)
     return build_block(1, genesis_block().block_hash, [tx], "node-0", 0, 1)
 
@@ -227,7 +229,7 @@ def test_honest_chain_verifies(store):
 
 def test_missing_blob_reported(store):
     chain = chain_of(3, store)
-    empty = MemoryStore()
+    empty = MemoryStore({})
     report = verify_chain(chain, empty, check_chain(chain), empty.audit(), meets_policy)
     assert not report.ok
     assert {d.kind for d in report.defects} == {"content-missing"}

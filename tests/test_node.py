@@ -1,14 +1,14 @@
 import pytest
 
 from revledger.content_store import MemoryStore
-from revledger.node import NodeRuntime, ReceiptStatus, TxForward
+from revledger.node import NodeRuntime, ReceiptStatus, TxForward, make_policy
 from revledger.pbft import GroupConfig, MessageKind
 from revledger.revisions import ValidityFlag, check_endorsement_policy
 
 
 def make_node(node_id=0, n=4, m=1, max_batch=100):
     config = GroupConfig(n, 1, 5, timeout_ticks=30, max_batch=max_batch, endorsement_m=m)
-    return NodeRuntime(node_id, config, MemoryStore())
+    return NodeRuntime(node_id, config, MemoryStore({}), make_policy(config))
 
 
 def test_submit_returns_pending_receipt():
@@ -228,7 +228,7 @@ def test_history_reads_the_flags_recorded_at_commit():
     assert node.decisions == [[(tx.tx_id, ValidityFlag.MISSING_CONTENT)]]
     assert node.heads == {}
 
-    node.store.put(b"payload")
+    node.store.put(tx.record.content_hash, b"payload")
     receipt = node.submit("w", "ada", b"payload", now=1)
     assert receipt.tx_id == tx.tx_id and receipt.flag is ValidityFlag.MISSING_CONTENT
     assert node.history("w") == []
@@ -238,7 +238,7 @@ def test_history_reads_the_flags_recorded_at_commit():
     assert node.heads == {}
 
     chain = Chain(list(node.chain.blocks))
-    loaded = NodeRuntime(node.node_id, node.config, node.store, chain=chain)
+    loaded = NodeRuntime(node.node_id, node.config, node.store, node.policy, chain=chain)
     assert len(loaded.decisions) == loaded.chain.height == 1
 
 

@@ -164,7 +164,7 @@ def test_pre_prepare_digest_must_match_block():
 
 def test_pre_prepare_with_revision_gap_is_not_prepared():
     r1 = replica(1)
-    block = build_block(1, GENESIS.block_hash, [gap_transaction(MemoryStore())], "node-0", 0, 1)
+    block = build_block(1, GENESIS.block_hash, [gap_transaction(MemoryStore({}))], "node-0", 0, 1)
     pp = msg(MessageKind.PRE_PREPARE, 0, 1, block.block_hash, 0, block=block, blobs={})
     out, committed = r1.handle_message(pp, now=1)
     assert out == [] and committed == []

@@ -26,7 +26,7 @@ from revledger.revisions import (
 
 @pytest.fixture
 def store():
-    return MemoryStore()
+    return MemoryStore({})
 
 
 def policy_of(m, secrets):
@@ -262,7 +262,7 @@ def test_kept_passes_answer_as_a_fresh_check(policies, endorsements, ops):
 
 
 def test_validate_matches_head(store):
-    store.put(b"x")
+    store.put(sha256(b"x"), b"x")
     tx = propose_revision("w", "ada", b"x", {"w": (2, sha256(b"p"))})
     assert validate_transaction(tx, {"w": (2, sha256(b"p"))}, store) is ValidityFlag.VALID
 
@@ -277,7 +277,7 @@ def test_validate_stale_read(store):
 
 def test_validate_missing_content():
     tx = propose_revision("w", "ada", b"x", {})
-    empty = MemoryStore()
+    empty = MemoryStore({})
     assert validate_transaction(tx, {}, empty) is ValidityFlag.MISSING_CONTENT
 
 
@@ -285,7 +285,7 @@ def test_validate_missing_content():
 
 
 def test_intra_block_conflict_first_wins(store):
-    store.put(b"one")
+    store.put(sha256(b"one"), b"one")
     tx1 = propose_revision("w", "ada", b"one", {})
     tx2 = propose_revision("w", "ben", b"two", {})
     block = build_block(1, genesis_block().block_hash, [tx1, tx2], "node-0", 0, 1)
@@ -297,7 +297,7 @@ def test_intra_block_conflict_first_wins(store):
 def test_conflict_free_block_all_valid(store):
     payloads = [f"p{i}".encode() for i in range(3)]
     for payload in payloads:
-        store.put(payload)
+        store.put(sha256(payload), payload)
     txs = [propose_revision(f"w{i}", "ada", payload, {}) for i, payload in enumerate(payloads)]
     block = build_block(1, genesis_block().block_hash, txs, "node-0", 0, 1)
     _, flags = apply_block({}, block, store)
@@ -305,7 +305,7 @@ def test_conflict_free_block_all_valid(store):
 
 
 def test_apply_block_is_pure(store):
-    store.put(b"x")
+    store.put(sha256(b"x"), b"x")
     tx = propose_revision("w", "ada", b"x", {})
     block = build_block(1, genesis_block().block_hash, [tx], "node-0", 0, 1)
     heads = {}
@@ -333,7 +333,7 @@ def test_history_collects_valid_revisions_in_order(store):
     blocks = []
     for i in range(5):
         payload = f"rev {i}".encode()
-        store.put(payload)
+        store.put(sha256(payload), payload)
         tx = propose_revision("w", "ada", payload, heads)
         blocks.append([tx])
         heads[tx.record.work_id] = (tx.record.revision_number, tx.record.content_hash)
@@ -349,7 +349,7 @@ def test_history_unknown_work_is_empty(store):
 
 
 def test_history_excludes_stale_transactions(store):
-    store.put(b"one")
+    store.put(sha256(b"one"), b"one")
     tx1 = propose_revision("w", "ada", b"one", {})
     tx2 = propose_revision("w", "ben", b"two", {})  # same read_version
     chain = make_chain([[tx1, tx2]], store)
@@ -376,7 +376,7 @@ def test_gap_free_numbering_over_random_interleaving(store):
                 if observed[work][0] == 0:
                     del observed[work]
             payload = rnd.randbytes(8)
-            store.put(payload)
+            store.put(sha256(payload), payload)
             tx = propose_revision(work, "ada", payload, observed)
             txs.append(tx)
         block_heads, _ = apply_block(heads, make_chain([txs], store).blocks[1], store)

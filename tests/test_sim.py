@@ -22,7 +22,7 @@ from revledger.ledger import (
 )
 from revledger.node import NodeRuntime, make_policy
 from revledger.pbft import ConfigError, MessageKind, PbftMessage
-from revledger.revisions import check_endorsement_policy, propose_revision
+from revledger.revisions import ValidityFlag, check_endorsement_policy, propose_revision
 from revledger.rng import SplitMix64, derive_stream_seed
 from revledger.sim import (
     CorruptDigest,
@@ -448,10 +448,11 @@ def test_each_block_is_checked_once_for_every_replica_holding_it(monkeypatch):
 
 
 def test_verify_hashes_no_blob_that_its_store_put_hashed(monkeypatch):
-    """n=13: each store keeps the bytes its put hashed, so after the run the
-    verify of all 13 replicas hashes no blob key (13 per key when each audit
-    hashed its whole store). The run hashes each payload at submit and in
-    each replica's put."""
+    """n=13: the stores share a record of the bytes their puts hashed, so
+    after the run the verify of all 13 replicas hashes no blob key (13 per
+    key when each audit hashed its whole store). The run hashes each payload
+    at submit and in the first replica's put, as the other 12 put the one
+    bytes object the record holds (1 + 13 when each put hashed)."""
     config = SimConfig(n=13, f=4, seed=11, max_batch=4)
     sim = Simulation(config, workload_distinct(40, nodes=tuple(range(13))))
     keys = {hashlib.sha256(sub.payload).digest() for sub in sim.workload}
@@ -467,7 +468,7 @@ def test_verify_hashes_no_blob_that_its_store_put_hashed(monkeypatch):
     monkeypatch.setattr(hashlib, "sha256", counted)
     report = sim.run()
     assert not report.stalled and report.safety_ok
-    assert hashed == {key: 1 + 13 for key in keys}
+    assert hashed == {key: 1 + 1 for key in keys}
     hashed.clear()
     policy = make_policy(config)
     for node in sim.nodes:
@@ -498,6 +499,67 @@ def test_verify_checks_each_committed_endorsement_once_per_group(monkeypatch):
     for node in sim.nodes:
         assert verify_node(node, policy) == (VerifyReport([], []), [])
     assert set(tokens) <= committed and max(tokens.values()) == 1
+
+
+def test_each_transaction_is_endorsement_checked_once_per_group(monkeypatch):
+    """n=13: one policy object serves all 13 nodes, so the pre-prepare gates
+    and _accept_forward compute each committed transaction's token once (13
+    times when each node checked under its own policy), and the report's
+    verify, under that object, computes none. make_policy runs once."""
+    tokens, built = Counter(), []
+    token, make = revledger.revisions.endorsement_token, revledger.sim.make_policy
+
+    def counted(secret, tx_id):
+        tokens[tx_id] += 1
+        return token(secret, tx_id)
+
+    def counted_make(config):
+        built.append(config)
+        return make(config)
+
+    monkeypatch.setattr(revledger.revisions, "endorsement_token", counted)
+    monkeypatch.setattr(revledger.sim, "make_policy", counted_make)
+    config = SimConfig(n=13, f=4, seed=11, max_batch=4)
+    sim = Simulation(config, workload_distinct(40, nodes=tuple(range(13))))
+    report = sim.run()
+    assert not report.stalled and report.safety_ok and len(built) == 1
+    committed = {tx.tx_id for block in sim.nodes[0].chain.blocks[1:] for tx in block.transactions}
+    assert len(committed) == 40
+    # One token from submit's endorse, one from the first check.
+    assert tokens == {tx_id: 2 for tx_id in committed}
+    tokens.clear()
+    verify = json.loads(_report_text(sim, report))["verify"]
+    assert all(v == {"ok": True, "chain_defects": 0, "store_defects": 0} for v in verify.values())
+    assert tokens == {} and len(built) == 1
+
+
+@pytest.mark.parametrize("recorded", [False, True], ids=["unrecorded", "recorded"])
+def test_bytes_that_miss_their_claimed_hash_are_stored_nowhere(monkeypatch, recorded):
+    """The primary ships other bytes than its transaction names. No replica
+    stores them, under the named key or their own, and every replica flags
+    the transaction InvalidMissingContent, whether or not the group's record
+    already holds the named bytes."""
+    form_batch = NodeRuntime.form_batch
+
+    def wrong_payloads(self, now):
+        block, blobs = form_batch(self, now)
+        return block, {key: b"not " + data for key, data in blobs.items()}
+
+    monkeypatch.setattr(NodeRuntime, "form_batch", wrong_payloads)
+    config = SimConfig(n=4, f=1, seed=2)
+    wl = [Submission(tick=1, node=1, work_id="w", author_id="ada", payload=b"named")]
+    sim = Simulation(config, wl)
+    record = sim.nodes[0].store._hashed
+    key = hashlib.sha256(b"named").digest()
+    if recorded:  # a store outside the replicas put the named bytes
+        MemoryStore(record).put(key, b"named")
+    report = sim.run()
+    assert [r.status for r in report.receipts] == ["CommittedInvalid"]
+    for node in sim.nodes:
+        assert node.chain.height == 1 and node.store._blobs == {}
+        assert [flag for _, flag in node.decisions[0]] == [ValidityFlag.MISSING_CONTENT]
+    assert all(node.store._hashed is record for node in sim.nodes)
+    assert record == ({key: b"named"} if recorded else {})
 
 
 def _other_bytes(stores, key, data):
@@ -693,7 +755,7 @@ class HidingStore(MemoryStore):
     """A store that reports one digest absent however often it is put."""
 
     def __init__(self, hidden: bytes):
-        super().__init__()
+        super().__init__({})
         self.hidden = hidden
 
     def has(self, digest: bytes) -> bool:
@@ -709,9 +771,10 @@ def test_safety_needs_honest_replicas_to_agree_on_decisions_and_heads():
     sim = Simulation(config, wl)
     assert sim.run().safety_ok
 
-    hidden = MemoryStore().put(b"hidden")
-    stores = [MemoryStore(), MemoryStore(), MemoryStore(), HidingStore(hidden)]
-    sim = Simulation(config, wl, nodes=[NodeRuntime(i, config, stores[i]) for i in range(4)])
+    hidden, record, policy = hashlib.sha256(b"hidden").digest(), {}, make_policy(config)
+    stores = [MemoryStore(record), MemoryStore(record), MemoryStore(record), HidingStore(hidden)]
+    nodes = [NodeRuntime(i, config, stores[i], policy) for i in range(4)]
+    sim = Simulation(config, wl, nodes=nodes)
     report = sim.run()
     assert report.committed_digests[3] == report.committed_digests[0]
     assert sim.nodes[3].decisions != sim.nodes[0].decisions
@@ -940,6 +1003,6 @@ def test_a_scenario_id_that_is_no_string_is_rejected_as_malformed(entry, message
 
 def test_simulation_refuses_a_node_list_of_the_wrong_length():
     config = SimConfig(n=4, f=1, seed=1)
-    nodes = [NodeRuntime(i, config, MemoryStore()) for i in range(3)]
+    nodes = [NodeRuntime(i, config, MemoryStore({}), make_policy(config)) for i in range(3)]
     with pytest.raises(ScenarioError, match="^expected 4 nodes, got 3$"):
         Simulation(config, [], nodes=nodes)

@@ -8,14 +8,17 @@ file is in), each over one report per run, in run order:
 - `random-runs`: `cli._report_text` of `random_run(seed)` from
   `tests/runs.py`, for seeds 0 to 399;
 - `scenarios`: `cli._report_text` of each bundled scenario, by name;
-- `tampered-runs`: for seeds 0 to 99 of `random_run`, five damages to the
+- `tampered-runs`: for seeds 0 to 99 of `random_run`, six damages to the
   replicas after the run, each kept as the next is made, and
   `cli._report_text` after each. Four hit a blob store: an entry replaced
   by other bytes; one damaged bytes object placed in two replicas; an
   entry replaced by an equal copy; an entry deleted. The fifth hits one
   replica's chain: a committed transaction replaced by a copy with one
   byte of its first endorsement token flipped, in a copy of its block.
-  Each damage hits an entry or transaction drawn from `random.Random(seed)`.
+  The sixth hits a blob store again: an entry replaced by the bytes
+  object that the stores' records of hashed bytes (`MemoryStore._hashed`)
+  hold under another key. Each damage hits an entry or transaction drawn
+  from `random.Random(seed)`.
 
 A report's `committed_digests` lists every replica's block hashes, so the
 digests cover the chains too, and its `verify` section covers the damages.
@@ -63,8 +66,9 @@ def digests() -> dict[str, str]:
 
 def damages(nodes, rng: random.Random):
     """Damage one or two of the replicas' blob dicts four times, then one
-    replica's chain, yielding after each damage; a damage is skipped when no
-    replica holds a blob, or a committed transaction."""
+    replica's chain, then one blob dict, yielding after each damage; a
+    damage is skipped when no replica holds a blob, or a committed
+    transaction, or when the records hold no other key."""
     from revledger.ledger import Chain
 
     stores = [node.store._blobs for node in nodes]
@@ -100,6 +104,15 @@ def damages(nodes, rng: random.Random):
         blocks[at] = replace(blocks[at], transactions=tuple(txs))
         nodes[i].chain = Chain(blocks)
     yield "token"
+    # The union of the records: one shared dict, or one per store.
+    record = {key: data for node in nodes for key, data in node.store._hashed.items()}
+    held = [(i, key) for i, blobs in enumerate(stores) for key in sorted(blobs)]
+    if held:
+        i, key = rng.choice(held)
+        others = sorted(set(record) - {key})
+        if others:
+            stores[i][key] = record[rng.choice(others)]
+    yield "record-of-other-key"
 
 
 def main(argv: list[str] | None = None) -> int:
