@@ -209,7 +209,7 @@ class MemoryStore:
         self._hashed = hashed
 
     def put(self, digest: bytes, data: bytes) -> None:
-        if digest in self._blobs or data != self._hashed.get(digest) and sha256(data) != digest:
+        if digest in self._blobs or (data != self._hashed.get(digest) and sha256(data) != digest):
             return
         self._hashed.setdefault(digest, data)
         self._blobs[digest] = data
